@@ -1,0 +1,366 @@
+"""Minimal reverse-mode automatic differentiation over numpy float64 arrays.
+
+Covers exactly the ops the dispatch policy needs: broadcasting arithmetic,
+batched matmul, reductions, tanh/exp/log, reshape/transpose/concat, masked
+log-softmax, and gather along the last axis. Tensors form a DAG; backward()
+runs a single iterative topological sweep accumulating grads into leaves.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from ..errors import InternalError
+
+
+def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
+    """Reduce a broadcast gradient back to `shape`."""
+    if grad.shape == shape:
+        return grad
+    extra = grad.ndim - len(shape)
+    if extra > 0:
+        grad = grad.sum(axis=tuple(range(extra)))
+    axes = tuple(i for i, s in enumerate(shape) if s == 1 and grad.shape[i] != 1)
+    if axes:
+        grad = grad.sum(axis=axes, keepdims=True)
+    return grad.reshape(shape)
+
+
+class Tensor:
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+
+    def __init__(self, data, requires_grad: bool = False, parents=(), backward=None):
+        self.data = np.asarray(data, dtype=np.float64)
+        self.grad = None
+        self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
+        self._parents = parents if self.requires_grad else ()
+        self._backward = backward if self.requires_grad else None
+
+    @property
+    def shape(self):
+        return self.data.shape
+
+    @property
+    def ndim(self):
+        return self.data.ndim
+
+    def detach(self) -> "Tensor":
+        return Tensor(self.data)
+
+    def item(self) -> float:
+        return float(self.data)
+
+    # --- graph mechanics ---
+
+    def backward(self):
+        if self.data.size != 1:
+            raise InternalError("backward() needs a scalar output")
+        topo, seen = [], set()
+        stack = [(self, False)]
+        while stack:
+            node, processed = stack.pop()
+            if processed:
+                topo.append(node)
+                continue
+            if id(node) in seen:
+                continue
+            seen.add(id(node))
+            stack.append((node, True))
+            for p in node._parents:
+                if p.requires_grad and id(p) not in seen:
+                    stack.append((p, False))
+        self.grad = np.ones_like(self.data)
+        for node in reversed(topo):
+            if node._backward is not None:
+                node._backward(node.grad)
+
+    def _accumulate(self, g: np.ndarray):
+        if self.grad is None:
+            self.grad = np.zeros_like(self.data)
+        self.grad += g
+
+    # --- arithmetic ---
+
+    def __add__(self, other):
+        other = _as_tensor(other)
+        out = Tensor(self.data + other.data, parents=(self, other))
+
+        def back(g):
+            if self.requires_grad:
+                self._accumulate(_unbroadcast(g, self.data.shape))
+            if other.requires_grad:
+                other._accumulate(_unbroadcast(g, other.data.shape))
+        out._backward = back if out.requires_grad else None
+        return out
+
+    __radd__ = __add__
+
+    def __mul__(self, other):
+        other = _as_tensor(other)
+        out = Tensor(self.data * other.data, parents=(self, other))
+
+        def back(g):
+            if self.requires_grad:
+                self._accumulate(_unbroadcast(g * other.data, self.data.shape))
+            if other.requires_grad:
+                other._accumulate(_unbroadcast(g * self.data, other.data.shape))
+        out._backward = back if out.requires_grad else None
+        return out
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return self * (-1.0)
+
+    def __sub__(self, other):
+        return self + (-_as_tensor(other))
+
+    def __rsub__(self, other):
+        return _as_tensor(other) + (-self)
+
+    def __truediv__(self, other):
+        return self * _as_tensor(other) ** -1.0
+
+    def __rtruediv__(self, other):
+        return _as_tensor(other) * self ** -1.0
+
+    def __pow__(self, exponent: float):
+        if not np.isscalar(exponent):
+            raise InternalError("only scalar exponents are supported")
+        out = Tensor(self.data ** exponent, parents=(self,))
+
+        def back(g):
+            if self.requires_grad:
+                self._accumulate(g * exponent * self.data ** (exponent - 1.0))
+        out._backward = back if out.requires_grad else None
+        return out
+
+    def __matmul__(self, other):
+        other = _as_tensor(other)
+        # lift 1-D operands so the transposes in the backward pass are valid
+        if self.ndim == 1 and other.ndim == 1:
+            return (self * other).sum()
+        if self.ndim == 1:
+            prod = self.reshape((1, -1)) @ other
+            return prod.reshape(prod.shape[:-2] + prod.shape[-1:])
+        if other.ndim == 1:
+            prod = self @ other.reshape((-1, 1))
+            return prod.reshape(prod.shape[:-1])
+        out = Tensor(np.matmul(self.data, other.data), parents=(self, other))
+
+        def back(g):
+            if self.requires_grad:
+                ga = np.matmul(g, np.swapaxes(other.data, -1, -2))
+                self._accumulate(_unbroadcast(ga, self.data.shape))
+            if other.requires_grad:
+                gb = np.matmul(np.swapaxes(self.data, -1, -2), g)
+                other._accumulate(_unbroadcast(gb, other.data.shape))
+        out._backward = back if out.requires_grad else None
+        return out
+
+    # --- shape ---
+
+    def reshape(self, *shape):
+        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
+            shape = tuple(shape[0])
+        out = Tensor(self.data.reshape(shape), parents=(self,))
+
+        def back(g):
+            if self.requires_grad:
+                self._accumulate(g.reshape(self.data.shape))
+        out._backward = back if out.requires_grad else None
+        return out
+
+    def swap_last(self):
+        """Transpose the last two axes."""
+        out = Tensor(np.swapaxes(self.data, -1, -2), parents=(self,))
+
+        def back(g):
+            if self.requires_grad:
+                self._accumulate(np.swapaxes(g, -1, -2))
+        out._backward = back if out.requires_grad else None
+        return out
+
+    def __getitem__(self, key):
+        out = Tensor(self.data[key], parents=(self,))
+
+        def back(g):
+            if self.requires_grad:
+                full = np.zeros_like(self.data)
+                np.add.at(full, key, g)
+                self._accumulate(full)
+        out._backward = back if out.requires_grad else None
+        return out
+
+    # --- reductions and elementwise ---
+
+    def sum(self, axis=None, keepdims: bool = False):
+        out = Tensor(self.data.sum(axis=axis, keepdims=keepdims), parents=(self,))
+
+        def back(g):
+            if not self.requires_grad:
+                return
+            if axis is None:
+                self._accumulate(np.broadcast_to(g, self.data.shape).copy())
+                return
+            if not keepdims:
+                g = np.expand_dims(g, axis)
+            self._accumulate(np.broadcast_to(g, self.data.shape).copy())
+        out._backward = back if out.requires_grad else None
+        return out
+
+    def mean(self, axis=None, keepdims: bool = False):
+        if axis is None:
+            count = self.data.size
+        else:
+            count = self.data.shape[axis]
+        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
+
+    def tanh(self):
+        t = np.tanh(self.data)
+        out = Tensor(t, parents=(self,))
+
+        def back(g):
+            if self.requires_grad:
+                self._accumulate(g * (1.0 - t * t))
+        out._backward = back if out.requires_grad else None
+        return out
+
+    def exp(self):
+        e = np.exp(self.data)
+        out = Tensor(e, parents=(self,))
+
+        def back(g):
+            if self.requires_grad:
+                self._accumulate(g * e)
+        out._backward = back if out.requires_grad else None
+        return out
+
+    def log(self):
+        out = Tensor(np.log(self.data), parents=(self,))
+
+        def back(g):
+            if self.requires_grad:
+                self._accumulate(g / self.data)
+        out._backward = back if out.requires_grad else None
+        return out
+
+
+def _as_tensor(x) -> Tensor:
+    return x if isinstance(x, Tensor) else Tensor(x)
+
+
+def as_tensor(x) -> Tensor:
+    """Wrap array-likes as constant Tensors; passes Tensors through."""
+    return _as_tensor(x)
+
+
+def concat(tensors, axis: int = -1) -> Tensor:
+    tensors = [_as_tensor(t) for t in tensors]
+    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis),
+                 parents=tuple(tensors))
+    sizes = [t.data.shape[axis] for t in tensors]
+
+    def back(g):
+        offsets = np.cumsum([0] + sizes)
+        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
+            if t.requires_grad:
+                sl = [slice(None)] * g.ndim
+                sl[axis] = slice(lo, hi)
+                t._accumulate(g[tuple(sl)])
+    out._backward = back if out.requires_grad else None
+    return out
+
+
+def log_softmax(scores: Tensor, mask: np.ndarray | None = None) -> Tensor:
+    """Log-softmax over the last axis with an optional constant boolean
+    mask (True = allowed). Disallowed entries come out as -inf, receive
+    exactly zero probability, and pass no gradient."""
+    x = scores.data
+    if mask is None:
+        mask = np.ones(x.shape, dtype=bool)
+    else:
+        mask = np.broadcast_to(np.asarray(mask, dtype=bool), x.shape)
+        if not mask.any(axis=-1).all():
+            raise InternalError("log_softmax row with every entry masked")
+    neg = np.where(mask, x, -np.inf)
+    m = np.max(neg, axis=-1, keepdims=True)
+    z = np.where(mask, x - m, -np.inf)
+    ez = np.where(mask, np.exp(np.where(mask, x - m, 0.0)), 0.0)
+    denom = ez.sum(axis=-1, keepdims=True)
+    logp = np.where(mask, z - np.log(denom), -np.inf)
+    out = Tensor(logp, parents=(scores,))
+    soft = ez / denom
+
+    def back(g):
+        if scores.requires_grad:
+            g = np.where(mask, g, 0.0)
+            scores._accumulate(g - soft * g.sum(axis=-1, keepdims=True))
+    out._backward = back if out.requires_grad else None
+    return out
+
+
+def softmax(scores: Tensor, mask: np.ndarray | None = None) -> Tensor:
+    """Masked softmax; masked entries get weight exactly 0.0 (exp of the
+    -inf log-probability) and pass no gradient."""
+    return log_softmax(scores, mask).exp()
+
+
+def where_const(mask: np.ndarray, x: Tensor, fill: float) -> Tensor:
+    """x where mask else fill; gradient flows only through kept entries.
+    Useful to neutralize -inf entries before arithmetic that would produce
+    NaNs (e.g. 0 * -inf in entropy sums)."""
+    mask = np.asarray(mask, dtype=bool)
+    out = Tensor(np.where(mask, x.data, fill), parents=(x,))
+
+    def back(g):
+        if x.requires_grad:
+            x._accumulate(np.where(mask, g, 0.0))
+    out._backward = back if out.requires_grad else None
+    return out
+
+
+def take_along_last(x: Tensor, idx: np.ndarray) -> Tensor:
+    """Gather along the last axis; idx is a constant integer array with the
+    same leading shape as x."""
+    idx = np.asarray(idx, dtype=np.int64)
+    out = Tensor(np.take_along_axis(x.data, idx, axis=-1), parents=(x,))
+
+    def back(g):
+        if x.requires_grad:
+            full = np.zeros_like(x.data)
+            np.add.at(full, (*np.indices(idx.shape)[:-1], idx), g)
+            x._accumulate(full)
+    out._backward = back if out.requires_grad else None
+    return out
+
+
+class Adam:
+    """Standard Adam over a name -> Tensor parameter dict."""
+
+    def __init__(self, params: dict, lr: float = 3e-4, beta1: float = 0.9,
+                 beta2: float = 0.999, eps: float = 1e-8):
+        self.params = params
+        self.lr = lr
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.eps = eps
+        self.t = 0
+        self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
+        self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
+
+    def zero_grad(self):
+        for p in self.params.values():
+            p.grad = None
+
+    def step(self):
+        self.t += 1
+        b1, b2 = self.beta1, self.beta2
+        for k, p in self.params.items():
+            if p.grad is None:
+                continue
+            self.m[k] = b1 * self.m[k] + (1 - b1) * p.grad
+            self.v[k] = b2 * self.v[k] + (1 - b2) * p.grad ** 2
+            mhat = self.m[k] / (1 - b1 ** self.t)
+            vhat = self.v[k] / (1 - b2 ** self.t)
+            p.data -= self.lr * mhat / (np.sqrt(vhat) + self.eps)

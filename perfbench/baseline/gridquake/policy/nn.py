@@ -1,0 +1,207 @@
+"""Attention-based dispatch policy network.
+
+Encoder: failed components as an unordered token set (no positional
+encoding), embedded from per-instance-normalized features and refined by
+post-norm transformer layers. Decoder: one token per crew reflecting its
+current position, elapsed time, and remaining cluster work; self-attention
+over crews, cross-attention into the encoder memory, then a pointer head
+scoring every (crew, component) pair with 10*tanh-clipped logits. A value
+head for PPO pools the encoder memory and decoder crew states.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+from dataclasses import dataclass, asdict
+
+import numpy as np
+
+from ..errors import ConfigError
+from . import autodiff as ad
+from .autodiff import Tensor
+
+COMP_FEATURES = 5  # x, y, repair, curtailment, depot distance
+CREW_FEATURES = 6  # depot x, depot y, cur x, cur y, time, jobs left
+
+
+@dataclass(frozen=True)
+class PolicyConfig:
+    width: int = 64
+    heads: int = 4
+    enc_layers: int = 2
+    dec_layers: int = 2
+    ffn_hidden: int = 128
+    score_clip: float = 10.0
+
+    def __post_init__(self):
+        if self.width % self.heads != 0:
+            raise ConfigError("width must be divisible by heads")
+
+    @property
+    def d_head(self) -> int:
+        return self.width // self.heads
+
+
+def _glorot(rng, fan_in, fan_out, shape):
+    limit = math.sqrt(6.0 / (fan_in + fan_out))
+    return rng.uniform(-limit, limit, size=shape)
+
+
+def _attn_params(rng, d, h, dk, prefix, params):
+    params[f"{prefix}.Wq"] = Tensor(_glorot(rng, d, dk, (h, d, dk)), requires_grad=True)
+    params[f"{prefix}.Wk"] = Tensor(_glorot(rng, d, dk, (h, d, dk)), requires_grad=True)
+    params[f"{prefix}.Wv"] = Tensor(_glorot(rng, d, dk, (h, d, dk)), requires_grad=True)
+    params[f"{prefix}.Wo"] = Tensor(_glorot(rng, h * dk, d, (h * dk, d)), requires_grad=True)
+
+
+def _ln_params(rng, d, prefix, params):
+    params[f"{prefix}.g"] = Tensor(np.ones(d), requires_grad=True)
+    params[f"{prefix}.b"] = Tensor(np.zeros(d), requires_grad=True)
+
+
+def _ffn_params(rng, d, hidden, prefix, params):
+    params[f"{prefix}.W1"] = Tensor(_glorot(rng, d, hidden, (d, hidden)), requires_grad=True)
+    params[f"{prefix}.b1"] = Tensor(np.zeros(hidden), requires_grad=True)
+    params[f"{prefix}.W2"] = Tensor(_glorot(rng, hidden, d, (hidden, d)), requires_grad=True)
+    params[f"{prefix}.b2"] = Tensor(np.zeros(d), requires_grad=True)
+
+
+class PolicyModel:
+    """Parameter container plus the differentiable forward passes."""
+
+    def __init__(self, config: PolicyConfig, params: dict):
+        self.config = config
+        self.params = params
+
+    @classmethod
+    def init(cls, config: PolicyConfig = PolicyConfig(), seed: int = 0) -> "PolicyModel":
+        rng = np.random.default_rng(seed)
+        d, h, dk, ffn = (config.width, config.heads, config.d_head,
+                         config.ffn_hidden)
+        p: dict[str, Tensor] = {}
+        p["enc.embed.W"] = Tensor(_glorot(rng, COMP_FEATURES, d, (COMP_FEATURES, d)),
+                                  requires_grad=True)
+        p["enc.embed.b"] = Tensor(np.zeros(d), requires_grad=True)
+        for i in range(config.enc_layers):
+            _attn_params(rng, d, h, dk, f"enc.{i}.attn", p)
+            _ln_params(rng, d, f"enc.{i}.ln1", p)
+            _ffn_params(rng, d, ffn, f"enc.{i}.ffn", p)
+            _ln_params(rng, d, f"enc.{i}.ln2", p)
+        p["dec.embed.W"] = Tensor(_glorot(rng, CREW_FEATURES, d, (CREW_FEATURES, d)),
+                                  requires_grad=True)
+        p["dec.embed.b"] = Tensor(np.zeros(d), requires_grad=True)
+        for i in range(config.dec_layers):
+            _attn_params(rng, d, h, dk, f"dec.{i}.self", p)
+            _ln_params(rng, d, f"dec.{i}.ln1", p)
+            _attn_params(rng, d, h, dk, f"dec.{i}.cross", p)
+            _ln_params(rng, d, f"dec.{i}.ln2", p)
+            _ffn_params(rng, d, ffn, f"dec.{i}.ffn", p)
+            _ln_params(rng, d, f"dec.{i}.ln3", p)
+        p["ptr.Wq"] = Tensor(_glorot(rng, d, d, (d, d)), requires_grad=True)
+        p["ptr.Wk"] = Tensor(_glorot(rng, d, d, (d, d)), requires_grad=True)
+        p["val.W1"] = Tensor(_glorot(rng, 2 * d, ffn, (2 * d, ffn)), requires_grad=True)
+        p["val.b1"] = Tensor(np.zeros(ffn), requires_grad=True)
+        p["val.W2"] = Tensor(_glorot(rng, ffn, 1, (ffn, 1)), requires_grad=True)
+        p["val.b2"] = Tensor(np.zeros(1), requires_grad=True)
+        return cls(config, p)
+
+    # --- building blocks ---
+
+    def _ln(self, x: Tensor, prefix: str) -> Tensor:
+        g = self.params[f"{prefix}.g"]
+        b = self.params[f"{prefix}.b"]
+        mu = x.mean(axis=-1, keepdims=True)
+        xc = x - mu
+        var = (xc * xc).mean(axis=-1, keepdims=True)
+        return xc * (var + 1e-5) ** -0.5 * g + b
+
+    def _ffn(self, x: Tensor, prefix: str) -> Tensor:
+        p = self.params
+        h = (x @ p[f"{prefix}.W1"] + p[f"{prefix}.b1"]).tanh()
+        return h @ p[f"{prefix}.W2"] + p[f"{prefix}.b2"]
+
+    def _mha(self, q_in: Tensor, kv_in: Tensor, prefix: str,
+             mask: np.ndarray | None = None) -> Tensor:
+        p = self.params
+        dk = self.config.d_head
+        heads = []
+        for h in range(self.config.heads):
+            qh = q_in @ p[f"{prefix}.Wq"][h]
+            kh = kv_in @ p[f"{prefix}.Wk"][h]
+            vh = kv_in @ p[f"{prefix}.Wv"][h]
+            scores = (qh @ kh.swap_last()) * (1.0 / math.sqrt(dk))
+            attn = ad.softmax(scores, mask)
+            heads.append(attn @ vh)
+        return ad.concat(heads, axis=-1) @ p[f"{prefix}.Wo"]
+
+    # --- forward passes ---
+
+    def encode(self, comp_feats) -> Tensor:
+        """Component features (..., n, COMP_FEATURES) -> memory (..., n, d)."""
+        x = ad.as_tensor(comp_feats)
+        h = x @ self.params["enc.embed.W"] + self.params["enc.embed.b"]
+        for i in range(self.config.enc_layers):
+            h = self._ln(h + self._mha(h, h, f"enc.{i}.attn"), f"enc.{i}.ln1")
+            h = self._ln(h + self._ffn(h, f"enc.{i}.ffn"), f"enc.{i}.ln2")
+        return h
+
+    def decode_step(self, memory: Tensor, crew_feats, mask: np.ndarray):
+        """One scheduling decision.
+
+        memory: (..., n, d) encoder output; crew_feats (..., m, CREW_FEATURES);
+        mask (..., m*n) boolean over flattened (crew, component) pairs.
+        Returns (log_probs (..., m*n), value (...,)).
+        """
+        c = ad.as_tensor(crew_feats)
+        h = c @ self.params["dec.embed.W"] + self.params["dec.embed.b"]
+        for i in range(self.config.dec_layers):
+            h = self._ln(h + self._mha(h, h, f"dec.{i}.self"), f"dec.{i}.ln1")
+            h = self._ln(h + self._mha(h, memory, f"dec.{i}.cross"), f"dec.{i}.ln2")
+            h = self._ln(h + self._ffn(h, f"dec.{i}.ffn"), f"dec.{i}.ln3")
+
+        d = self.config.width
+        q = h @ self.params["ptr.Wq"]  # (..., m, d)
+        k = memory @ self.params["ptr.Wk"]  # (..., n, d)
+        raw = (q @ k.swap_last()) * (1.0 / math.sqrt(d))
+        scores = raw.tanh() * self.config.score_clip  # (..., m, n)
+        m_crews = scores.shape[-2]
+        n_comp = scores.shape[-1]
+        flat = scores.reshape(scores.shape[:-2] + (m_crews * n_comp,))
+        logp = ad.log_softmax(flat, mask)
+
+        pooled = ad.concat([memory.mean(axis=-2), h.mean(axis=-2)], axis=-1)
+        v = (pooled @ self.params["val.W1"] + self.params["val.b1"]).tanh()
+        value = (v @ self.params["val.W2"] + self.params["val.b2"])
+        value = value.reshape(value.shape[:-1])
+        return logp, value
+
+    # --- persistence ---
+
+    def save(self, path: str):
+        """Checkpoint: float64 arrays plus the config as a JSON blob.
+        Round-trips bit-exactly."""
+        arrays = {k: t.data for k, t in self.params.items()}
+        config_blob = np.frombuffer(
+            json.dumps(asdict(self.config), sort_keys=True).encode("utf-8"),
+            dtype=np.uint8).copy()
+        with open(path, "wb") as fh:
+            np.savez(fh, __config__=config_blob, **arrays)
+
+    @classmethod
+    def load(cls, path: str) -> "PolicyModel":
+        try:
+            data = np.load(path)
+        except (OSError, ValueError) as e:
+            raise ConfigError(f"cannot read model checkpoint {path!r}: {e}") from e
+        with data:
+            if "__config__" not in data.files:
+                raise ConfigError(f"{path!r} is not a policy checkpoint")
+            config = PolicyConfig(
+                **json.loads(bytes(data["__config__"]).decode("utf-8")))
+            params = {k: Tensor(data[k], requires_grad=True)
+                      for k in data.files if k != "__config__"}
+        return cls(config, params)
+
+    def clone_params(self) -> dict:
+        return {k: t.data.copy() for k, t in self.params.items()}
