@@ -8,7 +8,7 @@ from .seismic import (DEFAULT_GMPE, GmpeCoefficients, PgaField, SeismicEvent,
                       component_failure_probabilities, compute_pga_field,
                       failure_probability, ground_motion_pga, normal_cdf,
                       sample_damage)
-from .simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LpResult, solve_lp
+from .simplex import INFEASIBLE, OPTIMAL, LpResult, solve_lp
 from .powerflow import (FlowSolution, OperationalState, RestorationTimeline,
                         TripleProductLinearization, de_energized_load,
                         energization_state, ens_timeline,
@@ -41,7 +41,7 @@ __all__ = [
     "OPTIMAL", "ObjectiveBreakdown", "OperationalState", "PgaField",
     "PipelineConfig", "PolicyConfig", "PolicyModel", "PpoConfig",
     "RadialityReport", "RestorationTimeline", "ScenarioSet", "SeismicEvent",
-    "TrainTrace", "TripleProductLinearization", "UNBOUNDED",
+    "TrainTrace", "TripleProductLinearization",
     "builtin_feeder", "cluster_to_depots", "component_failure_probabilities",
     "compute_pga_field", "config_from_document", "de_energized_load",
     "default_event", "encode_instance", "energization_state", "ens_timeline",

@@ -1,9 +1,10 @@
 """Post-event operating state: island energization, linearized load-shedding
 dispatch, and restoration timelines.
 
-The shedding problem is a LinDistFlow LP per energized island: nodal P/Q
-balance, linear voltage drop along lines, box limits on flows, generation,
-voltages, and shed. De-energized islands shed everything by construction.
+The shedding problem is one LinDistFlow LP over all energized buses, in
+which each energized island is a separate block: nodal P/Q balance, linear
+voltage drop along lines, box limits on flows, generation, voltages, and
+shed. De-energized islands shed everything by construction.
 """
 
 from __future__ import annotations
@@ -324,6 +325,7 @@ def ens_timeline(
     repair completion. Loads are frozen at a reference hour (peak by default)
     so the curve isolates the effect of restoration, not demand swing. Failed
     components absent from completion_hours stay out for the whole horizon.
+    Hours with the same failed set as the hour before reuse its shed.
     """
     failed = set(failed_ids)
     missing = failed - set(completion_hours)
@@ -337,15 +339,20 @@ def ens_timeline(
 
     hours, fracs, sheds = [], [], []
     ens = 0.0
+    prev_failed = None
     for t in range(horizon):
         still_failed = {c for c in failed
                         if c in missing or math.ceil(completion_hours[c]) > t}
-        state = energization_state(network, still_failed)
-        if use_lp:
-            flow = solve_shedding_lp(network, state, p_ref, q_ref)
-            shed = flow.total_shed_mw
-        else:
-            shed = sum(p_ref[b] for b in network.buses if not state.energized[b])
+        # loads are frozen, so an unchanged failed set keeps last hour's shed
+        if still_failed != prev_failed:
+            state = energization_state(network, still_failed)
+            if use_lp:
+                flow = solve_shedding_lp(network, state, p_ref, q_ref)
+                shed = flow.total_shed_mw
+            else:
+                shed = sum(p_ref[b] for b in network.buses
+                           if not state.energized[b])
+            prev_failed = still_failed
         hours.append(t)
         sheds.append(shed)
         fracs.append(1.0 if total <= 0 else (total - shed) / total)

@@ -1,16 +1,22 @@
-"""Dense bounded-variable two-phase primal simplex.
+"""Dense bounded-variable two-phase revised simplex.
 
 Solves   min c.x   s.t.  A x = b,  lower <= x <= upper.
 
-Small-scale by design (tens of rows): basis systems are solved directly with
-numpy.linalg.solve every iteration, no factorization updates. Pricing is
-Dantzig (most negative reduced cost) with a permanent switch to Bland's rule
-once the objective stalls, which guards against cycling on degenerate bases.
+Sized for distribution feeders (hundreds of rows). Each phase keeps an
+explicit inverse of the basis matrix: it is computed afresh when the phase
+starts and after every _REFACTOR_EVERY basis changes, and between those it
+is carried by one rank-one (eta) update per basis change, so an iteration
+costs O(m^2 + m n) in matrix-vector products instead of three dense solves
+(Chvatal, Linear Programming, ch. 24). The returned point is solved afresh
+on the final basis, so it depends on that basis alone, not on the rounding
+of the path to it. Pricing is Dantzig (most negative reduced cost) with a
+permanent switch to Bland's rule once the objective stalls, which guards
+against cycling on degenerate bases.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,11 +24,14 @@ from .errors import InternalError, LimitError
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
-UNBOUNDED = "unbounded"
 
 _AT_LOWER = 0
 _AT_UPPER = 1
 _BASIC = 2
+
+# Basis changes between fresh inversions of the basis matrix. The eta
+# updates in between each add a little rounding; refactoring bounds it.
+_REFACTOR_EVERY = 64
 
 
 @dataclass
@@ -31,6 +40,10 @@ class LpResult:
     x: np.ndarray | None
     objective: float | None
     iterations: int
+    # Solver counters for diagnostics: phase1_iterations, phase2_iterations,
+    # bland (the anti-cycling switch fired) and refactorizations (fresh
+    # basis inversions). Never written to an artifact.
+    stats: dict = field(default_factory=dict)
 
 
 def solve_lp(
@@ -79,10 +92,14 @@ def solve_lp(
     status[n:] = _BASIC
     basis = np.arange(n, n + m)
 
+    stats = {"phase1_iterations": 0, "phase2_iterations": 0, "bland": False,
+             "refactorizations": 0}
     it1, obj1 = _simplex_core(c1, A1, b, lo1, hi1, basis, status, tol,
-                              max_iter, allowed=n + m)
+                              max_iter, allowed=n + m, stats=stats)
+    stats["phase1_iterations"] = it1
     if obj1 > tol * max(1.0, np.abs(b).sum()):
-        return LpResult(status=INFEASIBLE, x=None, objective=None, iterations=it1)
+        return LpResult(status=INFEASIBLE, x=None, objective=None,
+                        iterations=it1, stats=stats)
 
     # lock artificials at zero for phase 2 (they may linger in the basis on
     # redundant rows, pinned to the [0, 0] box)
@@ -91,14 +108,15 @@ def solve_lp(
     c2 = np.concatenate([c, np.zeros(m)])
 
     it2, _ = _simplex_core(c2, A1, b, lo1, hi1, basis, status, tol,
-                           max_iter, allowed=n)
+                           max_iter, allowed=n, stats=stats)
+    stats["phase2_iterations"] = it2
 
     x = _current_point(A1, b, lo1, hi1, basis, status)
     if np.any(np.isnan(x)):
         raise InternalError("simplex produced NaN solution")
     xs = x[:n]
     return LpResult(status=OPTIMAL, x=xs, objective=float(c @ xs),
-                    iterations=it1 + it2)
+                    iterations=it1 + it2, stats=stats)
 
 
 def _current_point(A, b, lo, hi, basis, status):
@@ -110,26 +128,33 @@ def _current_point(A, b, lo, hi, basis, status):
     return x
 
 
-def _simplex_core(c, A, b, lo, hi, basis, status, tol, max_iter, allowed):
+def _invert_basis(A, basis, it):
+    try:
+        return np.linalg.inv(A[:, basis])
+    except np.linalg.LinAlgError as e:
+        raise InternalError(f"singular basis at iteration {it}: {e}") from e
+
+
+def _simplex_core(c, A, b, lo, hi, basis, status, tol, max_iter, allowed,
+                  stats):
     """Run simplex iterations in place on (basis, status).
 
     `allowed` limits entering candidates to the first `allowed` columns, which
-    keeps locked artificials out of phase-2 pricing. Returns (iterations,
-    final objective).
+    keeps locked artificials out of phase-2 pricing. Counts refactorizations
+    and the Bland switch into `stats`. Returns (iterations, final objective).
     """
     m = A.shape[0]
     bland = False
     stall = 0
     last_obj = np.inf
+    Binv = _invert_basis(A, basis, 0)
+    stats["refactorizations"] += 1
+    changes = 0
 
     for it in range(max_iter):
-        B = A[:, basis]
         x = np.where(status == _AT_UPPER, hi, lo)
         x[basis] = 0.0
-        try:
-            xb = np.linalg.solve(B, b - A @ x)
-        except np.linalg.LinAlgError as e:
-            raise InternalError(f"singular basis at iteration {it}: {e}") from e
+        xb = Binv @ (b - A @ x)
         x[basis] = xb
 
         obj = float(c @ x)
@@ -138,10 +163,10 @@ def _simplex_core(c, A, b, lo, hi, basis, status, tol, max_iter, allowed):
         else:
             stall += 1
             if stall > 2 * (m + allowed):
-                bland = True
+                bland = stats["bland"] = True
         last_obj = obj
 
-        y = np.linalg.solve(B.T, c[basis])
+        y = c[basis] @ Binv
         d = c - y @ A  # reduced costs
 
         eligible_lo = (status == _AT_LOWER) & (d < -tol)
@@ -159,25 +184,28 @@ def _simplex_core(c, A, b, lo, hi, basis, status, tol, max_iter, allowed):
 
         # direction of basic variables as x_j moves by +t (from lower) or
         # -t (from upper); fold the sign in so t >= 0 either way
-        sgn = 1.0 if status[j] == _AT_LOWER else -1.0
-        w = np.linalg.solve(B, A[:, j]) * sgn
+        alpha = Binv @ A[:, j]
+        w = alpha * (1.0 if status[j] == _AT_LOWER else -1.0)
 
+        # ratio test over the rows that move; a falling basic stops at its
+        # lower bound, a rising one at its upper, and (xb - bound) / w is
+        # the step to it either way. Rows are visited in order: a step
+        # within tol of the best goes to the lower basis index.
+        rows = np.flatnonzero(np.abs(w) > tol)
+        movers = basis[rows]
+        falling = w[rows] > 0
+        bound = np.where(falling, lo[movers], hi[movers])
+        steps = (xb[rows] - bound) / w[rows]
         t_best = hi[j] - lo[j]  # bound-to-bound flip
         leave = -1
+        leave_var = -1
         leave_to = _AT_LOWER
-        for i in range(m):
-            if w[i] > tol:
-                room = xb[i] - lo[basis[i]]
-                t = room / w[i]
-                if t < t_best - tol or (t < t_best + tol and leave >= 0
-                                        and basis[i] < basis[leave]):
-                    t_best, leave, leave_to = t, i, _AT_LOWER
-            elif w[i] < -tol:
-                room = hi[basis[i]] - xb[i]
-                t = room / (-w[i])
-                if t < t_best - tol or (t < t_best + tol and leave >= 0
-                                        and basis[i] < basis[leave]):
-                    t_best, leave, leave_to = t, i, _AT_UPPER
+        for i, var, t, fall in zip(rows.tolist(), movers.tolist(),
+                                   steps.tolist(), falling.tolist()):
+            if t < t_best - tol or (t < t_best + tol and leave >= 0
+                                    and var < leave_var):
+                t_best, leave, leave_var = t, i, var
+                leave_to = _AT_LOWER if fall else _AT_UPPER
 
         if not np.isfinite(t_best):
             raise InternalError("LP unbounded along entering variable "
@@ -186,11 +214,23 @@ def _simplex_core(c, A, b, lo, hi, basis, status, tol, max_iter, allowed):
         if leave < 0:
             # entering variable runs to its opposite bound
             status[j] = _AT_UPPER if status[j] == _AT_LOWER else _AT_LOWER
+            continue
+
+        status[leave_var] = leave_to
+        basis[leave] = j
+        status[j] = _BASIC
+        changes += 1
+        if changes % _REFACTOR_EVERY == 0:
+            Binv = _invert_basis(A, basis, it)
+            stats["refactorizations"] += 1
         else:
-            out = basis[leave]
-            status[out] = leave_to
-            basis[leave] = j
-            status[j] = _BASIC
+            # eta update: column `leave` of the basis becomes A[:, j]. Rows
+            # where alpha is zero keep their values, and on feeder LPs most
+            # are, so only the others are touched.
+            pivot_row = Binv[leave] / alpha[leave]
+            moved = np.flatnonzero(alpha)
+            Binv[moved] -= np.outer(alpha[moved], pivot_row)
+            Binv[leave] = pivot_row
 
     raise LimitError(
         f"simplex iteration cap {max_iter} hit on {m}x{allowed} problem"

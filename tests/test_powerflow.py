@@ -14,6 +14,7 @@ import math
 import numpy as np
 import pytest
 
+import gridquake.powerflow as powerflow
 from gridquake.errors import ConfigError, InternalError
 from gridquake.fixtures import builtin_feeder, random_radial_network
 from gridquake.model import load_network
@@ -268,6 +269,46 @@ def test_ens_timeline_terminates_at_full_service():
     assert tl.served_fraction[-1] == pytest.approx(1.0, abs=1e-9)
     diffs = np.diff(tl.served_fraction)
     assert np.all(diffs >= -1e-9)
+
+
+def test_ens_timeline_solves_once_per_distinct_consecutive_state(monkeypatch):
+    net = builtin_feeder()
+    hours = {"c_l1": 2.2, "c_g1": 5.0, "c_l3": 5.0, "c_l5": 0.5}
+    failed = sorted(hours) + ["c_l7"]  # c_l7 never repaired
+    horizon = 9
+
+    # the reference: energization and an LP on every hour
+    expect_shed = []
+    states = []
+    for t in range(horizon):
+        still = {c for c in failed
+                 if c not in hours or math.ceil(hours[c]) > t}
+        states.append(still)
+        flow = solve_shedding_lp(net, energization_state(net, still),
+                                 *net.loads_at(net.peak_hour()))
+        expect_shed.append(flow.total_shed_mw)
+    distinct = [frozenset(s) for t, s in enumerate(states)
+                if t == 0 or s != states[t - 1]]
+    assert len(distinct) < horizon  # the case must repeat a state
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1].failed)
+        return solve_shedding_lp(*args, **kwargs)
+
+    monkeypatch.setattr(powerflow, "solve_shedding_lp", counting)
+    tl = ens_timeline(net, failed, hours, horizon=horizon)
+    assert calls == distinct
+    total = sum(net.loads_at(net.peak_hour())[0].values())
+    expect = powerflow.RestorationTimeline(
+        hours=list(range(horizon)),
+        served_fraction=[(total - s) / total for s in expect_shed],
+        shed_mw=expect_shed,
+        ens_mwh=sum(s * net.timestep_hours for s in expect_shed),
+        reference_load_mw=total,
+    )
+    assert tl == expect
 
 
 def test_triple_product_linearization_exact_on_all_combos():

@@ -3,11 +3,17 @@
 scipy is a test-only dependency; the solver itself must not need it.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
+import gridquake.simplex as simplex
 from gridquake.errors import InternalError, LimitError
+from gridquake.fixtures import random_radial_network
+from gridquake.powerflow import energization_state, solve_shedding_lp
 from gridquake.simplex import INFEASIBLE, OPTIMAL, solve_lp
 
 
@@ -126,3 +132,102 @@ def test_equalities_fix_all_variables():
     res = solve_lp([1.0, 1.0, 1.0], A, b, [0.0] * 3, [1.0] * 3)
     assert res.status == OPTIMAL
     assert res.x == pytest.approx(b, abs=1e-10)
+
+
+def test_stats_on_hand_case():
+    # phase 1 flips x1 to its upper bound, then pivots x2 in for the
+    # artificial; phase 2 swaps x2 (to its upper bound) for x1
+    res = solve_lp([-1.0, -2.0], [[1.0, 1.0]], [1.5], [0.0, 0.0], [1.0, 1.0])
+    assert res.stats == {"phase1_iterations": 2, "phase2_iterations": 1,
+                         "bland": False, "refactorizations": 2}
+    assert res.iterations == 3
+
+
+def test_stats_on_infeasible_stop_after_phase_one():
+    res = solve_lp([1.0, 1.0], [[1.0, 1.0]], [10.0], [0.0, 0.0], [1.0, 1.0])
+    assert res.status == INFEASIBLE
+    assert res.stats["phase2_iterations"] == 0
+    assert res.stats["refactorizations"] == 1
+    assert res.stats["phase1_iterations"] == res.iterations
+
+
+# --- shedding LPs against HiGHS ---------------------------------------------
+
+HIGHS_STATUS = {0: OPTIMAL, 2: INFEASIBLE}
+
+
+def shedding_lps(net, failed):
+    """(args, result) of every solve_lp call one shedding LP makes."""
+    seen = []
+
+    def recording(*args, **kwargs):
+        res = solve_lp(*args, **kwargs)
+        seen.append((args, res))
+        return res
+
+    state = energization_state(net, failed)
+    p, q = net.loads_at(0)
+    with mock.patch.object(simplex, "solve_lp", recording):
+        solve_shedding_lp(net, state, p, q)
+    return seen
+
+
+def assert_matches_highs(c, A, b, lower, upper, res):
+    ref = reference(c, A, b, lower, upper)
+    assert res.status == HIGHS_STATUS[ref.status]
+    if res.status != OPTIMAL:
+        return
+    assert res.objective == pytest.approx(ref.fun, rel=1e-6, abs=1e-9)
+    assert np.allclose(A @ res.x, b, atol=1e-7)
+    assert np.all(res.x >= lower - 1e-9)
+    assert np.all(res.x <= upper + 1e-9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000), n_buses=st.integers(6, 60),
+       fail_fraction=st.floats(0.0, 0.5),
+       angle=st.sampled_from([0.0, 0.3]), v_band=st.sampled_from([0.05, 0.5]))
+def test_shedding_lp_matches_highs(seed, n_buses, fail_fraction, angle,
+                                   v_band):
+    net = random_radial_network(seed, n_buses=n_buses,
+                                power_factor_angle=angle, v_band=v_band,
+                                resistance_max=0.05)
+    ids = sorted(net.components)
+    rng = np.random.default_rng(seed)
+    failed = list(rng.choice(ids, size=int(fail_fraction * len(ids)),
+                             replace=False))
+    for args, res in shedding_lps(net, failed):
+        assert_matches_highs(*args, res)
+
+
+def test_seeded_120_bus_shedding_lp_matches_highs():
+    net = random_radial_network(3, n_buses=120)
+    (args, res), = shedding_lps(net, ["c_l7", "c_l40", "c_g11"])
+    assert res.iterations > simplex._REFACTOR_EVERY
+    assert_matches_highs(*args, res)
+
+
+def test_refactorization_and_bound_flip_paths():
+    # a 60-bus shedding LP takes more than _REFACTOR_EVERY basis changes in
+    # phase 1; the appended free-standing columns (zero in A, cost -2) can
+    # only reach their upper bound by a bound flip in phase 2
+    (args, _), = shedding_lps(random_radial_network(3, n_buses=60), [])
+    c, A, b, lower, upper = args
+    k = 3
+    c = np.concatenate([c, np.full(k, -2.0)])
+    A = np.hstack([A, np.zeros((A.shape[0], k))])
+    lower = np.concatenate([lower, np.zeros(k)])
+    upper = np.concatenate([upper, np.ones(k)])
+    res = solve_lp(c, A, b, lower, upper)
+    assert res.stats["refactorizations"] > 2  # beyond one per phase
+    assert res.x[-k:] == pytest.approx(np.ones(k), abs=0)
+    assert_matches_highs(c, A, b, lower, upper, res)
+
+
+def test_repeated_solve_is_bit_identical():
+    (args, first), = shedding_lps(random_radial_network(5, n_buses=60),
+                                  ["c_l3", "c_l20"])
+    again = solve_lp(*args)
+    assert first.x.tobytes() == again.x.tobytes()
+    assert first.objective == again.objective
+    assert first.stats == again.stats
