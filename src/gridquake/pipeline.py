@@ -289,7 +289,7 @@ def run_pipeline(network: Network, config: PipelineConfig, out_dir: str,
                 objective=obj.value if obj else None,
                 makespan_hours=obj.makespan_hours if obj else None,
                 weighted_completion=obj.weighted_completion if obj else None,
-                ens_mwh=ens, seconds=None))
+                ens_mwh=ens))
         if curves:
             problems = resilience_curves_ok(curves)
             if problems:

@@ -60,7 +60,6 @@ class ComparisonRow:
     makespan_hours: float | None
     weighted_completion: float | None
     ens_mwh: float | None
-    seconds: float | None
     gap_vs_exact: float | None = None
 
 

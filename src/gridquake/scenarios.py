@@ -4,7 +4,12 @@ A scenario is a joint failure draw over the network's components. Its loss
 blends the failure count with energy-not-served at the peak hour; scenario
 sets carry probability weights that always sum to one. Forward reduction
 trims a set to k scenarios while (greedily) minimizing the 1-Wasserstein
-distance between loss distributions.
+distance between loss distributions (forward selection, Heitsch & Roemisch,
+Comput. Optim. Appl. 2003). Because removed weight moves to the nearest
+retained loss, that distance is the 1-D k-median cost
+sum_i w_i * min_r |l_i - l_r|, so each greedy step scores all candidates at
+once from prefix sums over the sorted distinct losses and computes W1
+exactly only for the near-ties that decide the pick.
 """
 
 from __future__ import annotations
@@ -216,15 +221,49 @@ def _redistribute(losses: np.ndarray, weights: np.ndarray,
     return out
 
 
+def _gap_costs(vr, P0, P1, a, b):
+    """Closed-form W1 cost of the distinct losses strictly between retained
+    distinct indices a < b (elementwise over arrays): each point pays its
+    weight times the distance to the nearer of v[a], v[b]. a = -1 or
+    b = D marks an open end, whose points all go to the other end.
+
+    `vr` holds the sorted distinct losses minus the smallest; P0 and P1 are
+    prefix sums (with a leading 0) of their weights and of weight * vr."""
+    d = vr.size
+    lo, hi = a + 1, b
+    va = vr[np.maximum(a, 0)]
+    vb = vr[np.minimum(b, d - 1)]
+    split = np.clip(np.searchsorted(vr, 0.5 * (va + vb), side="right"), lo, hi)
+    split = np.where(a < 0, lo, np.where(b >= d, hi, split))
+    left = (P1[split] - P1[lo]) - va * (P0[split] - P0[lo])
+    right = vb * (P0[hi] - P0[split]) - (P1[hi] - P1[split])
+    return left + right
+
+
 def forward_reduce(sset: ScenarioSet, k: int, protected=()) -> ScenarioSet:
     """Greedy forward selection of k scenarios minimizing the W1 distance
     between the reduced (weight-redistributed) and original loss
     distributions. `protected` scenario ids are always retained.
 
     Removed scenarios hand their weight to the nearest retained scenario by
-    loss. The result preserves original ids and pga/failure data; weights sum
-    to one.
+    loss, so the W1 distance of a retained set R is
+    sum_i w_i * min_{r in R} |l_i - l_r|. Each greedy step scores every
+    candidate in one vectorized pass from prefix sums over the sorted
+    distinct losses: adding a point only changes the cost of the gap between
+    its two retained neighbours, which splits at the two halves' midpoints.
+    The candidates whose closed-form score is within rounding tolerance of
+    the best are then scored exactly (`_redistribute` + `wasserstein1`) in
+    ascending index order, and the first one that beats the running best by
+    more than 1e-15 is kept; among equal losses the lowest index is the
+    candidate. Any candidate outside that shortlist is worse than the best
+    by far more than either method's rounding error, so the pick equals that
+    of scoring every candidate exactly.
+
+    The result preserves original ids and pga/failure data; weights sum to
+    one.
     """
+    if k < 1:
+        raise ConfigError("k must be >= 1")
     n = len(sset.scenarios)
     ids = [s.id for s in sset.scenarios]
     id_to_pos = {sid: i for i, sid in enumerate(ids)}
@@ -242,25 +281,52 @@ def forward_reduce(sset: ScenarioSet, k: int, protected=()) -> ScenarioSet:
     losses = sset.losses()
     weights = sset.weights()
     retained = list(protected_pos)
-    candidates = [i for i in range(n) if i not in set(retained)]
+
+    # distinct losses, their summed weights and the prefix sums of the score;
+    # closed-form and exact scores agree to ~1e-14 of `tol`'s scale, so the
+    # shortlist holds true near-ties (two middle points of an even gap tie
+    # exactly) and rarely anything else
+    v, group = np.unique(losses, return_inverse=True)
+    d = v.size
+    vr = v - v[0]
+    w_sum = np.bincount(group, weights=weights, minlength=d)
+    P0 = np.concatenate(([0.0], np.cumsum(w_sum)))
+    P1 = np.concatenate(([0.0], np.cumsum(w_sum * vr)))
+    tol = 1e-11 * (1.0 + P1[-1] + vr[-1])
+
+    # scenario positions grouped by distinct loss, ascending within a group
+    members = np.argsort(group, kind="stable")
+    starts = np.searchsorted(group[members], np.arange(d))
+    taken = np.zeros(n, dtype=bool)
+    taken[retained] = True
 
     while len(retained) < k:
+        # each distinct loss's lowest non-retained scenario (n: none left)
+        first = np.minimum.reduceat(np.where(taken[members], n, np.arange(n)),
+                                    starts)
+        live = np.flatnonzero(first < n)
+        # retained distinct losses between open ends -1 and d; with none
+        # retained, total and the gap (-1, d) are the same number and cancel
+        bounds = np.concatenate(([-1], np.unique(group[retained]), [d]))
+        at = np.searchsorted(bounds, live)
+        a, b = bounds[at - 1], bounds[at]
+        total = _gap_costs(vr, P0, P1, bounds[:-1], bounds[1:]).sum()
+        cost = (total - _gap_costs(vr, P0, P1, a, b)
+                + _gap_costs(vr, P0, P1, a, live)
+                + _gap_costs(vr, P0, P1, live, b))
+        cost[b == live] = total  # the loss is already retained
+        short = live[cost <= cost.min() + tol]
+
         base = np.array(retained, dtype=int)
         best = None
-        seen_loss = {}
-        for cand in candidates:
-            # identical losses give identical W1; evaluate once, keep low idx
-            key = losses[cand]
-            if key in seen_loss:
-                continue
-            seen_loss[key] = cand
+        for cand in np.sort(members[first[short]]).tolist():
             trial = np.append(base, cand)
             rw = _redistribute(losses, weights, trial)
-            d = wasserstein1(losses, weights, losses[trial], rw)
-            if best is None or d < best[0] - 1e-15:
-                best = (d, cand)
+            dist = wasserstein1(losses, weights, losses[trial], rw)
+            if best is None or dist < best[0] - 1e-15:
+                best = (dist, cand)
         retained.append(best[1])
-        candidates.remove(best[1])
+        taken[best[1]] = True
 
     retained_arr = np.array(sorted(retained), dtype=int)
     new_w = _redistribute(losses, weights, retained_arr)

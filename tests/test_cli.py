@@ -113,6 +113,15 @@ def test_exit_code_2_on_bad_inputs(tmp_path, network_path, capsys):
     capsys.readouterr()
 
 
+def test_exit_code_2_on_reduce_k_below_one(network_path, tmp_path, capsys):
+    sc = str(tmp_path / "sc.json")
+    assert main(["gen", "--network", network_path, "--magnitude", "7.5",
+                 "--n", "5", "--seed", "1", "--out", sc]) == 0
+    for k in ("0", "-1"):
+        assert main(["reduce", "--scenarios", sc, "--k", k]) == 2
+        assert "k must be >= 1" in capsys.readouterr().err
+
+
 def test_exit_code_2_on_bad_magnitude(network_path, capsys):
     assert main(["gen", "--network", network_path,
                  "--magnitude", "12.0"]) == 2

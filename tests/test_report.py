@@ -46,7 +46,7 @@ def row(solver, objective, status="ok", mag=7.0, sid=1):
     return ComparisonRow(magnitude=mag, scenario_id=sid, solver=solver,
                          status=status, objective=objective,
                          makespan_hours=1.0, weighted_completion=1.0,
-                         ens_mwh=2.0, seconds=None)
+                         ens_mwh=2.0)
 
 
 def test_fill_gaps_relative_to_exact():

@@ -3,17 +3,24 @@
 Hand oracle values: W1 between point masses at a and b is |a-b|; between
 ([0,1], [.5,.5]) and ([0,1], [.25,.75]) the CDFs differ by 0.25 on [0,1)
 so W1 = 0.25. Return-period case worked out in-line.
+
+`reference_forward_reduce` is the greedy that scores every distinct
+candidate loss with `_redistribute` + `wasserstein1`; the closed-form
+`forward_reduce` must pick exactly the same scenarios.
 """
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gridquake.errors import ConfigError
 from gridquake.fixtures import builtin_feeder, default_event
 from gridquake.scenarios import (LossDistribution, ScenarioSet, DamageScenario,
-                                 forward_reduce, generate_scenarios,
+                                 _redistribute, forward_reduce,
+                                 generate_scenarios,
                                  reduction_distance, return_period_loss,
                                  scenario_ens_mw, scenario_set_from_document,
                                  scenario_set_to_document,
@@ -176,6 +183,127 @@ def test_forward_reduce_beats_most_random_subsets():
         if d_greedy <= reduction_distance(sset, ids) + 1e-12:
             wins += 1
     assert wins >= 36
+
+
+def reference_forward_reduce(sset, k, protected=()):
+    """The greedy that `forward_reduce` replaced: every step scores the
+    lowest-index candidate of each distinct loss exactly and keeps the first
+    one that beats the running best by more than 1e-15."""
+    n = len(sset.scenarios)
+    id_to_pos = {s.id: i for i, s in enumerate(sset.scenarios)}
+    protected_pos = sorted({id_to_pos[p] for p in protected})
+    if k >= n:
+        return ScenarioSet(scenarios=list(sset.scenarios), magnitude=sset.magnitude,
+                           seed=sset.seed, n_generated=sset.n_generated,
+                           w1=sset.w1, w2=sset.w2)
+
+    losses = sset.losses()
+    weights = sset.weights()
+    retained = list(protected_pos)
+    candidates = [i for i in range(n) if i not in set(retained)]
+
+    while len(retained) < k:
+        base = np.array(retained, dtype=int)
+        best = None
+        seen_loss = {}
+        for cand in candidates:
+            key = losses[cand]
+            if key in seen_loss:
+                continue
+            seen_loss[key] = cand
+            trial = np.append(base, cand)
+            rw = _redistribute(losses, weights, trial)
+            d = wasserstein1(losses, weights, losses[trial], rw)
+            if best is None or d < best[0] - 1e-15:
+                best = (d, cand)
+        retained.append(best[1])
+        candidates.remove(best[1])
+
+    retained_arr = np.array(sorted(retained), dtype=int)
+    new_w = _redistribute(losses, weights, retained_arr)
+    out = [replace(sset.scenarios[i], weight=float(new_w[j]))
+           for j, i in enumerate(retained_arr)]
+    return ScenarioSet(scenarios=out, magnitude=sset.magnitude,
+                       seed=sset.seed, n_generated=sset.n_generated,
+                       w1=sset.w1, w2=sset.w2)
+
+
+@st.composite
+def reduction_cases(draw):
+    n = draw(st.integers(1, 80))
+    kind = draw(st.sampled_from(["integer", "lattice", "continuous"]))
+    if kind == "integer":
+        loss = st.integers(0, 12).map(float)
+    elif kind == "lattice":
+        loss = st.integers(0, 40).map(lambda i: round(i * 0.1, 1))
+    else:
+        loss = st.floats(0.0, 50.0, allow_nan=False, allow_infinity=False)
+    losses = draw(st.lists(loss, min_size=n, max_size=n))
+    if draw(st.booleans()):
+        raw = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=n,
+                                     max_size=n)))
+        weights = (raw / raw.sum()).tolist()
+    else:
+        weights = None
+    protected = draw(st.lists(st.integers(0, n - 1), max_size=min(n, 5)))
+    k = draw(st.integers(max(1, len(set(protected))), n + 2))
+    return make_set(losses, weights), k, protected
+
+
+@settings(max_examples=200, deadline=None)
+@given(reduction_cases())
+def test_forward_reduce_matches_reference_greedy(case):
+    sset, k, protected = case
+    got = forward_reduce(sset, k, protected=protected)
+    want = reference_forward_reduce(sset, k, protected=protected)
+    assert scenario_set_to_document(got) == scenario_set_to_document(want)
+
+
+def test_forward_reduce_matches_reference_on_generated_sets():
+    net = builtin_feeder()
+    for magnitude, n, k in ((7.5, 300, 20), (8.0, 400, 6)):
+        for seed in (1, 2):
+            sset = generate_scenarios(net, default_event(magnitude), n,
+                                      seed=seed)
+            reps = select_representatives(sset, [10, 100])
+            got = forward_reduce(sset, k, protected=reps)
+            want = reference_forward_reduce(sset, k, protected=reps)
+            assert (scenario_set_to_document(got)
+                    == scenario_set_to_document(want))
+
+
+@pytest.mark.parametrize("weighting", ["uniform", "random"])
+def test_forward_reduce_scores_exactly_only_a_shortlist(monkeypatch, weighting):
+    # 20 000 distinct continuous losses: each step scores exactly only the
+    # closed-form near-ties, at most the two middle points of a gap
+    rng = np.random.default_rng(11)
+    n, k = 20_000, 20
+    losses = rng.uniform(0.0, 100.0, n)
+    weights = None if weighting == "uniform" else rng.dirichlet(np.ones(n))
+    sset = make_set(losses, weights)
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return wasserstein1(*args)
+
+    monkeypatch.setattr("gridquake.scenarios.wasserstein1", counting)
+    red = forward_reduce(sset, k)
+    ids = [s.id for s in red.scenarios]
+    assert len(ids) == k
+    d = reduction_distance(sset, ids)
+    assert len(calls) <= 2 * k + 1
+    kept = losses[ids]
+    closed = float(np.sum(sset.weights()
+                          * np.abs(losses[:, None] - kept[None, :]).min(axis=1)))
+    assert d == pytest.approx(closed, rel=1e-9)
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_forward_reduce_rejects_k_below_one(k):
+    sset = make_set([1.0, 2.0, 3.0])
+    with pytest.raises(ConfigError, match="k must be >= 1"):
+        forward_reduce(sset, k)
 
 
 def test_scenario_set_document_round_trip():
