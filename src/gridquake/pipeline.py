@@ -17,7 +17,7 @@ import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict
 
-from .dispatch import exact_dispatch, instance_from_scenario, plan_objective
+from .dispatch import exact_dispatch, instance_from_scenario
 from .errors import ConfigError, InternalError, LimitError
 from .fixtures import default_event
 from .ga import GaConfig, ga_dispatch
@@ -142,8 +142,9 @@ def _plan_document(result, solver, status, magnitude, sid, ens_mwh=None):
     }
 
 
-def _run_solver(solver, network, scenario, config):
-    """Returns (plan, objective, optimal) or raises LimitError."""
+def _run_solver(solver, network, scenario, config, model):
+    """Returns (plan, objective, optimal) or raises LimitError. `model` is
+    the loaded policy checkpoint, or None when the policy is not run."""
     instance = instance_from_scenario(network, scenario.failed,
                                       gamma=config.gamma)
     if solver == "exact":
@@ -160,8 +161,7 @@ def _run_solver(solver, network, scenario, config):
         res = ga_dispatch(instance, ga_cfg)
         return res.plan, res.objective, False
     if solver == "policy":
-        from .policy import PolicyModel, policy_dispatch
-        model = PolicyModel.load(config.policy_model)
+        from .policy import policy_dispatch
         res = policy_dispatch(model, instance, samples=config.policy_samples,
                               seed=_stable_seed(config.seed, scenario.id, "policy"))
         return res.plan, res.objective, False
@@ -173,6 +173,10 @@ def run_pipeline(network: Network, config: PipelineConfig, out_dir: str,
     """Run the full study and return the manifest document."""
     t_start = time.monotonic()
     timings = {}
+    model = None
+    if "policy" in config.solvers:
+        from .policy import PolicyModel
+        model = PolicyModel.load(config.policy_model)
     os.makedirs(out_dir, exist_ok=True)
     for sub in ("scenarios", "plans", "resilience", "losses"):
         os.makedirs(os.path.join(out_dir, sub), exist_ok=True)
@@ -243,7 +247,8 @@ def run_pipeline(network: Network, config: PipelineConfig, out_dir: str,
     def solve(job):
         mag, sid, solver, scenario = job
         try:
-            return job, "ok", _run_solver(solver, network, scenario, config)
+            return job, "ok", _run_solver(solver, network, scenario,
+                                            config, model)
         except LimitError:
             return job, "limit", None
 

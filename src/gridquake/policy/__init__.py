@@ -2,11 +2,11 @@
 
 from .nn import PolicyConfig, PolicyModel
 from .rollout import (InstanceEncoding, PolicyResult, encode_instance,
-                      policy_dispatch, run_episode)
+                      policy_dispatch)
 from .train import InstanceFamily, PpoConfig, TrainTrace, ppo_train
 
 __all__ = [
     "PolicyConfig", "PolicyModel", "InstanceEncoding", "PolicyResult",
-    "encode_instance", "policy_dispatch", "run_episode",
+    "encode_instance", "policy_dispatch",
     "InstanceFamily", "PpoConfig", "TrainTrace", "ppo_train",
 ]

@@ -1,10 +1,15 @@
-"""Episode simulation for the dispatch policy: instance feature encoding,
-greedy/sampled decoding, and batched rollouts for training.
+"""Episode simulation for the dispatch policy: instance feature encoding
+and one simulator, `run_batch`, that runs B episodes in lockstep.
 
 An episode schedules one failed component per step. Within a round every
 crew acts at most once; when no (idle crew, feasible component) pair is
 left, the round resets. Components are only feasible for crews of their
 nearest depot, matching the clustering the other solvers use.
+
+Training samples every row of a batch of same-size instances. Inference
+(`policy_dispatch`) runs one batch over copies of a single instance, with
+row 0 decoded greedily and the other rows sampled, and keeps the best plan
+(POMO-style shared decoding, Kwon et al., arXiv:2010.16011).
 """
 
 from __future__ import annotations
@@ -15,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..dispatch import (DispatchInstance, DispatchPlan, ObjectiveBreakdown,
-                        cluster_to_depots, plan_objective, schedule_plan,
-                        travel_hours)
+                        cluster_to_depots, plan_objective, schedule_plan)
+from ..errors import ConfigError
 from .nn import CREW_FEATURES, PolicyModel
 
 
@@ -83,128 +88,6 @@ def encode_instance(instance: DispatchInstance) -> InstanceEncoding:
     )
 
 
-def _crew_features(enc: InstanceEncoding, crew_pos, crew_time, scheduled):
-    """(m, CREW_FEATURES) for the current state."""
-    m = len(enc.crew_ids)
-    n = len(enc.comp_ids)
-    feats = np.zeros((m, CREW_FEATURES))
-    feats[:, 0:2] = (enc.crew_depot_xy - enc.origin) / enc.scale
-    feats[:, 2:4] = (crew_pos - enc.origin) / enc.scale
-    feats[:, 4] = crew_time / enc.time_scale
-    if n:
-        left = (enc.cluster_mask & ~scheduled[None, :]).sum(axis=1)
-        feats[:, 5] = left / n
-    return feats
-
-
-@dataclass
-class EpisodeRecord:
-    """One simulated episode; per-step data ordered by decision step."""
-
-    routes: dict  # crew id -> list of component ids
-    completion: dict  # component id -> hours
-    makespan: float
-    crew_feats: list  # (m, CREW_FEATURES) per step
-    masks: list  # flattened (m*n,) bool per step
-    actions: list  # int per step
-    logps: list  # float per step (behavior policy)
-    values: list  # float per step
-    step_completion: list  # completion hours of the component chosen
-    step_curtailed: list  # its curtailment weight
-
-
-def run_episode(
-    model: PolicyModel, enc: InstanceEncoding,
-    greedy: bool = True, rng: np.random.Generator | None = None,
-    memory=None,
-) -> EpisodeRecord:
-    """Decode one full schedule. `memory` may carry a precomputed encoder
-    output to share across repeated decodes of the same instance."""
-    inst = enc.instance
-    n = len(enc.comp_ids)
-    m = len(enc.crew_ids)
-    if memory is None:
-        memory = model.encode(enc.comp_feats)
-
-    scheduled = np.zeros(n, dtype=bool)
-    used = np.zeros(m, dtype=bool)
-    crew_pos = enc.crew_depot_xy.copy()
-    crew_time = np.zeros(m)
-    routes = {cid: [] for cid in enc.crew_ids}
-    completion = {}
-    rec = EpisodeRecord(routes=routes, completion=completion, makespan=0.0,
-                        crew_feats=[], masks=[], actions=[], logps=[],
-                        values=[], step_completion=[], step_curtailed=[])
-
-    comps = inst.components
-    while not scheduled.all():
-        feas = (~used[:, None]) & (~scheduled[None, :]) & enc.cluster_mask
-        if not feas.any():
-            used[:] = False
-            continue
-        feats = _crew_features(enc, crew_pos, crew_time, scheduled)
-        logp, value = model.decode_step(memory, feats, feas.reshape(-1))
-        lp = logp.data
-        if greedy:
-            action = int(np.argmax(lp))
-        else:
-            probs = np.exp(lp)
-            probs = probs / probs.sum()
-            action = int(rng.choice(m * n, p=probs))
-        i, j = divmod(action, n)
-
-        arrive = crew_time[i] + travel_hours(
-            crew_pos[i], enc.comp_xy[j], inst.travel_speed_kmh)
-        done = arrive + enc.repair[j]
-        crew_time[i] = done
-        crew_pos[i] = enc.comp_xy[j]
-        used[i] = True
-        scheduled[j] = True
-        routes[enc.crew_ids[i]].append(enc.comp_ids[j])
-        completion[enc.comp_ids[j]] = done
-
-        rec.crew_feats.append(feats)
-        rec.masks.append(feas.reshape(-1).copy())
-        rec.actions.append(action)
-        rec.logps.append(float(lp[action]))
-        rec.values.append(float(value.data))
-        rec.step_completion.append(done)
-        rec.step_curtailed.append(comps[j].curtailed_mw)
-
-    rec.makespan = float(crew_time.max()) if m else 0.0
-    return rec
-
-
-@dataclass(frozen=True)
-class PolicyResult:
-    plan: DispatchPlan
-    objective: ObjectiveBreakdown
-    decodes: int  # rollouts evaluated (greedy + samples)
-
-
-def policy_dispatch(
-    model: PolicyModel, instance: DispatchInstance,
-    samples: int = 16, seed: int = 0,
-) -> PolicyResult:
-    """Best plan over one greedy decode plus `samples` stochastic decodes."""
-    enc = encode_instance(instance)
-    memory = model.encode(enc.comp_feats).detach()
-    rng = np.random.default_rng(seed)
-
-    best = None
-    count = 0
-    for k in range(samples + 1):
-        rec = run_episode(model, enc, greedy=(k == 0), rng=rng, memory=memory)
-        plan = schedule_plan(instance, {c: tuple(r) for c, r in rec.routes.items()})
-        obj = plan_objective(instance, plan)
-        count += 1
-        if best is None or obj.value < best[1].value:
-            best = (plan, obj)
-    return PolicyResult(plan=best[0], objective=best[1], decodes=count)
-
-
-# --- batched rollout for training -------------------------------------------
-
 @dataclass
 class BatchRollout:
     """Stacked episode data for one homogeneous batch (same n and depot
@@ -221,8 +104,10 @@ class BatchRollout:
 
 
 def run_batch(model: PolicyModel, encs: list, rng: np.random.Generator,
-              gamma: float) -> BatchRollout:
-    """Sampled rollout of B same-size instances in lockstep.
+              gamma: float, greedy_first: bool = False) -> BatchRollout:
+    """Rollout of B same-size instances in lockstep. Every row samples its
+    action from the policy, except row 0 when `greedy_first`, which takes
+    the argmax and draws nothing from `rng`.
 
     Rewards implement the shaped objective: each step pays
     -(1-gamma) * cl_j * completion_j, and the final step additionally pays
@@ -241,13 +126,20 @@ def run_batch(model: PolicyModel, encs: list, rng: np.random.Generator,
 
     scheduled = np.zeros((B, n), dtype=bool)
     used = np.zeros((B, m), dtype=bool)
-    crew_pos = np.stack([e.crew_depot_xy for e in encs]).astype(float)
+    depot_xy = np.stack([e.crew_depot_xy for e in encs]).astype(float)
+    crew_pos = depot_xy.copy()  # (B, m, 2)
     crew_time = np.zeros((B, m))
     cluster = np.stack([e.cluster_mask for e in encs])  # (B, m, n)
     comp_xy = np.stack([e.comp_xy for e in encs])  # (B, n, 2)
     repair = np.stack([e.repair for e in encs])  # (B, n)
     curtailed = np.stack(
         [[c.curtailed_mw for c in e.instance.components] for e in encs])
+    speed = np.array([e.instance.travel_speed_kmh for e in encs])
+    origin = np.stack([e.origin for e in encs])[:, None, :]  # (B, 1, 2)
+    scale = np.array([e.scale for e in encs])[:, None, None]
+    time_scale = np.array([e.time_scale for e in encs])[:, None]
+    first = int(greedy_first)
+    rows = np.arange(B)
 
     steps_feats, steps_masks, steps_actions = [], [], []
     steps_logp, steps_value, steps_reward = [], [], []
@@ -261,21 +153,24 @@ def run_batch(model: PolicyModel, encs: list, rng: np.random.Generator,
             feas = (~used[:, :, None]) & (~scheduled[:, None, :]) & cluster
             flat = feas.reshape(B, m * n)
 
-        feats = np.stack([
-            _crew_features(encs[b], crew_pos[b], crew_time[b], scheduled[b])
-            for b in range(B)])
+        # crew tokens: depot xy, current xy, elapsed time, share of work left
+        feats = np.zeros((B, m, CREW_FEATURES))
+        feats[..., 0:2] = (depot_xy - origin) / scale
+        feats[..., 2:4] = (crew_pos - origin) / scale
+        feats[..., 4] = crew_time / time_scale
+        feats[..., 5] = (cluster & ~scheduled[:, None, :]).sum(axis=2) / n
         logp_t, value_t = model.decode_step(memory, feats, flat)
         lp = logp_t.data
 
         probs = np.exp(lp)
         probs = probs / probs.sum(axis=1, keepdims=True)
-        actions = np.array([rng.choice(m * n, p=probs[b]) for b in range(B)])
+        actions = np.empty(B, dtype=np.int64)
+        actions[:first] = np.argmax(lp[:first], axis=1)
+        actions[first:] = [rng.choice(m * n, p=p) for p in probs[first:]]
         ii, jj = np.divmod(actions, n)
 
-        rows = np.arange(B)
         dist = np.hypot(crew_pos[rows, ii, 0] - comp_xy[rows, jj, 0],
                         crew_pos[rows, ii, 1] - comp_xy[rows, jj, 1])
-        speed = np.array([e.instance.travel_speed_kmh for e in encs])
         done = crew_time[rows, ii] + dist / speed + repair[rows, jj]
         crew_time[rows, ii] = done
         crew_pos[rows, ii] = comp_xy[rows, jj]
@@ -304,3 +199,42 @@ def run_batch(model: PolicyModel, encs: list, rng: np.random.Generator,
         rewards=np.stack(steps_reward),
         makespan=makespan,
     )
+
+
+@dataclass(frozen=True)
+class PolicyResult:
+    plan: DispatchPlan
+    objective: ObjectiveBreakdown
+    decodes: int  # rollouts evaluated (greedy + samples)
+
+
+def policy_dispatch(
+    model: PolicyModel, instance: DispatchInstance,
+    samples: int = 16, seed: int = 0,
+) -> PolicyResult:
+    """Best plan over one greedy decode plus `samples` stochastic decodes,
+    run as one batch. Ties keep the earlier row, so the greedy plan wins
+    them. An instance with no failed components gets the empty plan."""
+    if samples < 0:
+        raise ConfigError("samples must be >= 0")
+    if not instance.components:
+        plan = schedule_plan(instance, {})
+        return PolicyResult(plan=plan, objective=plan_objective(instance, plan),
+                            decodes=0)
+    enc = encode_instance(instance)
+    roll = run_batch(model, [enc] * (samples + 1),
+                     np.random.default_rng(seed), instance.gamma,
+                     greedy_first=True)
+
+    n = len(enc.comp_ids)
+    best = None
+    for row in roll.actions.T:
+        routes = {cid: [] for cid in enc.crew_ids}
+        for a in row:
+            i, j = divmod(int(a), n)
+            routes[enc.crew_ids[i]].append(enc.comp_ids[j])
+        plan = schedule_plan(instance, routes)
+        obj = plan_objective(instance, plan)
+        if best is None or obj.value < best[1].value:
+            best = (plan, obj)
+    return PolicyResult(plan=best[0], objective=best[1], decodes=samples + 1)

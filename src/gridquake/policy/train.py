@@ -5,7 +5,8 @@ objective: each scheduling step pays the curtailment-weighted completion
 term, and the last step additionally pays the makespan term. Updates are
 clipped-surrogate PPO with a value head and an entropy bonus, full-batch
 over a homogeneous batch of same-size instances (one size drawn per
-iteration so rollouts stack into rectangular tensors).
+iteration so rollouts stack into rectangular tensors). Each epoch scores
+all T steps of the rollout in one `decode_step` graph and one backward.
 """
 
 from __future__ import annotations
@@ -95,6 +96,31 @@ def _clip(x: Tensor, lo: float, hi: float) -> Tensor:
     return ad.where_const(y.data <= hi, y, hi)
 
 
+def _ppo_loss(model: PolicyModel, roll, adv: np.ndarray,
+              returns: np.ndarray, config: PpoConfig) -> Tensor:
+    """Clipped surrogate, value and entropy loss, averaged over all T steps
+    and B rows of a rollout in one graph. The encoder output (B, n, d) is
+    broadcast to (T, B, n, d) so the value head can pool it per step."""
+    T, B = roll.actions.shape
+    memory = model.encode(roll.comp_feats) + np.zeros((T, 1, 1, 1))
+    logp, v = model.decode_step(memory, roll.crew_feats, roll.masks)
+    sel = ad.take_along_last(logp, roll.actions[..., None]).reshape((T, B))
+    ratio = (sel - Tensor(roll.old_logp)).exp()
+    adv_t = Tensor(adv)
+    surrogate = _minimum(
+        ratio * adv_t,
+        _clip(ratio, 1.0 - config.clip, 1.0 + config.clip) * adv_t)
+    pi_loss = -surrogate.mean()
+
+    diff = v - Tensor(returns)
+    v_loss = (diff * diff).mean()
+
+    safe_logp = ad.where_const(roll.masks, logp, 0.0)
+    entropy = -(logp.exp() * safe_logp).sum(axis=-1).mean()
+    return (pi_loss + config.value_coef * v_loss
+            - config.entropy_coef * entropy)
+
+
 def ppo_train(model: PolicyModel, family: InstanceFamily,
               config: PpoConfig = PpoConfig()) -> TrainTrace:
     """Train the model in place; returns the per-iteration return trace.
@@ -116,42 +142,14 @@ def ppo_train(model: PolicyModel, family: InstanceFamily,
                 for _ in range(config.batch_size)]
         roll = run_batch(model, encs, rng, family.gamma)
 
-        T, B = roll.rewards.shape
         returns = np.cumsum(roll.rewards[::-1], axis=0)[::-1]  # (T, B)
         adv = returns - roll.values
         adv = (adv - adv.mean()) / (adv.std() + 1e-8)
 
         for _ in range(config.epochs):
-            memory = model.encode(roll.comp_feats)
-            loss_terms = []
-            for t in range(T):
-                logp_t, v_t = model.decode_step(memory, roll.crew_feats[t],
-                                                roll.masks[t])
-                sel = ad.take_along_last(
-                    logp_t, roll.actions[t][:, None]).reshape(B)
-                ratio = (sel - Tensor(roll.old_logp[t])).exp()
-                adv_t = Tensor(adv[t])
-                surrogate = _minimum(
-                    ratio * adv_t,
-                    _clip(ratio, 1.0 - config.clip, 1.0 + config.clip) * adv_t)
-                pi_loss = -surrogate.mean()
-
-                diff = v_t - Tensor(returns[t])
-                v_loss = (diff * diff).mean()
-
-                probs = logp_t.exp()
-                safe_logp = ad.where_const(roll.masks[t], logp_t, 0.0)
-                entropy = -(probs * safe_logp).sum(axis=-1).mean()
-
-                loss_terms.append(pi_loss + config.value_coef * v_loss
-                                  - config.entropy_coef * entropy)
-            total = loss_terms[0]
-            for term in loss_terms[1:]:
-                total = total + term
-            total = total * (1.0 / T)
-
+            loss = _ppo_loss(model, roll, adv, returns, config)
             opt.zero_grad()
-            total.backward()
+            loss.backward()
             opt.step()
 
         mean_ret = float(roll.rewards.sum(axis=0).mean())

@@ -19,6 +19,15 @@ def network_path(tmp_path):
     return str(path)
 
 
+@pytest.fixture()
+def model_path(tmp_path):
+    path = str(tmp_path / "tiny.npz")
+    PolicyModel.init(PolicyConfig(width=8, heads=2, enc_layers=1,
+                                  dec_layers=1, ffn_hidden=12),
+                     seed=0).save(path)
+    return path
+
+
 def test_gen_reduce_dispatch_round_trip(network_path, tmp_path, capsys):
     sc = str(tmp_path / "sc.json")
     assert main(["gen", "--network", network_path, "--magnitude", "7.5",
@@ -62,6 +71,30 @@ def test_ga_and_policy_dispatch(network_path, tmp_path, capsys):
                      "--failed", "c_l1,c_l2,c_g1", "--seed", "1"]
                     + extra) == 0
     capsys.readouterr()
+
+
+def test_dispatch_without_failures_gives_empty_plan(network_path, tmp_path,
+                                                  model_path, capsys):
+    docs = {}
+    for solver, extra in (("exact", []),
+                          ("ga", ["--pop", "10", "--gens", "5"]),
+                          ("policy", ["--model", model_path])):
+        out = str(tmp_path / f"{solver}.json")
+        assert main(["dispatch", solver, "--network", network_path,
+                     "--failed", "", "--out", out] + extra) == 0
+        docs[solver] = json.load(open(out))
+    for doc in docs.values():
+        assert doc["objective"]["value"] == 0.0
+        assert doc["routes"] == docs["exact"]["routes"]
+        assert all(r == [] for r in doc["routes"].values())
+    capsys.readouterr()
+
+
+def test_exit_code_2_on_negative_samples(network_path, model_path, capsys):
+    assert main(["dispatch", "policy", "--network", network_path,
+                 "--failed", "c_l1", "--model", model_path,
+                 "--samples", "-1"]) == 2
+    assert "samples must be >= 0" in capsys.readouterr().err
 
 
 def test_report_subcommands(network_path, tmp_path, capsys):

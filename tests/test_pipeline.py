@@ -1,5 +1,6 @@
 """Pipeline orchestration tests on a reduced configuration."""
 
+import dataclasses
 import json
 import os
 
@@ -9,6 +10,7 @@ from gridquake.errors import ConfigError
 from gridquake.fixtures import builtin_feeder
 from gridquake.pipeline import (PipelineConfig, config_from_document,
                                 run_pipeline)
+from gridquake.policy import PolicyConfig, PolicyModel
 
 SMALL = PipelineConfig(magnitudes=(7.5,), n_scenarios=40, reduce_to=6,
                        return_periods=(2.0, 10.0), seed=5,
@@ -106,3 +108,28 @@ def test_pipeline_heuristic_rows_carry_gap(tmp_path):
             assert cells[i_gap] != ""
             assert float(cells[i_gap]) >= -1e-9  # never better than exact
     assert saw_ga >= 1
+
+
+def test_pipeline_loads_policy_checkpoint_once_per_run(tmp_path, monkeypatch):
+    path = str(tmp_path / "m.npz")
+    PolicyModel.init(PolicyConfig(width=8, heads=2, enc_layers=1,
+                                  dec_layers=1, ffn_hidden=12),
+                     seed=0).save(path)
+    loads = []
+    load = PolicyModel.load.__func__
+
+    def counting_load(cls, p):
+        loads.append(p)
+        return load(cls, p)
+    monkeypatch.setattr(PolicyModel, "load", classmethod(counting_load))
+
+    cfg = dataclasses.replace(SMALL, solvers=("exact", "policy"),
+                              policy_model=path, policy_samples=2)
+    net = builtin_feeder()
+    m1 = run_pipeline(net, cfg, str(tmp_path / "a"))
+    assert loads == [path]
+    policy_plans = [k for k in m1["artifacts"] if k.endswith("_policy.json")]
+    assert len(policy_plans) >= 2  # several policy jobs, one load
+    m2 = run_pipeline(net, cfg, str(tmp_path / "b"))
+    assert loads == [path, path]
+    assert m1 == m2

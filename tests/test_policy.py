@@ -1,16 +1,21 @@
 """Policy network and rollout tests: encoder symmetries, decision masking,
-plan validity, checkpoint round trips, and reward bookkeeping."""
+plan validity, checkpoint round trips, reward bookkeeping, and golden plans
+for the batched decoder."""
+
+import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gridquake.policy.autodiff as ad
-from gridquake.dispatch import plan_objective, schedule_plan
+from gridquake.dispatch import exact_dispatch, plan_objective, schedule_plan
 from gridquake.errors import ConfigError
 from gridquake.policy.nn import COMP_FEATURES, PolicyConfig, PolicyModel
 from gridquake.policy.rollout import (encode_instance, policy_dispatch,
-                                      run_batch, run_episode)
-from gridquake.policy.train import InstanceFamily, PpoConfig, ppo_train
+                                      run_batch)
+from gridquake.policy.train import (InstanceFamily, PpoConfig, _clip,
+                                    _minimum, _ppo_loss, ppo_train)
 
 TINY = PolicyConfig(width=8, heads=2, enc_layers=1, dec_layers=1,
                     ffn_hidden=12)
@@ -20,6 +25,16 @@ def make_instance(seed=0, n=4, crews=1):
     fam = InstanceFamily(n_min=n, n_max=n, depot_count=2,
                          crews_per_depot=crews)
     return fam.sample_instance(np.random.default_rng(seed))
+
+
+def routes_of(enc, actions):
+    """Crew routes from one batch row's actions (crew * n + component)."""
+    n = len(enc.comp_ids)
+    routes = {cid: [] for cid in enc.crew_ids}
+    for a in actions:
+        i, j = divmod(int(a), n)
+        routes[enc.crew_ids[i]].append(enc.comp_ids[j])
+    return routes
 
 
 def test_config_validates_head_divisibility():
@@ -65,23 +80,39 @@ def test_greedy_episode_is_deterministic_and_valid():
     model = PolicyModel.init(TINY, seed=4)
     inst = make_instance(seed=5, n=5, crews=2)
     enc = encode_instance(inst)
-    a = run_episode(model, enc, greedy=True)
-    b = run_episode(model, enc, greedy=True)
-    assert a.routes == b.routes
-    plan = schedule_plan(inst, a.routes)
-    assert plan.makespan_hours == pytest.approx(a.makespan)
-    for cid, h in a.completion.items():
-        assert plan.completion[cid] == pytest.approx(h)
+    # the greedy row ignores the generator and the sampled rows beside it
+    a = run_batch(model, [enc], np.random.default_rng(0), inst.gamma,
+                  greedy_first=True)
+    b = run_batch(model, [enc] * 3, np.random.default_rng(1), inst.gamma,
+                  greedy_first=True)
+    np.testing.assert_array_equal(a.actions[:, 0], b.actions[:, 0])
+    plan = schedule_plan(inst, routes_of(enc, a.actions[:, 0]))
+    assert plan.makespan_hours == pytest.approx(a.makespan[0])
+    # each step's reward carries the completion time of the component it
+    # scheduled; the last step also pays the makespan term
+    step = a.rewards[:, 0].copy()
+    step[-1] += inst.gamma * a.makespan[0]
+    curtailed = {c.id: c.curtailed_mw for c in inst.components}
+    n = len(enc.comp_ids)
+    for t, action in enumerate(a.actions[:, 0]):
+        cid = enc.comp_ids[int(action) % n]
+        done = -step[t] / ((1.0 - inst.gamma) * curtailed[cid])
+        assert plan.completion[cid] == pytest.approx(done)
 
 
 def test_sampled_episodes_only_pick_feasible_pairs():
     model = PolicyModel.init(TINY, seed=6)
     inst = make_instance(seed=7, n=6, crews=1)
     enc = encode_instance(inst)
-    rng = np.random.default_rng(3)
-    for _ in range(10):
-        rec = run_episode(model, enc, greedy=False, rng=rng)
-        plan = schedule_plan(inst, rec.routes)  # validates clusters, coverage
+    roll = run_batch(model, [enc] * 10, np.random.default_rng(3), inst.gamma)
+    T, B = roll.actions.shape
+    assert (T, B) == (6, 10)
+    # every action was allowed by the mask of its step
+    picked = np.take_along_axis(roll.masks, roll.actions[..., None], axis=-1)
+    assert picked.all()
+    for b in range(B):
+        # validates clusters and coverage
+        plan = schedule_plan(inst, routes_of(enc, roll.actions[:, b]))
         assert set(plan.completion) == set(enc.comp_ids)
 
 
@@ -94,6 +125,99 @@ def test_policy_dispatch_best_of_decodes():
     assert sampled.objective.value <= greedy_only.objective.value + 1e-12
     check = plan_objective(inst, schedule_plan(inst, sampled.plan.routes))
     assert check.value == pytest.approx(sampled.objective.value, abs=1e-9)
+
+
+# Plans recorded from the one-episode-at-a-time decoder that `run_batch`
+# replaced: (model config, model seed, depots, crews per depot, instance
+# seed, failures, samples) -> (routes as component numbers, objective).
+# The dispatch seed is 7 throughout; width 64 is the default PolicyConfig.
+SMALL = PolicyConfig(width=16, heads=2, enc_layers=1, dec_layers=1,
+                     ffn_hidden=32)
+GOLDEN = [
+    ((TINY, 4, 2, 2, 5, 5, 0), {
+        "d1:1": "002", "d1:2": "", "d2:1": "001 005", "d2:2": "003 004",
+    }, 18.02738140640091),
+    ((TINY, 4, 2, 2, 5, 5, 1), {
+        "d1:1": "002", "d1:2": "", "d2:1": "001 005", "d2:2": "003 004",
+    }, 18.02738140640091),
+    ((SMALL, 3, 2, 1, 12, 8, 0), {
+        "d1:1": "008 007 006 002", "d2:1": "001 005 003 004",
+    }, 52.929623607207525),
+    ((PolicyConfig(), 0, 3, 2, 71, 50, 0), {
+        "d1:1": "022 015 044 014 027 026 030 031 019 048",
+        "d1:2": "047 041 011 021 009 013 033 038 046",
+        "d2:1": "032 002 034 008 012 042 035 039 003",
+        "d2:2": "023 010 024 006 037 049 016 004 007 036",
+        "d3:1": "040 025 028 018 020 001",
+        "d3:2": "043 050 005 017 045 029",
+    }, 634.2640039408739),
+    ((PolicyConfig(), 0, 3, 2, 71, 50, 1), {
+        "d1:1": "038 009 044 041 013 022 014 048 019",
+        "d1:2": "027 030 026 021 047 011 015 033 031 046",
+        "d2:1": "037 016 034 002 024 004 007 003 039 036",
+        "d2:2": "006 010 012 032 008 023 042 049 035",
+        "d3:1": "005 020 017 025 028 029",
+        "d3:2": "040 018 050 045 043 001",
+    }, 598.1971452189935),
+]
+
+
+@pytest.mark.parametrize("case,routes,objective", GOLDEN,
+                         ids=[f"n{c[5]}-s{c[6]}" for c, _, _ in GOLDEN])
+def test_batched_decoder_reproduces_recorded_plans(case, routes, objective):
+    config, model_seed, depots, crews, inst_seed, n, samples = case
+    model = PolicyModel.init(config, seed=model_seed)
+    fam = InstanceFamily(depot_count=depots, crews_per_depot=crews)
+    inst = fam.sample_instance(np.random.default_rng(inst_seed), n=n)
+    res = policy_dispatch(model, inst, samples=samples, seed=7)
+    assert res.decodes == samples + 1
+    assert res.plan.routes == {
+        crew: tuple(f"f{k}" for k in seq.split())
+        for crew, seq in routes.items()}
+    assert res.objective.value == objective
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**16), n=st.integers(1, 7),
+       depots=st.integers(1, 3), crews=st.integers(1, 2),
+       samples=st.integers(0, 5))
+def test_every_batched_row_is_a_plan_and_best_of_beats_greedy(
+        seed, n, depots, crews, samples):
+    model = PolicyModel.init(TINY, seed=seed % 5)
+    fam = InstanceFamily(n_min=n, n_max=n, depot_count=depots,
+                         crews_per_depot=crews)
+    inst = fam.sample_instance(np.random.default_rng(seed))
+    enc = encode_instance(inst)
+    roll = run_batch(model, [enc] * (samples + 1), np.random.default_rng(seed),
+                     inst.gamma, greedy_first=True)
+    # schedule_plan raises unless each row routes every component once,
+    # from its nearest depot
+    values = [plan_objective(inst, schedule_plan(
+        inst, routes_of(enc, roll.actions[:, b]))).value
+        for b in range(samples + 1)]
+    greedy = policy_dispatch(model, inst, samples=0, seed=seed)
+    best = policy_dispatch(model, inst, samples=samples, seed=seed)
+    assert greedy.objective.value == values[0]
+    assert best.objective.value == min(values)
+    assert best.objective.value <= greedy.objective.value
+    assert best.decodes == samples + 1
+
+
+def test_policy_dispatch_without_failures_returns_empty_plan():
+    model = PolicyModel.init(TINY, seed=0)
+    inst = dataclasses.replace(make_instance(seed=1, crews=2), components=())
+    res = policy_dispatch(model, inst, samples=3, seed=0)
+    ex = exact_dispatch(inst)
+    assert res.plan == ex.plan
+    assert res.objective == ex.objective
+    assert res.objective.value == 0.0
+    assert res.decodes == 0
+
+
+def test_policy_dispatch_rejects_negative_samples():
+    model = PolicyModel.init(TINY, seed=0)
+    with pytest.raises(ConfigError, match="samples must be >= 0"):
+        policy_dispatch(model, make_instance(seed=2), samples=-1)
 
 
 def test_checkpoint_round_trip_bit_exact(tmp_path):
@@ -177,6 +301,55 @@ def test_model_gradients_match_fd_through_decode():
         want = (hi - lo) / (2 * eps)
         got = t.grad.reshape(-1)[idx]
         assert got == pytest.approx(want, rel=1e-5, abs=1e-9), name
+
+
+def reference_ppo_loss(model, roll, adv, returns, config):
+    """The PPO loss as one graph per decision step, summed and averaged."""
+    T, B = roll.actions.shape
+    memory = model.encode(roll.comp_feats)
+    total = None
+    for t in range(T):
+        logp_t, v_t = model.decode_step(memory, roll.crew_feats[t],
+                                        roll.masks[t])
+        sel = ad.take_along_last(logp_t, roll.actions[t][:, None]).reshape(B)
+        ratio = (sel - ad.Tensor(roll.old_logp[t])).exp()
+        adv_t = ad.Tensor(adv[t])
+        surrogate = _minimum(
+            ratio * adv_t,
+            _clip(ratio, 1.0 - config.clip, 1.0 + config.clip) * adv_t)
+        diff = v_t - ad.Tensor(returns[t])
+        safe_logp = ad.where_const(roll.masks[t], logp_t, 0.0)
+        entropy = -(logp_t.exp() * safe_logp).sum(axis=-1).mean()
+        term = (-surrogate.mean() + config.value_coef * (diff * diff).mean()
+                - config.entropy_coef * entropy)
+        total = term if total is None else total + term
+    return total * (1.0 / T)
+
+
+def test_ppo_loss_graph_matches_per_step_reference():
+    fam = InstanceFamily(n_min=5, n_max=5, depot_count=2, crews_per_depot=2)
+    rng = np.random.default_rng(8)
+    encs = [encode_instance(fam.sample_instance(rng)) for _ in range(4)]
+    roll = run_batch(PolicyModel.init(TINY, seed=15), encs, rng, fam.gamma)
+    returns = np.cumsum(roll.rewards[::-1], axis=0)[::-1]
+    adv = returns - roll.values
+    adv = (adv - adv.mean()) / adv.std()
+    config = PpoConfig(clip=0.1)
+    # a different model than the one that acted, so ratios leave the clip
+    model = PolicyModel.init(TINY, seed=16)
+    grads = []
+    for loss_fn in (_ppo_loss, reference_ppo_loss):
+        for t in model.params.values():
+            t.grad = None
+        loss = loss_fn(model, roll, adv, returns, config)
+        loss.backward()
+        grads.append((loss.item(), {k: t.grad for k, t in
+                                    model.params.items()}))
+    (got, got_g), (want, want_g) = grads
+    assert got == pytest.approx(want, rel=1e-12)
+    for k in want_g:
+        np.testing.assert_allclose(got_g[k], want_g[k], rtol=1e-9,
+                                   atol=1e-13, err_msg=k)
 
 
 def test_ppo_short_run_trains_and_reports():
