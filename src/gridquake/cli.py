@@ -8,20 +8,18 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
 
-from .dispatch import exact_dispatch, instance_from_scenario, plan_objective
+from .dispatch import instance_from_scenario
 from .errors import ConfigError, GridQuakeError, InternalError, LimitError
 from .fixtures import default_event
-from .ga import GaConfig, ga_dispatch
 from .model import load_network_file
-from .pipeline import (PipelineConfig, load_pipeline_config, run_pipeline)
-from .powerflow import energization_state, ens_timeline, shed_at
-from .report import (plot_lines_svg, write_csv, write_json,
-                     write_resilience_csv)
+from .pipeline import (PipelineConfig, load_pipeline_config, plan_document,
+                       run_pipeline, solve, write_restoration)
+from .powerflow import energization_state, shed_at
+from .report import write_csv, write_json
 from .scenarios import (forward_reduce, generate_scenarios, load_scenario_set,
                         scenario_set_to_document, select_representatives)
 
@@ -112,56 +110,24 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _plan_to_document(instance, plan, solver, seconds=None):
-    obj = plan_objective(instance, plan)
-    return {
-        "solver": solver,
-        "objective": {
-            "value": obj.value,
-            "makespan_hours": obj.makespan_hours,
-            "weighted_completion": obj.weighted_completion,
-            "gamma": obj.gamma,
-        },
-        "routes": {k: list(v) for k, v in sorted(plan.routes.items())},
-        "arrival": {k: plan.arrival[k] for k in sorted(plan.arrival)},
-        "completion": {k: plan.completion[k] for k in sorted(plan.completion)},
-        "return_hours": {k: plan.return_hours[k]
-                         for k in sorted(plan.return_hours)},
-        "makespan_hours": plan.makespan_hours,
-        "seconds": seconds,
-    }
-
-
 def _cmd_dispatch(args) -> int:
     net = load_network_file(args.network)
     failed = _failed_set(args)
     instance = instance_from_scenario(net, failed, gamma=args.gamma,
                                       travel_speed_kmh=args.speed)
-    t0 = time.monotonic()
-    if args.solver == "exact":
-        res = exact_dispatch(instance,
-                             max_components_per_depot=args.max_comps,
-                             max_crews_per_depot=args.max_crews,
-                             time_limit_s=args.time_limit)
-        plan, optimal = res.plan, res.optimal
-    elif args.solver == "ga":
-        cfg = GaConfig(population_size=args.pop, generations=args.gens,
-                       seed=args.seed)
-        res = ga_dispatch(instance, cfg)
-        plan, optimal = res.plan, False
-    else:
-        from .policy import PolicyModel, policy_dispatch
-        if not args.model:
-            raise ConfigError("dispatch policy needs --model")
+    model = None
+    if args.model:
+        from .policy import PolicyModel
         model = PolicyModel.load(args.model)
-        res = policy_dispatch(model, instance, samples=args.samples,
-                              seed=args.seed)
-        plan, optimal = res.plan, False
-    seconds = round(time.monotonic() - t0, 3)
-    doc = _plan_to_document(instance, plan, args.solver, seconds=seconds)
-    doc["optimal"] = optimal
-    _emit(doc, args.out)
-    print(f"{args.solver}: objective {doc['objective']['value']:.6f}, "
+    t0 = time.monotonic()
+    result = solve(args.solver, instance, seed=args.seed, model=model,
+                   samples=args.samples, max_components=args.max_comps,
+                   max_crews=args.max_crews, time_limit_s=args.time_limit,
+                   population=args.pop, generations=args.gens)
+    seconds = time.monotonic() - t0
+    _emit(plan_document(args.solver, "ok", result), args.out)
+    plan, objective, _ = result
+    print(f"{args.solver}: objective {objective.value:.6f}, "
           f"makespan {plan.makespan_hours:.3f} h, {seconds:.3f} s")
     return 0
 
@@ -224,24 +190,12 @@ def _cmd_report_resilience(args) -> int:
     for path in args.plans:
         doc = _load_plan_doc(path)
         name = doc.get("solver") or os.path.splitext(os.path.basename(path))[0]
-        plans[name] = doc["completion"]
-    horizon = args.horizon
-    if horizon is None:
-        horizon = 1
-        for completion in plans.values():
-            if completion:
-                horizon = max(horizon,
-                              max(math.ceil(h) for h in completion.values()) + 1)
-    curves = {}
-    for name, completion in sorted(plans.items()):
-        timeline = ens_timeline(net, list(completion), completion,
-                                horizon=horizon)
-        curves[name] = (timeline.hours, timeline.served_fraction)
-        print(f"{name}: ens {timeline.ens_mwh:.4f} MWh over {horizon} h")
-    write_resilience_csv(curves, args.out + ".csv")
-    plot_lines_svg(curves, args.out + ".svg", title="Restoration",
-                   xlabel="hours after event", ylabel="fraction of load served",
-                   ylim=(0.0, 1.05))
+        plans[name] = (list(doc["completion"]), doc["completion"])
+    timelines = write_restoration(net, plans, args.out, title="Restoration",
+                                  horizon=args.horizon)
+    for name, timeline in timelines.items():
+        print(f"{name}: ens {timeline.ens_mwh:.4f} MWh over "
+              f"{len(timeline.hours)} h")
     print(f"wrote {args.out}.csv and {args.out}.svg")
     return 0
 
@@ -252,7 +206,7 @@ def _cmd_pipeline(args) -> int:
         config = load_pipeline_config(args.config)
     else:
         config = PipelineConfig()
-    manifest = run_pipeline(net, config, args.out, threads=args.threads)
+    manifest = run_pipeline(net, config, args.out)
     print(f"wrote {len(manifest['artifacts'])} artifacts to {args.out}")
     return 0
 
@@ -346,7 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--network", required=True)
     p.add_argument("--config", help="pipeline config JSON")
     p.add_argument("--out", required=True)
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=_cmd_pipeline)
     return parser
 

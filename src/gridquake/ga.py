@@ -15,6 +15,7 @@ import numpy as np
 
 from .dispatch import (DispatchInstance, DispatchPlan, ObjectiveBreakdown,
                        cluster_to_depots, plan_objective, schedule_plan)
+from .errors import ConfigError
 
 
 @dataclass(frozen=True)
@@ -26,6 +27,10 @@ class GaConfig:
     elite: int = 2
     tournament: int = 3
     seed: int = 0
+
+    def __post_init__(self):
+        if self.population_size < 1:
+            raise ConfigError("population_size must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,6 @@ import math
 import os
 import time
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict
 
 from .dispatch import exact_dispatch, instance_from_scenario
@@ -63,6 +62,10 @@ class PipelineConfig:
             raise ConfigError("solver 'policy' needs policy_model (checkpoint path)")
         if self.reduce_to < len(self.return_periods):
             raise ConfigError("reduce_to must cover the return periods")
+        if self.ga_population < 1:
+            raise ConfigError("ga_population must be >= 1")
+        if self.policy_samples < 0:
+            raise ConfigError("policy_samples must be >= 0")
 
 
 _CONFIG_KEYS = {
@@ -115,62 +118,86 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
-def _plan_document(result, solver, status, magnitude, sid, ens_mwh=None):
+def plan_document(solver, status, result=None, **fields) -> dict:
+    """The plan document that `gridquake dispatch` and the pipeline write.
+
+    `result` is `solve`'s (plan, objective, optimal), or None when the
+    solver hit a limit; `fields` adds context keys (the pipeline's
+    magnitude and scenario_id)."""
+    doc = {"solver": solver, "status": status, **fields}
     if result is None:
-        return {"solver": solver, "status": status, "magnitude": magnitude,
-                "scenario_id": sid}
+        return doc
     plan, objective, optimal = result
-    return {
-        "solver": solver,
-        "status": status,
-        "optimal": optimal,
-        "magnitude": magnitude,
-        "scenario_id": sid,
-        "objective": {
-            "value": objective.value,
-            "makespan_hours": objective.makespan_hours,
-            "weighted_completion": objective.weighted_completion,
-            "gamma": objective.gamma,
-        },
-        "routes": {k: list(v) for k, v in sorted(plan.routes.items())},
-        "arrival": {k: plan.arrival[k] for k in sorted(plan.arrival)},
-        "completion": {k: plan.completion[k] for k in sorted(plan.completion)},
-        "return_hours": {k: plan.return_hours[k]
-                         for k in sorted(plan.return_hours)},
-        "makespan_hours": plan.makespan_hours,
-        "ens_mwh": ens_mwh,
-    }
+    doc.update(optimal=optimal, objective=asdict(objective),
+               routes={k: list(v) for k, v in sorted(plan.routes.items())},
+               arrival=dict(sorted(plan.arrival.items())),
+               completion=dict(sorted(plan.completion.items())),
+               return_hours=dict(sorted(plan.return_hours.items())),
+               makespan_hours=plan.makespan_hours)
+    return doc
 
 
-def _run_solver(solver, network, scenario, config, model):
-    """Returns (plan, objective, optimal) or raises LimitError. `model` is
+def solve(solver, instance, *, seed, model, samples, max_components,
+          max_crews, time_limit_s, population, generations) -> tuple:
+    """Run one dispatch solver; returns (plan, objective, optimal) or raises
+    LimitError. `seed` drives the GA and the policy's samples; `model` is
     the loaded policy checkpoint, or None when the policy is not run."""
-    instance = instance_from_scenario(network, scenario.failed,
-                                      gamma=config.gamma)
     if solver == "exact":
-        res = exact_dispatch(
-            instance,
-            max_components_per_depot=config.exact_max_components,
-            max_crews_per_depot=config.exact_max_crews,
-            time_limit_s=config.exact_time_limit_s)
+        res = exact_dispatch(instance,
+                             max_components_per_depot=max_components,
+                             max_crews_per_depot=max_crews,
+                             time_limit_s=time_limit_s)
         return res.plan, res.objective, res.optimal
     if solver == "ga":
-        ga_cfg = GaConfig(population_size=config.ga_population,
-                          generations=config.ga_generations,
-                          seed=_stable_seed(config.seed, scenario.id, "ga"))
-        res = ga_dispatch(instance, ga_cfg)
+        res = ga_dispatch(instance, GaConfig(population_size=population,
+                                             generations=generations,
+                                             seed=seed))
         return res.plan, res.objective, False
     if solver == "policy":
+        if model is None:
+            raise ConfigError("solver 'policy' needs a policy checkpoint")
         from .policy import policy_dispatch
-        res = policy_dispatch(model, instance, samples=config.policy_samples,
-                              seed=_stable_seed(config.seed, scenario.id, "policy"))
+        res = policy_dispatch(model, instance, samples=samples, seed=seed)
         return res.plan, res.objective, False
     raise ConfigError(f"unknown solver {solver!r}")
 
 
+def write_restoration(network, plans, prefix, title, horizon=None) -> dict:
+    """Restoration curves of several plans over one shared horizon, written
+    to `prefix`.csv and `prefix`.svg; returns each plan's timeline.
+
+    `plans` maps a curve name to (failed ids, completion hours). The
+    horizon defaults to, and must reach, one hour past the last completion
+    of any plan, so that every curve ends fully restored."""
+    need = max([1] + [math.ceil(max(completion.values())) + 1
+                      for _, completion in plans.values() if completion])
+    if horizon is None:
+        horizon = need
+    elif horizon < need:
+        raise ConfigError(f"horizon {horizon} ends before the last repair; "
+                          f"it must be >= {need}")
+    timelines = {name: ens_timeline(network, failed, completion,
+                                    horizon=horizon)
+                 for name, (failed, completion) in sorted(plans.items())}
+    curves = {name: (t.hours, t.served_fraction)
+              for name, t in timelines.items()}
+    problems = resilience_curves_ok(curves)
+    if problems:
+        raise InternalError("; ".join(problems))
+    write_resilience_csv(curves, prefix + ".csv")
+    plot_lines_svg(curves, prefix + ".svg", title=title,
+                   xlabel="hours after event", ylabel="fraction of load served",
+                   ylim=(0.0, 1.05))
+    return timelines
+
+
 def run_pipeline(network: Network, config: PipelineConfig, out_dir: str,
                  threads: int = 1) -> dict:
-    """Run the full study and return the manifest document."""
+    """Run the full study, one job after another, and return the manifest.
+    `threads` must be 1: the keyword stays only until the benchmark harness
+    stops passing it, and then goes away."""
+    if threads != 1:
+        raise ConfigError(f"threads must be 1, got {threads!r}")
     t_start = time.monotonic()
     timings = {}
     model = None
@@ -232,9 +259,9 @@ def run_pipeline(network: Network, config: PipelineConfig, out_dir: str,
                        ylim=(0.0, 1.05), step=True)
     timings["scenarios_s"] = round(time.monotonic() - t0, 3)
 
-    # stage 2: dispatch fan-out over representative scenarios
+    # stage 2: dispatch every solver on each representative scenario
     t0 = time.monotonic()
-    jobs = []
+    by_scenario = {}
     for mag in config.magnitudes:
         sset, _, reps = sets[mag]
         for sid in sorted(set(reps)):
@@ -242,70 +269,50 @@ def run_pipeline(network: Network, config: PipelineConfig, out_dir: str,
             if not scenario.failed:
                 continue
             for solver in config.solvers:
-                jobs.append((mag, sid, solver, scenario))
-
-    def solve(job):
-        mag, sid, solver, scenario = job
-        try:
-            return job, "ok", _run_solver(solver, network, scenario,
-                                            config, model)
-        except LimitError:
-            return job, "limit", None
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(solve, jobs))
-    else:
-        results = [solve(j) for j in jobs]
+                instance = instance_from_scenario(network, scenario.failed,
+                                                  gamma=config.gamma)
+                try:
+                    status, result = "ok", solve(
+                        solver, instance,
+                        seed=_stable_seed(config.seed, sid, solver),
+                        model=model, samples=config.policy_samples,
+                        max_components=config.exact_max_components,
+                        max_crews=config.exact_max_crews,
+                        time_limit_s=config.exact_time_limit_s,
+                        population=config.ga_population,
+                        generations=config.ga_generations)
+                except LimitError:
+                    status, result = "limit", None
+                by_scenario.setdefault((mag, sid), {})[solver] = (
+                    status, result, scenario)
     timings["dispatch_s"] = round(time.monotonic() - t0, 3)
 
     # stage 3: timelines and artifacts, written in deterministic order
     t0 = time.monotonic()
     rows = []
-    by_scenario = {}
-    for (mag, sid, solver, scenario), status, result in results:
-        by_scenario.setdefault((mag, sid), {})[solver] = (status, result, scenario)
-
     for (mag, sid) in sorted(by_scenario):
         solvers = by_scenario[(mag, sid)]
-        tag = _mag_tag(mag)
-        horizon = 1
-        for solver, (status, result, scenario) in sorted(solvers.items()):
+        name = f"{_mag_tag(mag)}_s{sid:04d}"
+        plans = {solver: (scenario.failed, result[0].completion)
+                 for solver, (_, result, scenario) in solvers.items()
+                 if result is not None}
+        timelines = write_restoration(
+            network, plans, os.path.join(out_dir, "resilience", name),
+            title=f"Restoration, M{mag:g} scenario {sid}") if plans else {}
+        for solver, (status, result, _) in sorted(solvers.items()):
+            doc = plan_document(solver, status, result, magnitude=mag,
+                                scenario_id=sid)
             if result is not None:
-                plan = result[0]
-                if plan.completion:
-                    horizon = max(horizon,
-                                  max(math.ceil(h) for h in plan.completion.values()) + 1)
-        curves = {}
-        for solver, (status, result, scenario) in sorted(solvers.items()):
-            ens = None
-            if result is not None:
-                plan = result[0]
-                timeline = ens_timeline(network, scenario.failed,
-                                        plan.completion, horizon=horizon)
-                ens = timeline.ens_mwh
-                curves[solver] = (timeline.hours, timeline.served_fraction)
-            doc = _plan_document(result, solver, status, mag, sid, ens_mwh=ens)
-            write_json(doc, os.path.join(
-                out_dir, "plans", f"{tag}_s{sid:04d}_{solver}.json"))
-            obj = result[1] if result is not None else None
+                doc["ens_mwh"] = timelines[solver].ens_mwh
+            write_json(doc, os.path.join(out_dir, "plans",
+                                         f"{name}_{solver}.json"))
+            obj = doc.get("objective", {})
             rows.append(ComparisonRow(
                 magnitude=mag, scenario_id=sid, solver=solver, status=status,
-                objective=obj.value if obj else None,
-                makespan_hours=obj.makespan_hours if obj else None,
-                weighted_completion=obj.weighted_completion if obj else None,
-                ens_mwh=ens))
-        if curves:
-            problems = resilience_curves_ok(curves)
-            if problems:
-                raise InternalError("; ".join(problems))
-            write_resilience_csv(curves, os.path.join(
-                out_dir, "resilience", f"{tag}_s{sid:04d}.csv"))
-            plot_lines_svg(curves, os.path.join(
-                out_dir, "resilience", f"{tag}_s{sid:04d}.svg"),
-                title=f"Restoration, M{mag:g} scenario {sid}",
-                xlabel="hours after event", ylabel="fraction of load served",
-                ylim=(0.0, 1.05))
+                objective=obj.get("value"),
+                makespan_hours=obj.get("makespan_hours"),
+                weighted_completion=obj.get("weighted_completion"),
+                ens_mwh=doc.get("ens_mwh")))
 
     rows = fill_gaps(rows)
     write_comparison_csv(rows, os.path.join(out_dir, "comparison.csv"))

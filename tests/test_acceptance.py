@@ -211,6 +211,7 @@ def test_criterion_06_ga_quality():
         assert hits >= 90, f"only {hits}/100 within 5%"
 
 
+@pytest.mark.slow  # ~9 min; `pytest -m "not slow"` skips it for a quick loop
 def test_criterion_07_policy_quality():
     with criterion(7, "PPO policy median gap <= 5% vs exact", 1800.0):
         fam = InstanceFamily()  # 5-8 components, 2 depots, 1 crew each

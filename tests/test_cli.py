@@ -133,6 +133,101 @@ def test_pipeline_command(network_path, tmp_path, capsys):
     capsys.readouterr()
 
 
+def _pipeline_study(network_path, tmp_path) -> str:
+    """A small M7.5 study at seed 2 whose representatives need repairs."""
+    cfg = tmp_path / "study.json"
+    cfg.write_text(json.dumps({
+        "magnitudes": [7.5], "n_scenarios": 20, "reduce_to": 4,
+        "return_periods": [2, 10], "seed": 2,
+        "ga_population": 15, "ga_generations": 10,
+    }))
+    out = str(tmp_path / "study")
+    assert main(["pipeline", "--network", network_path,
+                 "--config", str(cfg), "--out", out]) == 0
+    return out
+
+
+def _ok_plans(out: str) -> dict:
+    """Paths of the pipeline's ok plan documents, by resilience file stem."""
+    plans = {}
+    for name in sorted(os.listdir(os.path.join(out, "plans"))):
+        path = os.path.join(out, "plans", name)
+        if json.load(open(path))["status"] == "ok":
+            stem = name.rsplit("_", 1)[0]
+            plans.setdefault(stem, []).append(path)
+    return plans
+
+
+def test_report_resilience_matches_pipeline_curves(network_path, tmp_path,
+                                                   capsys):
+    out = _pipeline_study(network_path, tmp_path)
+    plans = _ok_plans(out)
+    assert plans
+    for stem, paths in plans.items():
+        prefix = str(tmp_path / stem)
+        assert main(["report", "resilience", "--network", network_path,
+                     "--plans", *paths, "--out", prefix]) == 0
+        want = os.path.join(out, "resilience", stem + ".csv")
+        assert open(prefix + ".csv", "rb").read() == open(want, "rb").read()
+    capsys.readouterr()
+
+
+def test_dispatch_exact_matches_pipeline_plan(network_path, tmp_path, capsys):
+    out = _pipeline_study(network_path, tmp_path)
+    scenarios = json.load(open(os.path.join(out, "scenarios",
+                                            "m7_5_full.json")))["scenarios"]
+    failed = {s["id"]: s["failed"] for s in scenarios}
+    checked = 0
+    for stem, paths in _ok_plans(out).items():
+        [exact] = [p for p in paths if p.endswith("_exact.json")]
+        want = json.load(open(exact))
+        plan = str(tmp_path / f"{stem}.json")
+        assert main(["dispatch", "exact", "--network", network_path,
+                     "--failed", ",".join(failed[want["scenario_id"]]),
+                     "--out", plan]) == 0
+        got = json.load(open(plan))
+        for key in ("objective", "routes", "arrival", "completion",
+                    "return_hours", "makespan_hours", "optimal"):
+            assert got[key] == want[key], (stem, key)
+        checked += 1
+    assert checked >= 1
+    capsys.readouterr()
+
+
+def test_dispatch_plan_files_are_rerunnable(network_path, tmp_path, capsys):
+    for solver, extra in (("exact", []),
+                          ("ga", ["--pop", "20", "--gens", "15"])):
+        outs = [str(tmp_path / f"{solver}{i}.json") for i in range(2)]
+        for out in outs:
+            assert main(["dispatch", solver, "--network", network_path,
+                         "--failed", "c_l1,c_l8,c_g2", "--seed", "4",
+                         "--out", out] + extra) == 0
+        a, b = (open(out, "rb").read() for out in outs)
+        assert a == b, solver
+        doc = json.loads(a)
+        assert doc["status"] == "ok"
+        assert doc["optimal"] is (solver == "exact")
+    capsys.readouterr()
+
+
+def test_exit_code_2_on_empty_ga_population(network_path, capsys):
+    assert main(["dispatch", "ga", "--network", network_path,
+                 "--failed", "c_l1", "--pop", "0"]) == 2
+    assert "population_size must be >= 1" in capsys.readouterr().err
+
+
+def test_exit_code_2_on_resilience_horizon_before_last_repair(
+        network_path, tmp_path, capsys):
+    plan = str(tmp_path / "plan.json")
+    assert main(["dispatch", "exact", "--network", network_path,
+                 "--failed", "c_l1,c_l8,c_g2", "--out", plan]) == 0
+    assert main(["report", "resilience", "--network", network_path,
+                 "--plans", plan, "--horizon", "1",
+                 "--out", str(tmp_path / "r")]) == 2
+    assert "ends before the last repair" in capsys.readouterr().err
+    assert not os.path.exists(str(tmp_path / "r.csv"))
+
+
 def test_exit_code_2_on_bad_inputs(tmp_path, network_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

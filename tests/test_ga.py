@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from gridquake.dispatch import exact_dispatch, plan_objective, schedule_plan
+from gridquake.errors import ConfigError
 from gridquake.ga import GaConfig, ga_dispatch
 from gridquake.policy.train import InstanceFamily
 
@@ -67,3 +68,9 @@ def test_ga_single_component():
     exact = exact_dispatch(inst)
     assert res.objective.value == pytest.approx(exact.objective.value,
                                                 abs=1e-9)
+
+
+@pytest.mark.parametrize("size", [0, -1])
+def test_config_rejects_empty_population(size):
+    with pytest.raises(ConfigError, match="population_size must be >= 1"):
+        GaConfig(population_size=size)

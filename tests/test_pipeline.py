@@ -46,6 +46,14 @@ def test_config_reduce_to_must_cover_periods():
         PipelineConfig(reduce_to=2, return_periods=(2, 10, 50, 100))
 
 
+@pytest.mark.parametrize("field", [{"ga_population": 0},
+                                   {"ga_population": -3},
+                                   {"policy_samples": -1}])
+def test_config_rejects_empty_ga_population_and_negative_samples(field):
+    with pytest.raises(ConfigError):
+        PipelineConfig(**field)
+
+
 def test_pipeline_produces_expected_artifacts(tmp_path):
     net = builtin_feeder()
     out = str(tmp_path / "run")
@@ -84,11 +92,11 @@ def test_pipeline_rerun_is_byte_identical(tmp_path):
     assert m1 == m2
 
 
-def test_pipeline_threads_do_not_change_results(tmp_path):
-    net = builtin_feeder()
-    m1 = run_pipeline(net, SMALL, str(tmp_path / "a"))
-    m2 = run_pipeline(net, SMALL, str(tmp_path / "b"), threads=4)
-    assert m1 == m2
+def test_pipeline_rejects_threads_other_than_one(tmp_path):
+    out = str(tmp_path / "run")
+    with pytest.raises(ConfigError):
+        run_pipeline(builtin_feeder(), SMALL, out, threads=2)
+    assert not os.path.exists(out)
 
 
 def test_pipeline_heuristic_rows_carry_gap(tmp_path):
