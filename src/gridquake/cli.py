@@ -190,6 +190,9 @@ def _cmd_report_resilience(args) -> int:
     for path in args.plans:
         doc = _load_plan_doc(path)
         name = doc.get("solver") or os.path.splitext(os.path.basename(path))[0]
+        if name in plans:
+            raise ConfigError(f"{path}: a second plan named {name!r}; each "
+                              f"curve is keyed by its plan's solver")
         plans[name] = (list(doc["completion"]), doc["completion"])
     timelines = write_restoration(net, plans, args.out, title="Restoration",
                                   horizon=args.horizon)

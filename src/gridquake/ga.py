@@ -31,6 +31,10 @@ class GaConfig:
     def __post_init__(self):
         if self.population_size < 1:
             raise ConfigError("population_size must be >= 1")
+        if self.generations < 0:
+            raise ConfigError("generations must be >= 0")
+        if self.tournament < 1:
+            raise ConfigError("tournament must be >= 1")
 
 
 @dataclass(frozen=True)

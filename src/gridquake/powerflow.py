@@ -148,7 +148,8 @@ def solve_shedding_lp(
     The all-shed point (every generator at p_min = 0, zero flows, flat
     voltage) is feasible for any network whose generators can idle, so a
     well-formed instance cannot be infeasible; if the solver still reports
-    infeasible, InternalError is raised.
+    infeasible, InternalError is raised. The simplex starts from a basis at
+    that point (see _all_shed_start), so it needs no phase 1.
     """
     sol = FlowSolution(v={}, p_shed={}, q_shed={}, p_line={}, q_line={},
                        p_gen={}, q_gen={}, p_import={}, q_import={})
@@ -211,69 +212,56 @@ def solve_shedding_lp(
             ix_qshed[b] = add("qshed", b, lo, hi)
 
     ncol = len(cols)
-    rows = []
-    rhs = []
+    nb = len(on_buses)
+    row_of = {b: i for i, b in enumerate(on_buses)}
+    # rows: real power balance per bus (gen + import + inflow - outflow +
+    # shed = load), reactive balance per bus (q shed rides on p shed at the
+    # load's Q/P ratio), then one voltage drop per live line
+    # (v_from - v_to = r*p + x*q)
+    A = np.zeros((2 * nb + len(live_lines), ncol))
+    for k, ln in enumerate(live_lines):
+        i, j, r = row_of[ln.from_bus], row_of[ln.to_bus], 2 * nb + k
+        A[j, ix_pl[ln.id]] += 1.0
+        A[i, ix_pl[ln.id]] -= 1.0
+        A[nb + j, ix_ql[ln.id]] += 1.0
+        A[nb + i, ix_ql[ln.id]] -= 1.0
+        A[r, ix_v[ln.from_bus]] += 1.0
+        A[r, ix_v[ln.to_bus]] -= 1.0
+        A[r, ix_pl[ln.id]] -= ln.resistance
+        A[r, ix_ql[ln.id]] -= ln.reactance
+    for g in live_gens:
+        A[row_of[g.bus], ix_pg[g.id]] += 1.0
+        A[nb + row_of[g.bus], ix_qg[g.id]] += 1.0
+    for b in live_subs:
+        A[row_of[b], ix_ps[b]] += 1.0
+        A[nb + row_of[b], ix_qs[b]] += 1.0
+    for b, j in ix_shed.items():
+        A[row_of[b], j] += 1.0
+        A[nb + row_of[b], j] += q_ratio[b]
+    for b, j in ix_qshed.items():
+        A[nb + row_of[b], j] += 1.0
 
-    def new_row():
-        rows.append(np.zeros(ncol))
-        return rows[-1]
-
-    # nodal real power balance: gen + import + inflow - outflow + shed = load
-    for b in on_buses:
-        row = new_row()
-        for g in live_gens:
-            if g.bus == b:
-                row[ix_pg[g.id]] += 1.0
-        if b in ix_ps:
-            row[ix_ps[b]] += 1.0
-        for ln in live_lines:
-            if ln.to_bus == b:
-                row[ix_pl[ln.id]] += 1.0
-            if ln.from_bus == b:
-                row[ix_pl[ln.id]] -= 1.0
-        if b in ix_shed:
-            row[ix_shed[b]] += 1.0
-        rhs.append(p_load[b])
-
-    # nodal reactive balance; q shed rides on p shed at the load's Q/P ratio
-    for b in on_buses:
-        row = new_row()
-        for g in live_gens:
-            if g.bus == b:
-                row[ix_qg[g.id]] += 1.0
-        if b in ix_qs:
-            row[ix_qs[b]] += 1.0
-        for ln in live_lines:
-            if ln.to_bus == b:
-                row[ix_ql[ln.id]] += 1.0
-            if ln.from_bus == b:
-                row[ix_ql[ln.id]] -= 1.0
-        if b in ix_shed:
-            row[ix_shed[b]] += q_ratio[b]
-        if b in ix_qshed:
-            row[ix_qshed[b]] += 1.0
-        rhs.append(q_load[b])
-
-    # voltage drop along live lines: v_from - v_to = r*p + x*q
-    for ln in live_lines:
-        row = new_row()
-        row[ix_v[ln.from_bus]] += 1.0
-        row[ix_v[ln.to_bus]] -= 1.0
-        row[ix_pl[ln.id]] -= ln.resistance
-        row[ix_ql[ln.id]] -= ln.reactance
-        rhs.append(0.0)
-
-    A = np.array(rows) if rows else np.zeros((0, ncol))
-    b_vec = np.array(rhs)
+    b_vec = np.array([p_load[b] for b in on_buses]
+                     + [q_load[b] for b in on_buses] + [0.0] * len(live_lines))
     c = np.array([col[4] for col in cols])
     lo = np.array([col[2] for col in cols])
     hi = np.array([col[3] for col in cols])
 
-    res = simplex.solve_lp(c, A, b_vec, lo, hi)
+    # a bus's sources: (is substation, reactive range, P column, Q column)
+    sources = {}
+    for b in live_subs:
+        sources.setdefault(b, []).append(
+            (True, 2.0 * import_lim, ix_ps[b], ix_qs[b]))
+    for g in live_gens:
+        sources.setdefault(g.bus, []).append(
+            (False, g.q_max - g.q_min, ix_pg[g.id], ix_qg[g.id]))
+    start = _all_shed_start(network, state, cols, lo, hi, row_of, live_lines,
+                            sources, ix_v, ix_pl, ix_ql)
+    res = simplex.solve_lp(c, A, b_vec, lo, hi, start=start)
     if res.status != simplex.OPTIMAL:
         raise InternalError(
             f"shedding LP reported {res.status}; the all-shed anchor should "
-            f"make this impossible ({len(rows)} rows, {ncol} cols)"
+            f"make this impossible ({A.shape[0]} rows, {ncol} cols)"
         )
     x = res.x
 
@@ -307,6 +295,66 @@ def solve_shedding_lp(
     return sol
 
 
+def _all_shed_start(network, state, cols, lo, hi, row_of, live_lines,
+                    sources, ix_v, ix_pl, ix_ql):
+    """A crash basis at the all-shed point for the shedding LP's columns and
+    rows, as (basis, at_upper) for simplex.solve_lp.
+
+    Each energized island is walked as a tree from its source with the
+    widest reactive range, a live substation first; its P and Q rows take
+    that source's columns. Every other bus's balance rows take its parent
+    line's pl and ql, and the line's drop row takes the bus's v. A bus with
+    a reactive source whose box holds 0 idles it at 0 instead: that column
+    takes the bus's Q row, the parent line's ql its drop row, and the bus's
+    v stays at v_max, which must then equal the root's. Nonbasic columns
+    shed the whole load, hold generation at p_min and reactive sources at
+    their bound nearest 0, and voltages at v_max. None if a row is left
+    without a column, as in a meshed island (which the loader refuses).
+    """
+    def at_upper_bound(kind, lo_, hi_):
+        if kind in ("shed", "qshed"):
+            return abs(hi_) > abs(lo_)  # the bound that sheds the whole load
+        if kind in ("qg", "qs"):
+            return abs(hi_) < abs(lo_)  # the bound nearest 0
+        return kind == "v"  # pg at p_min, ps at 0
+
+    at_upper = np.array([at_upper_bound(kind, l, h)
+                         for kind, _, l, h, _ in cols])
+    nb = len(row_of)
+    basis = np.full(2 * nb + len(live_lines), -1)
+    adj = {b: [] for b in row_of}
+    for k, ln in enumerate(live_lines):
+        adj[ln.from_bus].append((k, ln, ln.to_bus))
+        adj[ln.to_bus].append((k, ln, ln.from_bus))
+
+    for island in state.islands:
+        if not state.energized[island[0]]:
+            continue
+        (_, _, p_col, q_col), root = max(
+            ((src, b) for b in island for src in sources.get(b, ())),
+            key=lambda pair: pair[0][:2])
+        basis[row_of[root]] = p_col
+        basis[nb + row_of[root]] = q_col
+        v_root = network.buses[root].v_max
+        order, seen = [root], {root}
+        for u in order:
+            for k, ln, w in adj[u]:
+                if w in seen:
+                    continue
+                seen.add(w)
+                order.append(w)
+                r, drop = row_of[w], 2 * nb + k
+                idle = next((q for _, _, _, q in sources.get(w, ())
+                             if lo[q] <= 0.0 <= hi[q]), None)
+                basis[r] = ix_pl[ln.id]
+                if (idle is not None and ln.reactance > 0
+                        and network.buses[w].v_max == v_root):
+                    basis[nb + r], basis[drop] = idle, ix_ql[ln.id]
+                else:
+                    basis[nb + r], basis[drop] = ix_ql[ln.id], ix_v[w]
+    return (basis, at_upper) if basis.min() >= 0 else None
+
+
 def shed_at(network: Network, failed_ids, t: int) -> FlowSolution:
     """Convenience wrapper: energization + LP at hour t's loads."""
     state = energization_state(network, failed_ids)
@@ -317,7 +365,6 @@ def shed_at(network: Network, failed_ids, t: int) -> FlowSolution:
 def ens_timeline(
     network: Network, failed_ids, completion_hours: dict,
     horizon: int | None = None, hour: int | None = None,
-    use_lp: bool = True,
 ) -> RestorationTimeline:
     """Hourly shed trajectory while repairs complete.
 
@@ -346,12 +393,8 @@ def ens_timeline(
         # loads are frozen, so an unchanged failed set keeps last hour's shed
         if still_failed != prev_failed:
             state = energization_state(network, still_failed)
-            if use_lp:
-                flow = solve_shedding_lp(network, state, p_ref, q_ref)
-                shed = flow.total_shed_mw
-            else:
-                shed = sum(p_ref[b] for b in network.buses
-                           if not state.energized[b])
+            shed = solve_shedding_lp(network, state, p_ref,
+                                     q_ref).total_shed_mw
             prev_failed = still_failed
         hours.append(t)
         sheds.append(shed)

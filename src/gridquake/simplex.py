@@ -1,6 +1,12 @@
-"""Dense bounded-variable two-phase revised simplex.
+"""Dense bounded-variable revised simplex, with a crash start or two phases.
 
 Solves   min c.x   s.t.  A x = b,  lower <= x <= upper.
+
+A caller that knows a feasible basis passes it as a crash start (Bixby,
+"Implementing the simplex method: the initial basis", 1992): the shedding
+LP passes the all-shed basis. If that basis is nonsingular and primal
+feasible, phase 2 runs from it directly. Otherwise, and for every LP without
+a start, phase 1 first finds a feasible basis from one artificial per row.
 
 Sized for distribution feeders (hundreds of rows). Each phase keeps an
 explicit inverse of the basis matrix: it is computed afresh when the phase
@@ -40,9 +46,11 @@ class LpResult:
     x: np.ndarray | None
     objective: float | None
     iterations: int
-    # Solver counters for diagnostics: phase1_iterations, phase2_iterations,
-    # bland (the anti-cycling switch fired) and refactorizations (fresh
-    # basis inversions). Never written to an artifact.
+    # Solver counters for diagnostics: start ("crash" if phase 2 ran from
+    # the caller's start, else "phase1"), phase1_iterations,
+    # phase2_iterations, bland (the anti-cycling switch fired) and
+    # refactorizations (fresh basis inversions). Never written to an
+    # artifact.
     stats: dict = field(default_factory=dict)
 
 
@@ -50,12 +58,19 @@ def solve_lp(
     c, A, b, lower, upper,
     tol: float = 1e-9,
     max_iter: int | None = None,
+    start: tuple | None = None,
 ) -> LpResult:
-    """Two-phase simplex for equality-constrained LPs with box bounds.
+    """Simplex for equality-constrained LPs with box bounds.
 
     All bounds must satisfy lower <= upper; +/-inf entries are allowed on at
     most one side of each variable. Raises LimitError if the iteration cap is
     hit (diagnostic: the problem size and phase are in the message).
+
+    `start` is an optional crash basis (basis, at_upper): `basis` names the
+    basic column of each row, and `at_upper` (one bool per column) puts a
+    nonbasic column at its upper bound instead of its lower. Phase 2 runs
+    from it if it is nonsingular and primal feasible within `tol`; if not,
+    phase 1 runs as without it.
     """
     c = np.asarray(c, dtype=float)
     A = np.asarray(A, dtype=float)
@@ -76,6 +91,20 @@ def solve_lp(
     if max_iter is None:
         max_iter = 200 * (n + m) + 1000
 
+    stats = {"start": "phase1", "phase1_iterations": 0,
+             "phase2_iterations": 0, "bland": False, "refactorizations": 0}
+    if start is not None:
+        basis, status, Binv = _crash_start(A, b, lower, upper, start, tol)
+        if Binv is not None:
+            stats["start"] = "crash"
+            stats["refactorizations"] = 1
+            it2, _ = _simplex_core(c, A, b, lower, upper, basis, status, tol,
+                                   max_iter, allowed=n, stats=stats,
+                                   Binv=Binv)
+            stats["phase2_iterations"] = it2
+            return _optimal(c, A, b, lower, upper, basis, status, n, it2,
+                            stats)
+
     # start each structural variable at a finite bound
     x0 = np.where(np.isfinite(lower), lower, upper)
     resid = b - A @ x0
@@ -92,8 +121,6 @@ def solve_lp(
     status[n:] = _BASIC
     basis = np.arange(n, n + m)
 
-    stats = {"phase1_iterations": 0, "phase2_iterations": 0, "bland": False,
-             "refactorizations": 0}
     it1, obj1 = _simplex_core(c1, A1, b, lo1, hi1, basis, status, tol,
                               max_iter, allowed=n + m, stats=stats)
     stats["phase1_iterations"] = it1
@@ -110,13 +137,50 @@ def solve_lp(
     it2, _ = _simplex_core(c2, A1, b, lo1, hi1, basis, status, tol,
                            max_iter, allowed=n, stats=stats)
     stats["phase2_iterations"] = it2
+    return _optimal(c2, A1, b, lo1, hi1, basis, status, n, it1 + it2, stats)
 
-    x = _current_point(A1, b, lo1, hi1, basis, status)
+
+def _crash_start(A, b, lo, hi, start, tol):
+    """(basis, status, basis inverse) of a crash start; the inverse is None
+    if the start is singular or not primal feasible within tol."""
+    m, n = A.shape
+    basis, at_upper = (np.asarray(a) for a in start)
+    if (basis.shape != (m,) or at_upper.shape != (n,)
+            or np.any((basis < 0) | (basis >= n))):
+        raise InternalError("start must give one basic column per row and "
+                            "one bound per column")
+    basis = basis.astype(int)
+    status = np.where(at_upper, _AT_UPPER, _AT_LOWER)
+    status[basis] = _BASIC
+    x = np.where(status == _AT_UPPER, hi, lo)
+    x[basis] = 0.0
+    if np.unique(basis).size != m or not np.all(np.isfinite(x)):
+        return basis, status, None
+    B = A[:, basis]
+    try:
+        Binv = np.linalg.inv(B)
+    except np.linalg.LinAlgError:
+        return basis, status, None
+    rhs = b - A @ x
+    xb = Binv @ rhs
+    # a numerically singular B inverts without error, but its inverse
+    # does not reproduce the right-hand side
+    scale = max(1.0, float(np.abs(rhs).max(initial=0.0)))
+    if not (np.all(np.isfinite(xb))
+            and np.all(np.abs(B @ xb - rhs) <= tol * scale)
+            and np.all(xb >= lo[basis] - tol)
+            and np.all(xb <= hi[basis] + tol)):
+        return basis, status, None
+    return basis, status, Binv
+
+
+def _optimal(c, A, b, lo, hi, basis, status, n, iterations, stats):
+    x = _current_point(A, b, lo, hi, basis, status)
     if np.any(np.isnan(x)):
         raise InternalError("simplex produced NaN solution")
     xs = x[:n]
-    return LpResult(status=OPTIMAL, x=xs, objective=float(c @ xs),
-                    iterations=it1 + it2, stats=stats)
+    return LpResult(status=OPTIMAL, x=xs, objective=float(c[:n] @ xs),
+                    iterations=iterations, stats=stats)
 
 
 def _current_point(A, b, lo, hi, basis, status):
@@ -136,19 +200,21 @@ def _invert_basis(A, basis, it):
 
 
 def _simplex_core(c, A, b, lo, hi, basis, status, tol, max_iter, allowed,
-                  stats):
+                  stats, Binv=None):
     """Run simplex iterations in place on (basis, status).
 
     `allowed` limits entering candidates to the first `allowed` columns, which
-    keeps locked artificials out of phase-2 pricing. Counts refactorizations
+    keeps locked artificials out of phase-2 pricing. `Binv` is the inverse of
+    the starting basis if the caller already has it. Counts refactorizations
     and the Bland switch into `stats`. Returns (iterations, final objective).
     """
     m = A.shape[0]
     bland = False
     stall = 0
     last_obj = np.inf
-    Binv = _invert_basis(A, basis, 0)
-    stats["refactorizations"] += 1
+    if Binv is None:
+        Binv = _invert_basis(A, basis, 0)
+        stats["refactorizations"] += 1
     changes = 0
 
     for it in range(max_iter):

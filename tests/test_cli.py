@@ -216,6 +216,27 @@ def test_exit_code_2_on_empty_ga_population(network_path, capsys):
     assert "population_size must be >= 1" in capsys.readouterr().err
 
 
+def test_exit_code_2_on_negative_ga_generations(network_path, capsys):
+    assert main(["dispatch", "ga", "--network", network_path,
+                 "--failed", "c_l1", "--gens", "-1"]) == 2
+    assert "generations must be >= 0" in capsys.readouterr().err
+
+
+def test_exit_code_2_on_resilience_plans_from_one_solver(network_path,
+                                                         tmp_path, capsys):
+    plans = []
+    for i, failed in enumerate(["c_l1,c_g2", "c_l8"]):
+        plans.append(str(tmp_path / f"plan{i}.json"))
+        assert main(["dispatch", "exact", "--network", network_path,
+                     "--failed", failed, "--out", plans[-1]]) == 0
+    prefix = str(tmp_path / "r")
+    assert main(["report", "resilience", "--network", network_path,
+                 "--plans", *plans, "--out", prefix]) == 2
+    assert "a second plan named 'exact'" in capsys.readouterr().err
+    assert not os.path.exists(prefix + ".csv")
+    assert not os.path.exists(prefix + ".svg")
+
+
 def test_exit_code_2_on_resilience_horizon_before_last_repair(
         network_path, tmp_path, capsys):
     plan = str(tmp_path / "plan.json")

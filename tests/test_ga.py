@@ -74,3 +74,15 @@ def test_ga_single_component():
 def test_config_rejects_empty_population(size):
     with pytest.raises(ConfigError, match="population_size must be >= 1"):
         GaConfig(population_size=size)
+
+
+@pytest.mark.parametrize("gens", [-1, -5])
+def test_config_rejects_negative_generations(gens):
+    with pytest.raises(ConfigError, match="generations must be >= 0"):
+        GaConfig(generations=gens)
+
+
+@pytest.mark.parametrize("size", [0, -1])
+def test_config_rejects_empty_tournament(size):
+    with pytest.raises(ConfigError, match="tournament must be >= 1"):
+        GaConfig(tournament=size)

@@ -138,8 +138,9 @@ def test_stats_on_hand_case():
     # phase 1 flips x1 to its upper bound, then pivots x2 in for the
     # artificial; phase 2 swaps x2 (to its upper bound) for x1
     res = solve_lp([-1.0, -2.0], [[1.0, 1.0]], [1.5], [0.0, 0.0], [1.0, 1.0])
-    assert res.stats == {"phase1_iterations": 2, "phase2_iterations": 1,
-                         "bland": False, "refactorizations": 2}
+    assert res.stats == {"start": "phase1", "phase1_iterations": 2,
+                         "phase2_iterations": 1, "bland": False,
+                         "refactorizations": 2}
     assert res.iterations == 3
 
 
@@ -157,12 +158,12 @@ HIGHS_STATUS = {0: OPTIMAL, 2: INFEASIBLE}
 
 
 def shedding_lps(net, failed):
-    """(args, result) of every solve_lp call one shedding LP makes."""
+    """(args, kwargs, result) of every solve_lp call one shedding LP makes."""
     seen = []
 
     def recording(*args, **kwargs):
         res = solve_lp(*args, **kwargs)
-        seen.append((args, res))
+        seen.append((args, kwargs, res))
         return res
 
     state = energization_state(net, failed)
@@ -196,22 +197,27 @@ def test_shedding_lp_matches_highs(seed, n_buses, fail_fraction, angle,
     rng = np.random.default_rng(seed)
     failed = list(rng.choice(ids, size=int(fail_fraction * len(ids)),
                              replace=False))
-    for args, res in shedding_lps(net, failed):
+    for args, _, res in shedding_lps(net, failed):
+        assert res.stats["start"] == "crash"
         assert_matches_highs(*args, res)
 
 
 def test_seeded_120_bus_shedding_lp_matches_highs():
+    # with and without failures; from the crash start even the cold LP
+    # takes under 200 pivots
     net = random_radial_network(3, n_buses=120)
-    (args, res), = shedding_lps(net, ["c_l7", "c_l40", "c_g11"])
-    assert res.iterations > simplex._REFACTOR_EVERY
-    assert_matches_highs(*args, res)
+    for failed in (["c_l7", "c_l40", "c_g11"], []):
+        (args, _, res), = shedding_lps(net, failed)
+        assert res.stats["start"] == "crash"
+        assert simplex._REFACTOR_EVERY < res.iterations < 200
+        assert_matches_highs(*args, res)
 
 
 def test_refactorization_and_bound_flip_paths():
     # a 60-bus shedding LP takes more than _REFACTOR_EVERY basis changes in
     # phase 1; the appended free-standing columns (zero in A, cost -2) can
     # only reach their upper bound by a bound flip in phase 2
-    (args, _), = shedding_lps(random_radial_network(3, n_buses=60), [])
+    (args, _, _), = shedding_lps(random_radial_network(3, n_buses=60), [])
     c, A, b, lower, upper = args
     k = 3
     c = np.concatenate([c, np.full(k, -2.0)])
@@ -224,10 +230,45 @@ def test_refactorization_and_bound_flip_paths():
     assert_matches_highs(c, A, b, lower, upper, res)
 
 
+def _crash_start_of(net):
+    (args, kwargs, res), = shedding_lps(net, [])
+    assert res.stats["start"] == "crash"
+    basis, at_upper = kwargs["start"]
+    return args, basis.copy(), at_upper.copy()
+
+
+def test_singular_start_falls_back_to_phase_one():
+    # the root's P row loses its import column to the root's voltage, which
+    # has no entry in any P row; every flow column has one +1 and one -1
+    # there, so the P rows of the basis sum to zero
+    net = random_radial_network(3, n_buses=30)
+    args, basis, at_upper = _crash_start_of(net)
+    A = args[1]
+    v_root = 0  # columns start with the voltages, rows with P, in bus order
+    assert not A[:len(net.buses), v_root].any()
+    basis[0] = v_root
+    res = solve_lp(*args, start=(basis, at_upper))
+    assert res.stats["start"] == "phase1"
+    assert res.stats["phase1_iterations"] > 0
+    assert_matches_highs(*args, res)
+
+
+def test_infeasible_start_falls_back_to_phase_one():
+    # serving every load in full overloads the random feeder's lines
+    net = random_radial_network(3, n_buses=30)
+    args, basis, at_upper = _crash_start_of(net)
+    c = args[0]
+    at_upper[c > 0] = False  # sheds are the only columns with a cost
+    res = solve_lp(*args, start=(basis, at_upper))
+    assert res.stats["start"] == "phase1"
+    assert res.stats["phase1_iterations"] > 0
+    assert_matches_highs(*args, res)
+
+
 def test_repeated_solve_is_bit_identical():
-    (args, first), = shedding_lps(random_radial_network(5, n_buses=60),
-                                  ["c_l3", "c_l20"])
-    again = solve_lp(*args)
+    (args, kwargs, first), = shedding_lps(random_radial_network(5, n_buses=60),
+                                          ["c_l3", "c_l20"])
+    again = solve_lp(*args, **kwargs)
     assert first.x.tobytes() == again.x.tobytes()
     assert first.objective == again.objective
     assert first.stats == again.stats
