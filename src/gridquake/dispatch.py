@@ -18,6 +18,8 @@ import math
 import time
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ConfigError, LimitError
 from .model import Depot, Network
 from .powerflow import de_energized_load
@@ -98,15 +100,29 @@ def travel_hours(a, b, speed_kmh: float) -> float:
 def cluster_to_depots(instance: DispatchInstance) -> dict:
     """Nearest-depot assignment; distance ties go to the lexicographically
     smaller depot id."""
-    out = {}
-    for comp in instance.components:
-        best = None
-        for d in instance.depots:
-            key = (math.hypot(comp.x - d.x, comp.y - d.y), d.id)
-            if best is None or key < best[0]:
-                best = (key, d.id)
-        out[comp.id] = best[1]
-    return out
+    return {c.id: min(instance.depots,
+                      key=lambda d: (math.hypot(c.x - d.x, c.y - d.y), d.id)).id
+            for c in instance.components}
+
+
+class _Compiled:
+    """A dispatch instance as arrays, built once per solve. Component i keeps
+    its document index; travel-matrix node n + k is depot k."""
+
+    def __init__(self, instance: DispatchInstance):
+        comps, speed = instance.components, instance.travel_speed_kmh
+        cluster = cluster_to_depots(instance)
+        by_id = sorted(range(len(comps)), key=lambda i: comps[i].id)
+        # per depot: its component indices, sorted by id
+        self.depot_jobs = tuple(
+            tuple(i for i in by_id if cluster[comps[i].id] == d.id)
+            for d in instance.depots)
+        self.repair = np.array([c.repair_hours for c in comps], dtype=float)
+        self.weight = np.array([c.curtailed_mw for c in comps], dtype=float)
+        # travel_hours from row node to column node
+        nodes = [(c.x, c.y) for c in comps] + [(d.x, d.y) for d in instance.depots]
+        self.travel = np.array([[travel_hours(a, b, speed) for b in nodes]
+                                for a in nodes])
 
 
 def attribute_curtailed_load(network: Network, failed_ids, hour: int) -> dict:
@@ -127,10 +143,9 @@ def instance_from_scenario(
     if not network.depots:
         raise ConfigError("network has no depots")
     cl = attribute_curtailed_load(network, failed_ids, hour)
+    failed = set(failed_ids)
     comps = []
-    for cid in network.components:
-        if cid not in set(failed_ids):
-            continue
+    for cid in [c for c in network.components if c in failed]:
         x, y = network.component_location(cid)
         comps.append(FailedComponent(
             id=cid, x=x, y=y,
@@ -252,84 +267,113 @@ def exact_dispatch(
     exceeds the size limits. On timeout the best plan found so far is
     returned with optimal=False.
     """
-    cluster = cluster_to_depots(instance)
-    comp_by_id = {c.id: c for c in instance.components}
+    compiled = _Compiled(instance)
     deadline = None if time_limit_s is None else time.monotonic() + time_limit_s
 
     complete = True
     frontiers = {}
-    for depot in instance.depots:
-        jobs = [comp_by_id[cid] for cid in comp_by_id
-                if cluster[cid] == depot.id]
-        jobs.sort(key=lambda c: c.id)
+    for k, (depot, idx) in enumerate(zip(instance.depots, compiled.depot_jobs)):
+        jobs = [instance.components[i] for i in idx]
         if len(jobs) > max_components_per_depot:
-            raise LimitError(
-                f"depot {depot.id}: {len(jobs)} components exceeds the exact "
-                f"solver limit {max_components_per_depot}"
-            )
+            raise LimitError(f"depot {depot.id}: {len(jobs)} components exceeds "
+                             f"the exact solver limit {max_components_per_depot}")
         if depot.crew_count > max_crews_per_depot:
-            raise LimitError(
-                f"depot {depot.id}: {depot.crew_count} crews exceeds the "
-                f"exact solver limit {max_crews_per_depot}"
-            )
-        frontier, finished = _depot_frontier(
-            depot, jobs, instance.travel_speed_kmh, deadline)
+            raise LimitError(f"depot {depot.id}: {depot.crew_count} crews exceeds "
+                             f"the exact solver limit {max_crews_per_depot}")
+        nodes = list(idx) + [len(instance.components) + k]
+        travel = compiled.travel[np.ix_(nodes, nodes)].tolist()
+        frontier, finished = _depot_frontier(depot, jobs, travel, deadline)
         frontiers[depot.id] = frontier
         complete = complete and finished
 
-    best_plan, best_value = _combine_frontiers(instance, frontiers)
-    plan = schedule_plan(instance, best_plan)
+    plan = schedule_plan(instance, _combine_frontiers(instance, frontiers))
     breakdown = plan_objective(instance, plan)
     return ExactResult(plan=plan, objective=breakdown, optimal=complete)
 
 
-def _depot_frontier(depot, jobs, speed, deadline):
+def _depot_frontier(depot, jobs, travel, deadline):
     """Pareto frontier of (duration T, weighted completion E) over all
     ordered assignments of `jobs` to the depot's crews.
 
-    Crews are interchangeable, so the search is canonicalized: crew k's set
-    must contain the lowest-indexed job still unassigned when crew k starts,
-    and once a crew is left empty all later crews stay empty.
+    `travel[a][b]` is the travel time from job a to job b; index len(jobs)
+    is the depot. Crews are interchangeable, so the search is canonicalized:
+    crew k's set must contain the lowest-indexed job still unassigned when
+    crew k starts, and once a crew is left empty all later crews stay empty.
     Frontier entries are (T, E, routes) with routes a tuple of job-id tuples,
     one per crew. Returns (frontier, finished) where finished is False if
     the deadline cut the search short.
     """
-    n_crews = depot.crew_count
-    home = (depot.x, depot.y)
+    n_crews, home = depot.crew_count, len(jobs)
+    repair = [c.repair_hours for c in jobs]
+    weight = [c.curtailed_mw for c in jobs]
     if not jobs:
         return [(0.0, 0.0, tuple(() for _ in range(n_crews)))], True
+
+    def assign(crew_idx, remaining, routes, t_max, e_sum):
+        """Pick crew crew_idx's full route, then move to the next crew.
+        Returns False if the deadline fired somewhere below."""
+        if not remaining:
+            filled = list(routes) + [()] * (n_crews - len(routes))
+            _frontier_add(frontier, (t_max, e_sum, tuple(
+                tuple(jobs[j].id for j in seq) for seq in filled)))
+            return True
+        if crew_idx >= n_crews:
+            return True  # jobs left but no crews: dead branch
+        return extend(crew_idx, remaining, routes, t_max, e_sum, seq=(),
+                      loc=home, t_crew=0.0, has_must=False,
+                      must=min(remaining))
+
+    def extend(crew_idx, remaining, routes, t_max, e_sum, seq, loc, t_crew,
+               has_must, must):
+        if deadline is not None and time.monotonic() > deadline:
+            return False
+        # admissible per-job completion bound: the best direct finish from
+        # the current crew's position or a fresh crew at the depot
+        here = travel[loc]
+        fresh = travel[home] if crew_idx + 1 < n_crews else None
+        lbs = {j: min(t_crew + here[j], fresh[j] if fresh else math.inf)
+               + repair[j] for j in remaining}
+        t_lb = max([t_max, t_crew] + list(lbs.values()))
+        e_lb = e_sum + sum(weight[j] * lbs[j] for j in remaining)
+        if _dominated_by_frontier(frontier, t_lb, e_lb):
+            return True
+
+        finished = True
+        # close this crew's route and hand the rest to the next crew
+        if has_must:
+            finished &= assign(crew_idx + 1, remaining, routes + [seq],
+                               max(t_max, t_crew), e_sum)
+        # or serve one more job now
+        for j in sorted(remaining):
+            done = t_crew + here[j] + repair[j]
+            finished &= extend(crew_idx, remaining - {j}, routes, t_max,
+                               e_sum + weight[j] * done, seq + (j,), j, done,
+                               has_must or j == must, must)
+            if not finished:
+                break
+        return finished
 
     # seed: greedy nearest-neighbor keeps the frontier non-empty under any
     # deadline and gives the dominance test an early anchor
     frontier = []
-    _frontier_add(frontier, _greedy_seed(home, n_crews, jobs, speed))
-
-    finished = _assign_crews(home, n_crews, jobs, speed, deadline,
-                             crew_idx=0,
-                             remaining=frozenset(range(len(jobs))),
-                             routes=[], t_max=0.0, e_sum=0.0,
-                             frontier=frontier)
+    _frontier_add(frontier, _greedy_seed(home, n_crews, jobs, travel))
+    finished = assign(0, frozenset(range(len(jobs))), [], 0.0, 0.0)
     return frontier, finished
 
 
-def _greedy_seed(home, n_crews, jobs, speed):
+def _greedy_seed(home, n_crews, jobs, travel):
     locs = [home] * n_crews
     times = [0.0] * n_crews
     seqs = [[] for _ in range(n_crews)]
     remaining = set(range(len(jobs)))
     e_sum = 0.0
     while remaining:
-        best = None
-        for k in range(n_crews):
-            for j in remaining:
-                done = times[k] + travel_hours(locs[k], (jobs[j].x, jobs[j].y),
-                                               speed) + jobs[j].repair_hours
-                key = (done, k, jobs[j].id)
-                if best is None or key < best[0]:
-                    best = (key, k, j)
-        _, k, j = best
-        times[k] = best[0][0]
-        locs[k] = (jobs[j].x, jobs[j].y)
+        # earliest finish over every crew and job, ties to crew then job id
+        (done, k, _), j = min(
+            ((times[k] + travel[locs[k]][j] + jobs[j].repair_hours, k,
+              jobs[j].id), j) for k in range(n_crews) for j in remaining)
+        times[k] = done
+        locs[k] = j
         seqs[k].append(j)
         e_sum += jobs[j].curtailed_mw * times[k]
         remaining.remove(j)
@@ -340,9 +384,8 @@ def _greedy_seed(home, n_crews, jobs, speed):
 
 def _frontier_add(frontier, entry):
     t, e, _ = entry
-    for ft, fe, _ in frontier:
-        if ft <= t + 1e-12 and fe <= e + 1e-12:
-            return  # dominated (or tied): keep the incumbent
+    if _dominated_by_frontier(frontier, t, e):
+        return  # dominated (or tied): keep the incumbent
     frontier[:] = [f for f in frontier if not (t <= f[0] + 1e-12 and e <= f[1] + 1e-12)]
     frontier.append(entry)
 
@@ -354,74 +397,6 @@ def _dominated_by_frontier(frontier, t_lb, e_lb):
     return False
 
 
-def _assign_crews(home, n_crews, jobs, speed, deadline, crew_idx, remaining,
-                  routes, t_max, e_sum, frontier):
-    """Recursively pick crew crew_idx's full route, then move to the next
-    crew. Returns False if the deadline fired somewhere below."""
-    if not remaining:
-        filled = list(routes) + [()] * (n_crews - len(routes))
-        entry = (t_max, e_sum,
-                 tuple(tuple(jobs[j].id for j in seq) for seq in filled))
-        _frontier_add(frontier, entry)
-        return True
-    if crew_idx >= n_crews:
-        return True  # jobs left but no crews: dead branch
-
-    must = min(remaining)
-    return _extend_route(home, n_crews, jobs, speed, deadline, crew_idx,
-                         remaining, routes, t_max, e_sum, frontier,
-                         seq=(), loc=home, t_crew=0.0, has_must=False,
-                         must=must)
-
-
-def _completion_lower_bounds(home, jobs, speed, remaining, loc, t_crew,
-                             crews_left):
-    """Admissible per-job completion bound: the best direct finish from the
-    current crew's position or a fresh crew at the depot."""
-    out = {}
-    for j in remaining:
-        p = (jobs[j].x, jobs[j].y)
-        via_current = t_crew + travel_hours(loc, p, speed)
-        via_fresh = travel_hours(home, p, speed) if crews_left > 0 else math.inf
-        out[j] = min(via_current, via_fresh) + jobs[j].repair_hours
-    return out
-
-
-def _extend_route(home, n_crews, jobs, speed, deadline, crew_idx, remaining,
-                  routes, t_max, e_sum, frontier, seq, loc, t_crew, has_must,
-                  must):
-    if deadline is not None and time.monotonic() > deadline:
-        return False
-
-    lbs = _completion_lower_bounds(home, jobs, speed, remaining, loc, t_crew,
-                                   n_crews - crew_idx - 1)
-    t_lb = max([t_max, t_crew] + list(lbs.values()))
-    e_lb = e_sum + sum(jobs[j].curtailed_mw * lbs[j] for j in remaining)
-    if _dominated_by_frontier(frontier, t_lb, e_lb):
-        return True
-
-    finished = True
-    # close this crew's route and hand the rest to the next crew
-    if has_must:
-        finished &= _assign_crews(home, n_crews, jobs, speed, deadline,
-                                  crew_idx + 1, remaining,
-                                  routes + [seq], max(t_max, t_crew), e_sum,
-                                  frontier)
-    # or serve one more job now
-    for j in sorted(remaining):
-        comp = jobs[j]
-        done = t_crew + travel_hours(loc, (comp.x, comp.y), speed) + comp.repair_hours
-        finished &= _extend_route(
-            home, n_crews, jobs, speed, deadline, crew_idx,
-            remaining - {j}, routes, t_max,
-            e_sum + comp.curtailed_mw * done, frontier,
-            seq + (j,), (comp.x, comp.y), done,
-            has_must or j == must, must)
-        if not finished:
-            break
-    return finished
-
-
 def _combine_frontiers(instance, frontiers):
     """Exact combination of per-depot Pareto frontiers.
 
@@ -429,44 +404,26 @@ def _combine_frontiers(instance, frontiers):
     suffices to scan the union of T values; at each candidate tau every depot
     contributes its cheapest E among points with T <= tau.
     """
-    gamma = instance.gamma
     prepared = {}
     for did, frontier in frontiers.items():
-        pts = sorted(frontier, key=lambda f: (f[0], f[1]))
-        best_e = math.inf
-        rows = []
-        for t, e, routes in pts:
+        rows, best_e = [], math.inf
+        for t, e, routes in sorted(frontier, key=lambda f: (f[0], f[1])):
             if e < best_e:
                 best_e = e
                 rows.append((t, e, routes))
         prepared[did] = rows  # T ascending, E strictly decreasing
 
-    taus = sorted({t for rows in prepared.values() for t, _, _ in rows})
     t_min_feasible = max(rows[0][0] for rows in prepared.values())
-
-    best_value, best_routes = math.inf, None
-    for tau in taus:
+    best_value, best = math.inf, None
+    for tau in sorted({t for rows in prepared.values() for t, _, _ in rows}):
         if tau < t_min_feasible - 1e-12:
             continue
-        total_e = 0.0
-        chosen = {}
+        total_e, chosen = 0.0, {}
         for did, rows in prepared.items():
-            pick = None
-            for t, e, routes in rows:
-                if t <= tau + 1e-12:
-                    pick = (t, e, routes)
-                else:
-                    break
-            total_e += pick[1]
-            chosen[did] = pick
-        value = gamma * tau + (1 - gamma) * total_e
+            chosen[did] = [r for r in rows if r[0] <= tau + 1e-12][-1]
+            total_e += chosen[did][1]
+        value = instance.gamma * tau + (1 - instance.gamma) * total_e
         if value < best_value - 1e-12:
-            best_value = value
-            best_routes = chosen
-
-    routes_out = {}
-    for depot in instance.depots:
-        crew_routes = best_routes[depot.id][2]
-        for k, seq in enumerate(crew_routes, start=1):
-            routes_out[f"{depot.id}:{k}"] = tuple(seq)
-    return routes_out, best_value
+            best_value, best = value, chosen
+    return {f"{d.id}:{k}": tuple(seq) for d in instance.depots
+            for k, seq in enumerate(best[d.id][2], start=1)}

@@ -86,3 +86,44 @@ def test_config_rejects_negative_generations(gens):
 def test_config_rejects_empty_tournament(size):
     with pytest.raises(ConfigError, match="tournament must be >= 1"):
         GaConfig(tournament=size)
+
+
+@pytest.mark.parametrize("elite", [-1, -3])
+def test_config_rejects_negative_elite(elite):
+    with pytest.raises(ConfigError, match="elite must be >= 0"):
+        GaConfig(elite=elite)
+
+
+@pytest.mark.parametrize("field", ["crossover_rate", "mutation_rate"])
+@pytest.mark.parametrize("rate", [-0.1, 1.5, float("nan")])
+def test_config_rejects_rates_outside_unit_interval(field, rate):
+    with pytest.raises(ConfigError, match=rf"{field} must be in \[0, 1\]"):
+        GaConfig(**{field: rate})
+
+
+@pytest.mark.parametrize("size,elite", [(1, 2), (1, 0), (3, 5), (4, 4)])
+def test_small_population_and_large_elite_return_a_valid_plan(size, elite):
+    inst = sample(np.random.default_rng(6))
+    cfg = GaConfig(population_size=size, elite=elite, generations=10, seed=1)
+    res = ga_dispatch(inst, cfg)
+    check = plan_objective(inst, schedule_plan(inst, res.plan.routes))
+    assert check.value == res.objective.value
+    assert len(res.history) == 11
+    # elite >= population_size keeps the whole population: nothing is scored
+    # after the first generation and the incumbent never changes
+    children = size - min(elite, size)
+    assert res.stats["evaluations"] == size + 10 * children
+    if children == 0:
+        assert res.stats["last_improvement"] == 0
+
+
+def test_stats_count_evaluations_and_last_improvement():
+    inst = sample(np.random.default_rng(7), n_min=6, n_max=6)
+    res = ga_dispatch(inst, GaConfig(population_size=12, generations=30,
+                                     elite=2, seed=3))
+    assert res.stats["evaluations"] == 12 + 30 * 10
+    assert res.stats["generations"] == 30
+    last = res.stats["last_improvement"]
+    assert 0 <= last <= 30
+    assert res.history[last] == res.history[-1]
+    assert last == 0 or res.history[last - 1] > res.history[last]
