@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -48,9 +49,10 @@ class DispatchInstance:
             raise ConfigError("gamma must be in [0, 1]")
         if not self.travel_speed_kmh > 0:
             raise ConfigError("travel speed must be > 0")
-        ids = [c.id for c in self.components]
-        if len(set(ids)) != len(ids):
+        if len({c.id for c in self.components}) != len(self.components):
             raise ConfigError("duplicate component ids in instance")
+        if len({d.id for d in self.depots}) != len(self.depots):
+            raise ConfigError("duplicate depot ids in instance")
 
     def crew_ids(self) -> list:
         out = []
@@ -58,12 +60,11 @@ class DispatchInstance:
             out.extend(f"{d.id}:{k}" for k in range(1, d.crew_count + 1))
         return out
 
-    def depot_of_crew(self, crew_id: str) -> Depot:
-        did = crew_id.rsplit(":", 1)[0]
-        for d in self.depots:
-            if d.id == did:
-                return d
-        raise ConfigError(f"unknown crew {crew_id!r}")
+    @cached_property
+    def compiled(self) -> "_Compiled":
+        """The instance as arrays, built on first use and shared by every
+        consumer; not a field, so eq and hash ignore it."""
+        return _Compiled(self)
 
 
 @dataclass(frozen=True)
@@ -106,17 +107,25 @@ def cluster_to_depots(instance: DispatchInstance) -> dict:
 
 
 class _Compiled:
-    """A dispatch instance as arrays, built once per solve. Component i keeps
-    its document index; travel-matrix node n + k is depot k."""
+    """A dispatch instance as arrays: the only place that clusters components
+    to depots, lists crews and times travel. Component i keeps its document
+    index; travel-matrix node n + k is depot k. Read it through
+    `DispatchInstance.compiled`, which builds it once per instance."""
 
     def __init__(self, instance: DispatchInstance):
         comps, speed = instance.components, instance.travel_speed_kmh
         cluster = cluster_to_depots(instance)
+        depot_index = {d.id: k for k, d in enumerate(instance.depots)}
+        depot_of = [depot_index[cluster[c.id]] for c in comps]
         by_id = sorted(range(len(comps)), key=lambda i: comps[i].id)
         # per depot: its component indices, sorted by id
-        self.depot_jobs = tuple(
-            tuple(i for i in by_id if cluster[comps[i].id] == d.id)
-            for d in instance.depots)
+        self.depot_jobs = tuple(tuple(i for i in by_id if depot_of[i] == k)
+                                for k in range(len(instance.depots)))
+        # each component's depot index, and each crew's
+        self.depot_of = np.array(depot_of, dtype=np.intp)
+        self.crew_ids = tuple(instance.crew_ids())
+        self.crew_depot = np.repeat(np.arange(len(instance.depots)),
+                                    [d.crew_count for d in instance.depots])
         self.repair = np.array([c.repair_hours for c in comps], dtype=float)
         self.weight = np.array([c.curtailed_mw for c in comps], dtype=float)
         # travel_hours from row node to column node
@@ -167,17 +176,19 @@ def schedule_plan(instance: DispatchInstance, routes: dict) -> DispatchPlan:
     that crews exist, and that every component is served from its nearest
     depot's cluster.
     """
-    cluster = cluster_to_depots(instance)
-    comp_by_id = {c.id: c for c in instance.components}
-    valid_crews = set(instance.crew_ids())
+    compiled, depots = instance.compiled, instance.depots
+    index = {c.id: i for i, c in enumerate(instance.components)}
+    cluster = {cid: depots[k].id
+               for cid, k in zip(index, compiled.depot_of.tolist())}
+    homes = dict(zip(compiled.crew_ids, compiled.crew_depot.tolist()))
 
     seen = set()
     for crew_id, seq in routes.items():
-        if crew_id not in valid_crews:
+        if crew_id not in homes:
             raise ConfigError(f"unknown crew {crew_id!r}")
-        depot_id = crew_id.rsplit(":", 1)[0]
+        depot_id = depots[homes[crew_id]].id
         for cid in seq:
-            if cid not in comp_by_id:
+            if cid not in index:
                 raise ConfigError(f"route for {crew_id} names unknown component {cid!r}")
             if cid in seen:
                 raise ConfigError(f"component {cid!r} appears in two routes")
@@ -187,31 +198,30 @@ def schedule_plan(instance: DispatchInstance, routes: dict) -> DispatchPlan:
                     f"component {cid!r} belongs to depot {cluster[cid]!r}, "
                     f"not {depot_id!r}"
                 )
-    missing = set(comp_by_id) - seen
+    missing = set(index) - seen
     if missing:
         raise ConfigError(f"components not routed: {sorted(missing)}")
 
+    travel, repair = compiled.travel.tolist(), compiled.repair.tolist()
     arrival, completion = {}, {}
     crew_duration, return_hours = {}, {}
-    for crew_id in instance.crew_ids():
+    for crew_id, k in homes.items():
         seq = tuple(routes.get(crew_id, ()))
-        depot = instance.depot_of_crew(crew_id)
-        loc = (depot.x, depot.y)
+        home = loc = len(index) + k
         t = 0.0
         for cid in seq:
-            comp = comp_by_id[cid]
-            t += travel_hours(loc, (comp.x, comp.y), instance.travel_speed_kmh)
+            i = index[cid]
+            t += travel[loc][i]
             arrival[cid] = t
-            t += comp.repair_hours
+            t += repair[i]
             completion[cid] = t
-            loc = (comp.x, comp.y)
+            loc = i
         crew_duration[crew_id] = t
-        return_hours[crew_id] = t + travel_hours(loc, (depot.x, depot.y),
-                                                 instance.travel_speed_kmh) if seq else 0.0
+        return_hours[crew_id] = t + travel[loc][home] if seq else 0.0
 
     makespan = max(crew_duration.values(), default=0.0)
     return DispatchPlan(
-        routes={k: tuple(routes.get(k, ())) for k in instance.crew_ids()},
+        routes={k: tuple(routes.get(k, ())) for k in homes},
         assignment=cluster,
         arrival=arrival,
         completion=completion,
@@ -267,7 +277,7 @@ def exact_dispatch(
     exceeds the size limits. On timeout the best plan found so far is
     returned with optimal=False.
     """
-    compiled = _Compiled(instance)
+    compiled = instance.compiled
     deadline = None if time_limit_s is None else time.monotonic() + time_limit_s
 
     complete = True
@@ -425,5 +435,5 @@ def _combine_frontiers(instance, frontiers):
         value = instance.gamma * tau + (1 - instance.gamma) * total_e
         if value < best_value - 1e-12:
             best_value, best = value, chosen
-    return {f"{d.id}:{k}": tuple(seq) for d in instance.depots
-            for k, seq in enumerate(best[d.id][2], start=1)}
+    return dict(zip(instance.compiled.crew_ids,
+                     (seq for d in instance.depots for seq in best[d.id][2])))

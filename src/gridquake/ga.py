@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dispatch import (DispatchInstance, DispatchPlan, ObjectiveBreakdown,
-                       _Compiled, plan_objective, schedule_plan)
+                       plan_objective, schedule_plan)
 from .errors import ConfigError
 
 
@@ -58,7 +58,7 @@ class _Layout:
 
     def __init__(self, instance: DispatchInstance):
         self.instance = instance
-        self.compiled = compiled = _Compiled(instance)
+        self.compiled = compiled = instance.compiled
         self.slots = np.array([i for jobs in compiled.depot_jobs for i in jobs],
                               dtype=np.intp)
         self.size = np.array([len(jobs) for jobs in compiled.depot_jobs])
@@ -116,13 +116,12 @@ def ga_dispatch(instance: DispatchInstance, config: GaConfig = GaConfig()) -> Ga
 
 def _routes(lay, perm_row, cuts_row) -> dict:
     """One genome as schedule_plan's crew routes."""
-    comps, routes = lay.instance.components, {}
-    for d, depot in enumerate(lay.instance.depots):
-        segments = np.split(perm_row[lay.col_depot == d],
-                            cuts_row[lay.cut_depot == d])
-        for k, seg in enumerate(segments, start=1):
-            routes[f"{depot.id}:{k}"] = tuple(comps[i].id for i in seg)
-    return routes
+    comps = lay.instance.components
+    segments = [seg for d in range(len(lay.size))
+                for seg in np.split(perm_row[lay.col_depot == d],
+                                    cuts_row[lay.cut_depot == d])]
+    return {crew: tuple(comps[i].id for i in seg)
+            for crew, seg in zip(lay.compiled.crew_ids, segments)}
 
 
 def _sort_cuts(lay, cuts):

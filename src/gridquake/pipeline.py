@@ -62,10 +62,14 @@ class PipelineConfig:
             raise ConfigError("solver 'policy' needs policy_model (checkpoint path)")
         if self.reduce_to < len(self.return_periods):
             raise ConfigError("reduce_to must cover the return periods")
-        if self.ga_population < 1:
-            raise ConfigError("ga_population must be >= 1")
-        if self.policy_samples < 0:
-            raise ConfigError("policy_samples must be >= 0")
+        for name, ok, rule in (
+                ("gamma", 0.0 <= self.gamma <= 1.0, "in [0, 1]"),
+                ("n_scenarios", self.n_scenarios >= 1, ">= 1"),
+                ("ga_population", self.ga_population >= 1, ">= 1"),
+                ("ga_generations", self.ga_generations >= 0, ">= 0"),
+                ("policy_samples", self.policy_samples >= 0, ">= 0")):
+            if not ok:
+                raise ConfigError(f"{name} must be {rule}")
 
 
 _CONFIG_KEYS = {
@@ -268,9 +272,10 @@ def run_pipeline(network: Network, config: PipelineConfig, out_dir: str,
             scenario = sset.by_id(sid)
             if not scenario.failed:
                 continue
+            # one instance, so one compiled form, for every solver
+            instance = instance_from_scenario(network, scenario.failed,
+                                              gamma=config.gamma)
             for solver in config.solvers:
-                instance = instance_from_scenario(network, scenario.failed,
-                                                  gamma=config.gamma)
                 try:
                     status, result = "ok", solve(
                         solver, instance,

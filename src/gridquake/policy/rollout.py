@@ -4,7 +4,8 @@ and one simulator, `run_batch`, that runs B episodes in lockstep.
 An episode schedules one failed component per step. Within a round every
 crew acts at most once; when no (idle crew, feasible component) pair is
 left, the round resets. Components are only feasible for crews of their
-nearest depot, matching the clustering the other solvers use.
+nearest depot, and legs take the travel times of the instance's compiled
+form, the same clustering and travel matrix the other solvers read.
 
 Training samples every row of a batch of same-size instances. Inference
 (`policy_dispatch`) runs one batch over copies of a single instance, with
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..dispatch import (DispatchInstance, DispatchPlan, ObjectiveBreakdown,
-                        cluster_to_depots, plan_objective, schedule_plan)
+                        plan_objective, schedule_plan)
 from ..errors import ConfigError
 from .nn import CREW_FEATURES, PolicyModel
 
@@ -31,11 +32,9 @@ class InstanceEncoding:
 
     instance: DispatchInstance
     comp_ids: list
-    comp_xy: np.ndarray  # (n, 2) km
-    repair: np.ndarray  # (n,)
+    node_xy: np.ndarray  # (n + depots, 2) km, the travel matrix's nodes
     comp_feats: np.ndarray  # (n, COMP_FEATURES)
-    crew_ids: list
-    crew_depot_xy: np.ndarray  # (m, 2) km
+    crew_ids: tuple
     cluster_mask: np.ndarray  # (m, n) bool
     origin: np.ndarray
     scale: float
@@ -43,46 +42,33 @@ class InstanceEncoding:
 
 
 def encode_instance(instance: DispatchInstance) -> InstanceEncoding:
+    compiled = instance.compiled
     comps = instance.components
     comp_ids = [c.id for c in comps]
     n = len(comps)
     comp_xy = np.array([[c.x, c.y] for c in comps], dtype=float).reshape(n, 2)
-    repair = np.array([c.repair_hours for c in comps], dtype=float)
-    cl = np.array([c.curtailed_mw for c in comps], dtype=float)
+    repair, cl = compiled.repair, compiled.weight
 
     depot_xy = np.array([[d.x, d.y] for d in instance.depots], dtype=float)
-    pts = np.vstack([comp_xy, depot_xy]) if n else depot_xy
-    origin = pts.min(axis=0)
-    span = pts.max(axis=0) - origin
+    node_xy = np.vstack([comp_xy, depot_xy])
+    origin = node_xy.min(axis=0)
+    span = node_xy.max(axis=0) - origin
     scale = max(float(span.max()), 1e-9)
     diag_hours = math.hypot(*span) / instance.travel_speed_kmh
     time_scale = max(float(repair.sum()) + (n + 1) * diag_hours, 1e-9)
 
-    cluster = cluster_to_depots(instance)
-    crew_ids = instance.crew_ids()
-    crew_depot_xy = np.array(
-        [[instance.depot_of_crew(cid).x, instance.depot_of_crew(cid).y]
-         for cid in crew_ids], dtype=float).reshape(len(crew_ids), 2)
-    cluster_mask = np.zeros((len(crew_ids), n), dtype=bool)
-    for i, cid in enumerate(crew_ids):
-        did = cid.rsplit(":", 1)[0]
-        for j, comp in enumerate(comps):
-            cluster_mask[i, j] = cluster[comp.id] == did
+    cluster_mask = compiled.crew_depot[:, None] == compiled.depot_of
 
     xy_n = (comp_xy - origin) / scale
-    depot_of_comp = np.zeros((n, 2))
-    for j, comp in enumerate(comps):
-        d = next(d for d in instance.depots if d.id == cluster[comp.id])
-        depot_of_comp[j] = (d.x, d.y)
-    depot_dist = np.hypot(*(comp_xy - depot_of_comp).T) / scale if n else np.zeros(0)
+    depot_dist = np.hypot(*(comp_xy - depot_xy[compiled.depot_of]).T) / scale
     t_norm = repair / max(float(repair.max()), 1e-9) if n else repair
     cl_norm = cl / max(float(cl.max()), 1e-9) if n else cl
     comp_feats = np.column_stack([xy_n[:, 0], xy_n[:, 1], t_norm, cl_norm,
                                   depot_dist]) if n else np.zeros((0, 5))
 
     return InstanceEncoding(
-        instance=instance, comp_ids=comp_ids, comp_xy=comp_xy, repair=repair,
-        comp_feats=comp_feats, crew_ids=crew_ids, crew_depot_xy=crew_depot_xy,
+        instance=instance, comp_ids=comp_ids, node_xy=node_xy,
+        comp_feats=comp_feats, crew_ids=compiled.crew_ids,
         cluster_mask=cluster_mask, origin=origin, scale=scale,
         time_scale=time_scale,
     )
@@ -115,26 +101,26 @@ def run_batch(model: PolicyModel, encs: list, rng: np.random.Generator,
     objective.
     """
     B = len(encs)
-    n = len(encs[0].comp_ids)
-    m = len(encs[0].crew_ids)
-    for e in encs:
-        if len(e.comp_ids) != n or len(e.crew_ids) != m:
-            raise ValueError("batch must be homogeneous in n and crews")
+    sizes = {(len(e.comp_ids), len(e.crew_ids), len(e.instance.depots))
+             for e in encs}
+    if len(sizes) != 1:
+        raise ValueError("batch must be homogeneous in n, crews and depots")
+    (n, m, _), = sizes
 
     comp_feats = np.stack([e.comp_feats for e in encs])  # (B, n, F)
     memory = model.encode(comp_feats).detach()
 
     scheduled = np.zeros((B, n), dtype=bool)
     used = np.zeros((B, m), dtype=bool)
-    depot_xy = np.stack([e.crew_depot_xy for e in encs]).astype(float)
-    crew_pos = depot_xy.copy()  # (B, m, 2)
+    compiled = [e.instance.compiled for e in encs]
+    node_xy = np.stack([e.node_xy for e in encs])  # (B, nodes, 2)
+    home = n + np.stack([c.crew_depot for c in compiled])  # (B, m) nodes
+    crew_loc = home.copy()
     crew_time = np.zeros((B, m))
     cluster = np.stack([e.cluster_mask for e in encs])  # (B, m, n)
-    comp_xy = np.stack([e.comp_xy for e in encs])  # (B, n, 2)
-    repair = np.stack([e.repair for e in encs])  # (B, n)
-    curtailed = np.stack(
-        [[c.curtailed_mw for c in e.instance.components] for e in encs])
-    speed = np.array([e.instance.travel_speed_kmh for e in encs])
+    travel = np.stack([c.travel for c in compiled])  # (B, nodes, nodes)
+    repair = np.stack([c.repair for c in compiled])  # (B, n)
+    curtailed = np.stack([c.weight for c in compiled])  # (B, n)
     origin = np.stack([e.origin for e in encs])[:, None, :]  # (B, 1, 2)
     scale = np.array([e.scale for e in encs])[:, None, None]
     time_scale = np.array([e.time_scale for e in encs])[:, None]
@@ -155,8 +141,8 @@ def run_batch(model: PolicyModel, encs: list, rng: np.random.Generator,
 
         # crew tokens: depot xy, current xy, elapsed time, share of work left
         feats = np.zeros((B, m, CREW_FEATURES))
-        feats[..., 0:2] = (depot_xy - origin) / scale
-        feats[..., 2:4] = (crew_pos - origin) / scale
+        feats[..., 0:2] = (node_xy[rows[:, None], home] - origin) / scale
+        feats[..., 2:4] = (node_xy[rows[:, None], crew_loc] - origin) / scale
         feats[..., 4] = crew_time / time_scale
         feats[..., 5] = (cluster & ~scheduled[:, None, :]).sum(axis=2) / n
         logp_t, value_t = model.decode_step(memory, feats, flat)
@@ -169,11 +155,10 @@ def run_batch(model: PolicyModel, encs: list, rng: np.random.Generator,
         actions[first:] = [rng.choice(m * n, p=p) for p in probs[first:]]
         ii, jj = np.divmod(actions, n)
 
-        dist = np.hypot(crew_pos[rows, ii, 0] - comp_xy[rows, jj, 0],
-                        crew_pos[rows, ii, 1] - comp_xy[rows, jj, 1])
-        done = crew_time[rows, ii] + dist / speed + repair[rows, jj]
+        leg = travel[rows, crew_loc[rows, ii], jj]
+        done = crew_time[rows, ii] + leg + repair[rows, jj]
         crew_time[rows, ii] = done
-        crew_pos[rows, ii] = comp_xy[rows, jj]
+        crew_loc[rows, ii] = jj
         used[rows, ii] = True
         scheduled[rows, jj] = True
 

@@ -1,6 +1,7 @@
 """Crew dispatch tests: scheduling semantics, the exact solver against an
 unpruned enumeration oracle, and instance construction from damage."""
 
+import dataclasses
 import itertools
 import math
 
@@ -8,12 +9,15 @@ import numpy as np
 import pytest
 
 from gridquake.dispatch import (DispatchInstance, Depot, FailedComponent,
-                                cluster_to_depots, exact_dispatch,
+                                _Compiled, cluster_to_depots, exact_dispatch,
                                 instance_from_scenario, plan_objective,
                                 schedule_plan, subtour_violations,
                                 travel_hours)
 from gridquake.errors import ConfigError, LimitError
 from gridquake.fixtures import builtin_feeder
+from gridquake.ga import GaConfig, ga_dispatch
+from gridquake.pipeline import solve
+from gridquake.policy import PolicyConfig, PolicyModel, policy_dispatch
 from gridquake.policy.train import InstanceFamily
 
 
@@ -219,4 +223,45 @@ def test_instance_from_scenario_uses_singleton_curtailment():
 def test_crew_ids_are_stable():
     inst = tiny_instance()
     assert inst.crew_ids() == ["d1:1", "d1:2"]
-    assert inst.depot_of_crew("d1:2").id == "d1"
+
+
+@pytest.mark.parametrize("solver", ["exact", "ga", "policy"])
+def test_duplicate_depot_ids_are_rejected_before_any_solver(solver):
+    """Two depots named 'd' would give two crews 'd:1'; exact dispatch then
+    returned a one-route plan and the GA an IndexError. The instance itself
+    refuses them, so no solver sees one."""
+    comps = tiny_instance().components[:2]
+    depots = (Depot(id="d", x=0.0, y=0.0), Depot(id="d", x=10.0, y=0.0))
+    model = PolicyModel.init(PolicyConfig(width=8, heads=2, enc_layers=1,
+                                          dec_layers=1, ffn_hidden=12))
+    with pytest.raises(ConfigError, match="duplicate depot ids"):
+        solve(solver, DispatchInstance(components=comps, depots=depots),
+              seed=0, model=model, samples=2, max_components=9, max_crews=3,
+              time_limit_s=None, population=10, generations=2)
+    inst = tiny_instance()
+    with pytest.raises(ConfigError, match="duplicate depot ids"):
+        dataclasses.replace(inst, depots=inst.depots * 2)
+
+
+def test_compiled_form_is_built_once_and_shared(monkeypatch):
+    """exact, the GA and a 16-sample policy decode (17 schedule_plan calls)
+    of one instance share one compiled form; it is no field, so equality
+    and hashing ignore it."""
+    built = []
+    init = _Compiled.__init__
+
+    def counting_init(self, instance):
+        built.append(instance)
+        init(self, instance)
+    monkeypatch.setattr(_Compiled, "__init__", counting_init)
+
+    inst = tiny_instance()
+    twin = tiny_instance()
+    exact_dispatch(inst)
+    ga_dispatch(inst, GaConfig(population_size=10, generations=3))
+    model = PolicyModel.init(PolicyConfig(width=8, heads=2, enc_layers=1,
+                                          dec_layers=1, ffn_hidden=12))
+    assert policy_dispatch(model, inst, samples=16).decodes == 17
+    assert len(built) == 1 and built[0] is inst
+    assert inst == twin and hash(inst) == hash(twin)
+    assert "compiled" not in {f.name for f in dataclasses.fields(inst)}

@@ -1,9 +1,11 @@
 """Oracles for the compiled dispatch instance and the array GA.
 
-The compiled travel matrix must equal travel_hours bit for bit, exact plans
-must match golden plans recorded before the solver read that matrix, the
-GA's array fitness must equal schedule_plan + plan_objective, and every GA
-operator must return valid genomes and follow its reference definition."""
+The compiled travel matrix must equal travel_hours bit for bit, schedule_plan
+on that matrix must time routes exactly as a travel_hours loop over
+coordinates does, exact plans must match golden plans recorded before the
+solver read that matrix, the GA's array fitness must equal schedule_plan +
+plan_objective, and every GA operator must return valid genomes and follow
+its reference definition."""
 
 import json
 from pathlib import Path
@@ -115,6 +117,47 @@ def test_compiled_travel_matches_travel_hours_bit_for_bit(inst):
             want = travel_hours(pa, pb, inst.travel_speed_kmh)
             assert compiled.travel[a, b].hex() == want.hex()
     assert [list(j) for j in compiled.depot_jobs] == depot_blocks(inst)
+
+
+def reference_timing(inst, routes):
+    """schedule_plan's timing before it read the compiled form: walk each
+    crew's route over coordinates with travel_hours. Returns arrival,
+    completion, crew duration and return hours, as float hex strings."""
+    comp = {c.id: c for c in inst.components}
+    depots = {d.id: d for d in inst.depots}
+    arrival, completion, duration, back = {}, {}, {}, {}
+    for crew_id in inst.crew_ids():
+        depot = depots[crew_id.rsplit(":", 1)[0]]
+        loc, t = (depot.x, depot.y), 0.0
+        seq = routes.get(crew_id, ())
+        for cid in seq:
+            c = comp[cid]
+            t += travel_hours(loc, (c.x, c.y), inst.travel_speed_kmh)
+            arrival[cid] = t.hex()
+            t += c.repair_hours
+            completion[cid] = t.hex()
+            loc = (c.x, c.y)
+        duration[crew_id] = t.hex()
+        back[crew_id] = (t + travel_hours(loc, (depot.x, depot.y),
+                                          inst.travel_speed_kmh)
+                         if seq else 0.0).hex()
+    return arrival, completion, duration, back
+
+
+@settings(max_examples=80, deadline=None)
+@given(inst=instances(), seed=st.integers(0, 2**32 - 1))
+def test_schedule_plan_times_routes_like_travel_hours(inst, seed):
+    perm, cuts = random_genomes(inst, np.random.default_rng(seed), 1)
+    routes = decode(inst, perm[0], cuts[0])
+    plan = schedule_plan(inst, routes)
+
+    def hexed(d):
+        return {k: v.hex() for k, v in d.items()}
+    assert (hexed(plan.arrival), hexed(plan.completion),
+            hexed(plan.crew_duration), hexed(plan.return_hours)) \
+        == reference_timing(inst, routes)
+    assert plan.assignment == cluster_to_depots(inst)
+    assert list(plan.routes) == inst.crew_ids()
 
 
 @settings(max_examples=80, deadline=None)

@@ -3,11 +3,16 @@
 import dataclasses
 import json
 import os
+import re
 
 import pytest
 
+import gridquake.pipeline as pipeline
+from gridquake.cli import main
+from gridquake.dispatch import _Compiled
 from gridquake.errors import ConfigError
 from gridquake.fixtures import builtin_feeder
+from gridquake.model import network_to_document
 from gridquake.pipeline import (PipelineConfig, config_from_document,
                                 run_pipeline)
 from gridquake.policy import PolicyConfig, PolicyModel
@@ -52,6 +57,26 @@ def test_config_reduce_to_must_cover_periods():
 def test_config_rejects_empty_ga_population_and_negative_samples(field):
     with pytest.raises(ConfigError):
         PipelineConfig(**field)
+
+
+@pytest.mark.parametrize("field,rule", [
+    ({"gamma": -0.1}, "gamma must be in [0, 1]"),
+    ({"gamma": 1.5}, "gamma must be in [0, 1]"),
+    ({"gamma": float("nan")}, "gamma must be in [0, 1]"),
+    ({"n_scenarios": 0}, "n_scenarios must be >= 1"),
+    ({"ga_generations": -1}, "ga_generations must be >= 0")])
+def test_config_rejects_fields_before_any_output(field, rule, tmp_path):
+    with pytest.raises(ConfigError, match=re.escape(rule)):
+        PipelineConfig(**field)
+    # a config document fails at load, so the CLI exits 2 having written
+    # nothing, not even the output directory
+    net, cfg = tmp_path / "net.json", tmp_path / "cfg.json"
+    net.write_text(json.dumps(network_to_document(builtin_feeder())))
+    cfg.write_text(json.dumps(field))
+    out = tmp_path / "run"
+    assert main(["pipeline", "--network", str(net), "--config", str(cfg),
+                 "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_pipeline_produces_expected_artifacts(tmp_path):
@@ -116,6 +141,36 @@ def test_pipeline_heuristic_rows_carry_gap(tmp_path):
             assert cells[i_gap] != ""
             assert float(cells[i_gap]) >= -1e-9  # never better than exact
     assert saw_ga >= 1
+
+
+def test_pipeline_compiles_each_instance_once_for_all_solvers(tmp_path,
+                                                             monkeypatch):
+    """Every solver of a scenario gets the same instance, and exact, the GA
+    and a 16-sample policy decode share its one compiled form."""
+    path = str(tmp_path / "m.npz")
+    PolicyModel.init(PolicyConfig(width=8, heads=2, enc_layers=1,
+                                  dec_layers=1, ffn_hidden=12),
+                     seed=0).save(path)
+    instances, compiled = [], []
+    build, init = pipeline.instance_from_scenario, _Compiled.__init__
+
+    def counting_build(*args, **kwargs):
+        instances.append(build(*args, **kwargs))
+        return instances[-1]
+
+    def counting_init(self, instance):
+        compiled.append(instance)
+        init(self, instance)
+    monkeypatch.setattr(pipeline, "instance_from_scenario", counting_build)
+    monkeypatch.setattr(_Compiled, "__init__", counting_init)
+
+    cfg = dataclasses.replace(SMALL, solvers=("exact", "ga", "policy"),
+                              policy_model=path, policy_samples=16)
+    manifest = run_pipeline(builtin_feeder(), cfg, str(tmp_path / "run"))
+    plans = [k for k in manifest["artifacts"] if k.startswith("plans/")]
+    assert len(plans) == 3 * len(instances) > 0
+    assert len(compiled) == len(instances)
+    assert all(a is b for a, b in zip(compiled, instances))
 
 
 def test_pipeline_loads_policy_checkpoint_once_per_run(tmp_path, monkeypatch):

@@ -3,13 +3,16 @@ plan validity, checkpoint round trips, reward bookkeeping, and golden plans
 for the batched decoder."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import gridquake.policy.autodiff as ad
-from gridquake.dispatch import exact_dispatch, plan_objective, schedule_plan
+from gridquake.dispatch import (Depot, DispatchInstance, FailedComponent,
+                                cluster_to_depots, exact_dispatch,
+                                plan_objective, schedule_plan, travel_hours)
 from gridquake.errors import ConfigError
 from gridquake.policy.nn import COMP_FEATURES, PolicyConfig, PolicyModel
 from gridquake.policy.rollout import (encode_instance, policy_dispatch,
@@ -35,6 +38,19 @@ def routes_of(enc, actions):
         i, j = divmod(int(a), n)
         routes[enc.crew_ids[i]].append(enc.comp_ids[j])
     return routes
+
+
+def rewards_of(inst, enc, actions, plan):
+    """One row's step rewards from schedule_plan's times: each step pays the
+    curtailment-weighted completion of the component it scheduled, and the
+    last step also pays the makespan term."""
+    curtailed = {c.id: c.curtailed_mw for c in inst.components}
+    n = len(enc.comp_ids)
+    cids = [enc.comp_ids[int(a) % n] for a in actions]
+    want = [-(1.0 - inst.gamma) * curtailed[cid] * plan.completion[cid]
+            for cid in cids]
+    want[-1] -= inst.gamma * plan.makespan_hours
+    return want
 
 
 def test_config_validates_head_divisibility():
@@ -87,17 +103,63 @@ def test_greedy_episode_is_deterministic_and_valid():
                   greedy_first=True)
     np.testing.assert_array_equal(a.actions[:, 0], b.actions[:, 0])
     plan = schedule_plan(inst, routes_of(enc, a.actions[:, 0]))
-    assert plan.makespan_hours == pytest.approx(a.makespan[0])
-    # each step's reward carries the completion time of the component it
-    # scheduled; the last step also pays the makespan term
-    step = a.rewards[:, 0].copy()
-    step[-1] += inst.gamma * a.makespan[0]
-    curtailed = {c.id: c.curtailed_mw for c in inst.components}
-    n = len(enc.comp_ids)
-    for t, action in enumerate(a.actions[:, 0]):
-        cid = enc.comp_ids[int(action) % n]
-        done = -step[t] / ((1.0 - inst.gamma) * curtailed[cid])
-        assert plan.completion[cid] == pytest.approx(done)
+    # the rollout times legs from the same travel matrix as schedule_plan,
+    # in the same order of operations, so its times are schedule_plan's
+    assert a.makespan[0] == plan.makespan_hours
+    assert a.rewards[:, 0].tolist() == rewards_of(inst, enc, a.actions[:, 0],
+                                                  plan)
+
+
+@st.composite
+def grid_instances(draw):
+    """1-4 depots and 0-8 components on a 5 x 5 integer grid, so that
+    equidistant and coincident depots are common; depot ids are shuffled
+    so that document order is not id order."""
+    coord = st.integers(0, 4).map(float)
+    n_depots = draw(st.integers(1, 4))
+    names = draw(st.permutations(range(n_depots)))
+    depots = tuple(Depot(id=f"d{names[k]}", x=draw(coord), y=draw(coord),
+                         crew_count=draw(st.integers(1, 2)))
+                   for k in range(n_depots))
+    comps = tuple(FailedComponent(id=f"c{i}", x=draw(coord), y=draw(coord),
+                                  repair_hours=1.0, curtailed_mw=1.0)
+                  for i in range(draw(st.integers(0, 8))))
+    return DispatchInstance(components=comps, depots=depots)
+
+
+@settings(max_examples=120, deadline=None)
+@given(inst=grid_instances())
+def test_cluster_mask_matches_cluster_to_depots(inst):
+    enc = encode_instance(inst)
+    cluster = cluster_to_depots(inst)
+    depot_of_crew = [cid.rsplit(":", 1)[0] for cid in inst.crew_ids()]
+    want = [[cluster[c.id] == did for c in inst.components]
+            for did in depot_of_crew]
+    assert enc.cluster_mask.shape == (len(depot_of_crew),
+                                      len(inst.components))
+    assert enc.cluster_mask.tolist() == want
+    xy = [[c.x, c.y] for c in inst.components] + [[d.x, d.y]
+                                                 for d in inst.depots]
+    assert enc.node_xy.tolist() == xy
+
+
+def test_rollout_leg_is_travel_hours_bit_for_bit():
+    """One crew, one component, no repair time, speed 1: the episode's
+    makespan is one leg's travel time. The leg is one on which np.hypot
+    and math.hypot differ by an ulp (about one pair in 200), so a rollout
+    that timed legs with np.hypot would differ from schedule_plan here."""
+    pairs = np.random.default_rng(0).uniform(0.0, 30.0, size=(20000, 2))
+    dx, dy = next((p for p in pairs.tolist()
+                   if np.hypot(*p) != math.hypot(*p)), pairs[0].tolist())
+    inst = DispatchInstance(
+        components=(FailedComponent(id="c", x=dx, y=dy, repair_hours=0.0,
+                                    curtailed_mw=1.0),),
+        depots=(Depot(id="d", x=0.0, y=0.0),), travel_speed_kmh=1.0)
+    roll = run_batch(PolicyModel.init(TINY, seed=0), [encode_instance(inst)],
+                     np.random.default_rng(0), inst.gamma, greedy_first=True)
+    want = travel_hours((0.0, 0.0), (dx, dy), 1.0)
+    assert roll.makespan[0] == schedule_plan(inst, {"d:1": ["c"]}) \
+        .makespan_hours == want
 
 
 def test_sampled_episodes_only_pick_feasible_pairs():
@@ -191,10 +253,14 @@ def test_every_batched_row_is_a_plan_and_best_of_beats_greedy(
     roll = run_batch(model, [enc] * (samples + 1), np.random.default_rng(seed),
                      inst.gamma, greedy_first=True)
     # schedule_plan raises unless each row routes every component once,
-    # from its nearest depot
-    values = [plan_objective(inst, schedule_plan(
-        inst, routes_of(enc, roll.actions[:, b]))).value
-        for b in range(samples + 1)]
+    # from its nearest depot; the rollout's clock is schedule_plan's exactly
+    plans = [schedule_plan(inst, routes_of(enc, roll.actions[:, b]))
+             for b in range(samples + 1)]
+    assert roll.makespan.tolist() == [p.makespan_hours for p in plans]
+    for b, plan in enumerate(plans):
+        assert roll.rewards[:, b].tolist() == rewards_of(
+            inst, enc, roll.actions[:, b], plan)
+    values = [plan_objective(inst, p).value for p in plans]
     greedy = policy_dispatch(model, inst, samples=0, seed=seed)
     best = policy_dispatch(model, inst, samples=samples, seed=seed)
     assert greedy.objective.value == values[0]
