@@ -143,9 +143,10 @@ def _cmd_train(args) -> int:
                     lr=args.lr, seed=args.seed)
     trace = ppo_train(model, family, cfg)
     model.save(args.out)
-    last = trace.mean_return[-1] if trace.mean_return else float("nan")
     print(f"trained {trace.iterations_run} iterations, "
-          f"last mean return {last:.4f}, aborted={trace.aborted}")
+          f"last mean return {trace.mean_return[-1]:.4f}, "
+          f"aborted={trace.aborted}, "
+          f"{sum(trace.seconds) / len(trace.seconds):.3f} s/iteration")
     print(f"wrote {args.out}")
     return 0
 

@@ -63,11 +63,19 @@ class PipelineConfig:
         if self.reduce_to < len(self.return_periods):
             raise ConfigError("reduce_to must cover the return periods")
         for name, ok, rule in (
+                ("magnitudes", len(self.magnitudes) >= 1, "non-empty"),
+                ("focal_depth_km", self.focal_depth_km >= 0, ">= 0"),
+                ("w1", self.w1 >= 0, ">= 0"),
+                ("w2", self.w2 >= 0, ">= 0"),
                 ("gamma", 0.0 <= self.gamma <= 1.0, "in [0, 1]"),
                 ("n_scenarios", self.n_scenarios >= 1, ">= 1"),
                 ("ga_population", self.ga_population >= 1, ">= 1"),
                 ("ga_generations", self.ga_generations >= 0, ">= 0"),
-                ("policy_samples", self.policy_samples >= 0, ">= 0")):
+                ("policy_samples", self.policy_samples >= 0, ">= 0"),
+                ("exact_max_components", self.exact_max_components >= 1,
+                 ">= 1"),
+                ("exact_max_crews", self.exact_max_crews >= 1, ">= 1"),
+                ("exact_time_limit_s", self.exact_time_limit_s > 0, "> 0")):
             if not ok:
                 raise ConfigError(f"{name} must be {rule}")
 

@@ -1,9 +1,12 @@
 """Minimal reverse-mode automatic differentiation over numpy float64 arrays.
 
 Covers exactly the ops the dispatch policy needs: broadcasting arithmetic,
-batched matmul, reductions, tanh/exp/log, reshape/transpose/concat, masked
-log-softmax, and gather along the last axis. Tensors form a DAG; backward()
-runs a single iterative topological sweep accumulating grads into leaves.
+batched matmul, reductions, tanh/exp/log, reshape/transpose/concat,
+broadcast_to, masked log-softmax, and gather along the last axis. Tensors
+form a DAG; backward() runs a single iterative topological sweep
+accumulating grads into leaves. An op whose inputs are all constants
+(no requires_grad) records no parents and no backward closure, so a
+forward pass over constant Tensors builds no graph at all.
 """
 
 from __future__ import annotations
@@ -32,9 +35,14 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False, parents=(), backward=None):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
-        self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
-        self._parents = parents if self.requires_grad else ()
-        self._backward = backward if self.requires_grad else None
+        if not requires_grad:
+            for p in parents:
+                if p.requires_grad:
+                    requires_grad = True
+                    break
+        self.requires_grad = requires_grad
+        self._parents = parents if requires_grad else ()
+        self._backward = backward if requires_grad else None
 
     @property
     def shape(self):
@@ -43,9 +51,6 @@ class Tensor:
     @property
     def ndim(self):
         return self.data.ndim
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
 
     def item(self) -> float:
         return float(self.data)
@@ -75,9 +80,12 @@ class Tensor:
                 node._backward(node.grad)
 
     def _accumulate(self, g: np.ndarray):
+        # the first gradient is copied in: g may be a view of, or the very
+        # array held as, another node's gradient
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = np.array(g, dtype=np.float64)
+        else:
+            self.grad += g
 
     # --- arithmetic ---
 
@@ -149,6 +157,17 @@ class Tensor:
         out = Tensor(np.matmul(self.data, other.data), parents=(self, other))
 
         def back(g):
+            if other.ndim == 2:
+                # a weight applied to a batch: each gradient is one GEMM
+                # over all rows, not a stack of per-row products to sum
+                k, n = other.data.shape
+                if self.requires_grad:
+                    self._accumulate((g.reshape(-1, n) @ other.data.T)
+                                     .reshape(self.data.shape))
+                if other.requires_grad:
+                    other._accumulate(self.data.reshape(-1, k).T
+                                      @ g.reshape(-1, n))
+                return
             if self.requires_grad:
                 ga = np.matmul(g, np.swapaxes(other.data, -1, -2))
                 self._accumulate(_unbroadcast(ga, self.data.shape))
@@ -186,9 +205,12 @@ class Tensor:
 
         def back(g):
             if self.requires_grad:
-                full = np.zeros_like(self.data)
-                np.add.at(full, key, g)
-                self._accumulate(full)
+                if self.grad is None:
+                    self.grad = np.zeros_like(self.data)
+                if isinstance(key, int):  # a view: no repeated entries
+                    self.grad[key] += g
+                else:
+                    np.add.at(self.grad, key, g)
         out._backward = back if out.requires_grad else None
         return out
 
@@ -278,25 +300,26 @@ def log_softmax(scores: Tensor, mask: np.ndarray | None = None) -> Tensor:
     exactly zero probability, and pass no gradient."""
     x = scores.data
     if mask is None:
-        mask = np.ones(x.shape, dtype=bool)
+        z = x - np.max(x, axis=-1, keepdims=True)
     else:
-        mask = np.broadcast_to(np.asarray(mask, dtype=bool), x.shape)
-        if not mask.any(axis=-1).all():
+        mask = np.asarray(mask, dtype=bool)
+        if not np.broadcast_to(mask, x.shape).any(axis=-1).all():
             raise InternalError("log_softmax row with every entry masked")
-    neg = np.where(mask, x, -np.inf)
-    m = np.max(neg, axis=-1, keepdims=True)
-    z = np.where(mask, x - m, -np.inf)
-    ez = np.where(mask, np.exp(np.where(mask, x - m, 0.0)), 0.0)
+        neg = np.where(mask, x, -np.inf)
+        # masked entries stay -inf, and exp(-inf) is exactly 0.0
+        z = neg - np.max(neg, axis=-1, keepdims=True)
+    ez = np.exp(z)
     denom = ez.sum(axis=-1, keepdims=True)
-    logp = np.where(mask, z - np.log(denom), -np.inf)
-    out = Tensor(logp, parents=(scores,))
+    out = Tensor(z - np.log(denom), parents=(scores,))
+    if not out.requires_grad:
+        return out
     soft = ez / denom
 
     def back(g):
-        if scores.requires_grad:
+        if mask is not None:
             g = np.where(mask, g, 0.0)
-            scores._accumulate(g - soft * g.sum(axis=-1, keepdims=True))
-    out._backward = back if out.requires_grad else None
+        scores._accumulate(g - soft * g.sum(axis=-1, keepdims=True))
+    out._backward = back
     return out
 
 
@@ -304,6 +327,17 @@ def softmax(scores: Tensor, mask: np.ndarray | None = None) -> Tensor:
     """Masked softmax; masked entries get weight exactly 0.0 (exp of the
     -inf log-probability) and pass no gradient."""
     return log_softmax(scores, mask).exp()
+
+
+def broadcast_to(x: Tensor, shape: tuple) -> Tensor:
+    """x broadcast to `shape`; the gradient is summed back to x's shape."""
+    out = Tensor(np.broadcast_to(x.data, shape), parents=(x,))
+
+    def back(g):
+        if x.requires_grad:
+            x._accumulate(_unbroadcast(g, x.data.shape))
+    out._backward = back if out.requires_grad else None
+    return out
 
 
 def where_const(mask: np.ndarray, x: Tensor, fill: float) -> Tensor:

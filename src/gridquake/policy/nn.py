@@ -7,6 +7,11 @@ current position, elapsed time, and remaining cluster work; self-attention
 over crews, cross-attention into the encoder memory, then a pointer head
 scoring every (crew, component) pair with 10*tanh-clipped logits. A value
 head for PPO pools the encoder memory and decoder crew states.
+
+The memory is fixed for a whole episode, so its side of the decoder (the
+cross-attention keys and values, the pointer keys and the pooled memory)
+is projected once by `attend` and read by every `step` (Kool et al.,
+arXiv:1803.08475, compute an instance's fixed context the same way).
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, asdict
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,6 +41,12 @@ class PolicyConfig:
     score_clip: float = 10.0
 
     def __post_init__(self):
+        for name in ("width", "heads", "ffn_hidden"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
+        for name in ("enc_layers", "dec_layers"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0")
         if self.width % self.heads != 0:
             raise ConfigError("width must be divisible by heads")
 
@@ -65,6 +77,19 @@ def _ffn_params(rng, d, hidden, prefix, params):
     params[f"{prefix}.b1"] = Tensor(np.zeros(hidden), requires_grad=True)
     params[f"{prefix}.W2"] = Tensor(_glorot(rng, hidden, d, (hidden, d)), requires_grad=True)
     params[f"{prefix}.b2"] = Tensor(np.zeros(d), requires_grad=True)
+
+
+class Attended(NamedTuple):
+    """The memory side of the decoder, projected once per episode.
+
+    cross: per decoder layer, per head, (keys transposed (..., d_k, n),
+    values (..., n, d_k)); ptr_keys: pointer keys transposed (..., d, n);
+    pooled: the memory's mean over components (..., d).
+    """
+
+    cross: list
+    ptr_keys: Tensor
+    pooled: Tensor
 
 
 class PolicyModel:
@@ -121,19 +146,25 @@ class PolicyModel:
         h = (x @ p[f"{prefix}.W1"] + p[f"{prefix}.b1"]).tanh()
         return h @ p[f"{prefix}.W2"] + p[f"{prefix}.b2"]
 
-    def _mha(self, q_in: Tensor, kv_in: Tensor, prefix: str,
-             mask: np.ndarray | None = None) -> Tensor:
+    def _keys_values(self, kv_in: Tensor, prefix: str) -> list:
+        """Per head: the transposed keys and the values of kv_in."""
         p = self.params
-        dk = self.config.d_head
+        return [((kv_in @ p[f"{prefix}.Wk"][h]).swap_last(),
+                 kv_in @ p[f"{prefix}.Wv"][h])
+                for h in range(self.config.heads)]
+
+    def _attend(self, q_in: Tensor, kv: list, prefix: str) -> Tensor:
+        p = self.params
+        scale = 1.0 / math.sqrt(self.config.d_head)
         heads = []
-        for h in range(self.config.heads):
+        for h, (kt, vh) in enumerate(kv):
             qh = q_in @ p[f"{prefix}.Wq"][h]
-            kh = kv_in @ p[f"{prefix}.Wk"][h]
-            vh = kv_in @ p[f"{prefix}.Wv"][h]
-            scores = (qh @ kh.swap_last()) * (1.0 / math.sqrt(dk))
-            attn = ad.softmax(scores, mask)
+            attn = ad.softmax((qh @ kt) * scale)
             heads.append(attn @ vh)
         return ad.concat(heads, axis=-1) @ p[f"{prefix}.Wo"]
+
+    def _mha(self, q_in: Tensor, kv_in: Tensor, prefix: str) -> Tensor:
+        return self._attend(q_in, self._keys_values(kv_in, prefix), prefix)
 
     # --- forward passes ---
 
@@ -146,35 +177,62 @@ class PolicyModel:
             h = self._ln(h + self._ffn(h, f"enc.{i}.ffn"), f"enc.{i}.ln2")
         return h
 
-    def decode_step(self, memory: Tensor, crew_feats, mask: np.ndarray):
-        """One scheduling decision.
+    def attend(self, memory) -> Attended:
+        """Project the encoder memory (..., n, d) for every decoding step."""
+        memory = ad.as_tensor(memory)
+        return Attended(
+            cross=[self._keys_values(memory, f"dec.{i}.cross")
+                   for i in range(self.config.dec_layers)],
+            ptr_keys=(memory @ self.params["ptr.Wk"]).swap_last(),
+            pooled=memory.mean(axis=-2))
 
-        memory: (..., n, d) encoder output; crew_feats (..., m, CREW_FEATURES);
-        mask (..., m*n) boolean over flattened (crew, component) pairs.
+    def step(self, ctx: Attended, crew_feats, mask: np.ndarray):
+        """One scheduling decision from the projected memory.
+
+        crew_feats (..., m, CREW_FEATURES), whose leading axes may add axes
+        in front of the memory's (one per decision step in PPO); mask
+        (..., m*n) boolean over flattened (crew, component) pairs.
         Returns (log_probs (..., m*n), value (...,)).
         """
         c = ad.as_tensor(crew_feats)
         h = c @ self.params["dec.embed.W"] + self.params["dec.embed.b"]
         for i in range(self.config.dec_layers):
             h = self._ln(h + self._mha(h, h, f"dec.{i}.self"), f"dec.{i}.ln1")
-            h = self._ln(h + self._mha(h, memory, f"dec.{i}.cross"), f"dec.{i}.ln2")
+            h = self._ln(h + self._attend(h, ctx.cross[i], f"dec.{i}.cross"),
+                         f"dec.{i}.ln2")
             h = self._ln(h + self._ffn(h, f"dec.{i}.ffn"), f"dec.{i}.ln3")
 
         d = self.config.width
         q = h @ self.params["ptr.Wq"]  # (..., m, d)
-        k = memory @ self.params["ptr.Wk"]  # (..., n, d)
-        raw = (q @ k.swap_last()) * (1.0 / math.sqrt(d))
+        raw = (q @ ctx.ptr_keys) * (1.0 / math.sqrt(d))
         scores = raw.tanh() * self.config.score_clip  # (..., m, n)
         m_crews = scores.shape[-2]
         n_comp = scores.shape[-1]
         flat = scores.reshape(scores.shape[:-2] + (m_crews * n_comp,))
         logp = ad.log_softmax(flat, mask)
 
-        pooled = ad.concat([memory.mean(axis=-2), h.mean(axis=-2)], axis=-1)
-        v = (pooled @ self.params["val.W1"] + self.params["val.b1"]).tanh()
+        crews = h.mean(axis=-2)
+        pooled = ad.broadcast_to(ctx.pooled, crews.shape)
+        v = (ad.concat([pooled, crews], axis=-1) @ self.params["val.W1"]
+             + self.params["val.b1"]).tanh()
         value = (v @ self.params["val.W2"] + self.params["val.b2"])
         value = value.reshape(value.shape[:-1])
         return logp, value
+
+    def decode_step(self, memory: Tensor, crew_feats, mask: np.ndarray):
+        """One scheduling decision: `attend` then `step`.
+
+        memory: (..., n, d) encoder output; crew_feats (..., m, CREW_FEATURES);
+        mask (..., m*n) boolean over flattened (crew, component) pairs.
+        Returns (log_probs (..., m*n), value (...,)).
+        """
+        return self.step(self.attend(memory), crew_feats, mask)
+
+    def constant(self) -> "PolicyModel":
+        """The same model over constant Tensors that share the parameter
+        arrays: its forward passes record no graph."""
+        return PolicyModel(self.config, {k: Tensor(t.data)
+                                         for k, t in self.params.items()})
 
     # --- persistence ---
 

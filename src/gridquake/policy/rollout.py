@@ -108,7 +108,9 @@ def run_batch(model: PolicyModel, encs: list, rng: np.random.Generator,
     (n, m, _), = sizes
 
     comp_feats = np.stack([e.comp_feats for e in encs])  # (B, n, F)
-    memory = model.encode(comp_feats).detach()
+    # nothing is differentiated here, so run on constants: no graph
+    model = model.constant()
+    ctx = model.attend(model.encode(comp_feats))
 
     scheduled = np.zeros((B, n), dtype=bool)
     used = np.zeros((B, m), dtype=bool)
@@ -145,7 +147,7 @@ def run_batch(model: PolicyModel, encs: list, rng: np.random.Generator,
         feats[..., 2:4] = (node_xy[rows[:, None], crew_loc] - origin) / scale
         feats[..., 4] = crew_time / time_scale
         feats[..., 5] = (cluster & ~scheduled[:, None, :]).sum(axis=2) / n
-        logp_t, value_t = model.decode_step(memory, feats, flat)
+        logp_t, value_t = model.step(ctx, feats, flat)
         lp = logp_t.data
 
         probs = np.exp(lp)
@@ -165,10 +167,10 @@ def run_batch(model: PolicyModel, encs: list, rng: np.random.Generator,
         reward = -(1.0 - gamma) * curtailed[rows, jj] * done
 
         steps_feats.append(feats)
-        steps_masks.append(flat.copy())
+        steps_masks.append(flat)
         steps_actions.append(actions)
         steps_logp.append(lp[rows, actions])
-        steps_value.append(value_t.data.copy())
+        steps_value.append(value_t.data)
         steps_reward.append(reward)
 
     makespan = crew_time.max(axis=1)

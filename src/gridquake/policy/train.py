@@ -6,11 +6,14 @@ term, and the last step additionally pays the makespan term. Updates are
 clipped-surrogate PPO with a value head and an entropy bonus, full-batch
 over a homogeneous batch of same-size instances (one size drawn per
 iteration so rollouts stack into rectangular tensors). Each epoch scores
-all T steps of the rollout in one `decode_step` graph and one backward.
+all T steps of the rollout in one graph and one backward: the memory is
+encoded and projected once, on (B, n, d), and every step reads it.
 """
 
 from __future__ import annotations
 
+import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,10 +81,21 @@ class PpoConfig:
     divergence_window: int = 21
     divergence_iqrs: float = 5.0
 
+    def __post_init__(self):
+        for name, ok, rule in (
+                ("iterations", self.iterations >= 1, ">= 1"),
+                ("batch_size", self.batch_size >= 2, ">= 2"),
+                ("epochs", self.epochs >= 1, ">= 1"),
+                ("lr", math.isfinite(self.lr) and self.lr > 0, "finite and > 0"),
+                ("clip", self.clip >= 0, ">= 0")):
+            if not ok:
+                raise ConfigError(f"{name} must be {rule}")
+
 
 @dataclass
 class TrainTrace:
     mean_return: list = field(default_factory=list)
+    seconds: list = field(default_factory=list)  # wall time per iteration
     aborted: bool = False
     iterations_run: int = 0
 
@@ -99,11 +113,11 @@ def _clip(x: Tensor, lo: float, hi: float) -> Tensor:
 def _ppo_loss(model: PolicyModel, roll, adv: np.ndarray,
               returns: np.ndarray, config: PpoConfig) -> Tensor:
     """Clipped surrogate, value and entropy loss, averaged over all T steps
-    and B rows of a rollout in one graph. The encoder output (B, n, d) is
-    broadcast to (T, B, n, d) so the value head can pool it per step."""
+    and B rows of a rollout in one graph. The memory is projected on
+    (B, n, d) once; matmul broadcasts it over the (T, B) crew features."""
     T, B = roll.actions.shape
-    memory = model.encode(roll.comp_feats) + np.zeros((T, 1, 1, 1))
-    logp, v = model.decode_step(memory, roll.crew_feats, roll.masks)
+    ctx = model.attend(model.encode(roll.comp_feats))
+    logp, v = model.step(ctx, roll.crew_feats, roll.masks)
     sel = ad.take_along_last(logp, roll.actions[..., None]).reshape((T, B))
     ratio = (sel - Tensor(roll.old_logp)).exp()
     adv_t = Tensor(adv)
@@ -123,20 +137,20 @@ def _ppo_loss(model: PolicyModel, roll, adv: np.ndarray,
 
 def ppo_train(model: PolicyModel, family: InstanceFamily,
               config: PpoConfig = PpoConfig()) -> TrainTrace:
-    """Train the model in place; returns the per-iteration return trace.
+    """Train the model in place; returns the per-iteration return and wall
+    time trace.
 
     Training aborts early (trace.aborted) if the mean return collapses more
     than `divergence_iqrs` interquartile ranges below the minimum of the
     trailing window, which catches run-away updates without reacting to
     ordinary noise.
     """
-    if config.batch_size < 2:
-        raise ConfigError("batch_size must be >= 2")
     rng = np.random.default_rng(config.seed)
     opt = Adam(model.params, lr=config.lr)
     trace = TrainTrace()
 
     for it in range(config.iterations):
+        t0 = time.perf_counter()
         n = int(rng.integers(family.n_min, family.n_max + 1))
         encs = [encode_instance(family.sample_instance(rng, n))
                 for _ in range(config.batch_size)]
@@ -154,6 +168,7 @@ def ppo_train(model: PolicyModel, family: InstanceFamily,
 
         mean_ret = float(roll.rewards.sum(axis=0).mean())
         trace.mean_return.append(mean_ret)
+        trace.seconds.append(time.perf_counter() - t0)
         trace.iterations_run = it + 1
 
         w = config.divergence_window

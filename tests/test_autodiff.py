@@ -1,8 +1,11 @@
 """Reverse-mode autodiff tests: every op checked against central finite
-differences, plus the masked softmax semantics the policy relies on."""
+differences, plus the masked softmax semantics the policy relies on, and
+oracles for the backward fast paths (one-GEMM weight gradients, copied-in
+first gradients, constant inputs that build no graph)."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gridquake.policy.autodiff as ad
 from gridquake.errors import InternalError
@@ -86,6 +89,54 @@ def test_matmul_with_1d_operands():
     assert (t @ w).shape == ()
 
 
+@settings(max_examples=60, deadline=None)
+@given(batch=st.lists(st.integers(1, 4), min_size=0, max_size=3),
+       m=st.integers(1, 5), k=st.integers(1, 6), n=st.integers(1, 6),
+       seed=st.integers(0, 2**16))
+def test_weight_gradient_matches_einsum(batch, m, k, n, seed):
+    """x (..., m, k) @ W (k, n): both gradients are one GEMM over all rows;
+    an einsum over the batch axes is the reference."""
+    rng = np.random.default_rng(seed)
+    x = ad.Tensor(rng.normal(size=(*batch, m, k)), requires_grad=True)
+    w = ad.Tensor(rng.normal(size=(k, n)), requires_grad=True)
+    g = rng.normal(size=(*batch, m, n))
+    ((x @ w) * g).sum().backward()
+    b = "abc"[:len(batch)]
+    np.testing.assert_allclose(
+        w.grad, np.einsum(f"{b}mk,{b}mn->kn", x.data, g), rtol=1e-12,
+        atol=1e-12)
+    np.testing.assert_allclose(
+        x.grad, np.einsum(f"{b}mn,kn->{b}mk", g, w.data), rtol=1e-12,
+        atol=1e-12)
+    assert w.grad.shape == (k, n) and x.grad.shape == x.shape
+
+
+def test_first_gradient_is_a_copy_not_an_alias():
+    # add hands the same upstream array to both operands, and reshape
+    # hands on a view of it; each leaf must own its gradient
+    rng = np.random.default_rng(12)
+    a = ad.Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    b = ad.Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    mid = a + b
+    flat = mid.reshape((6,))
+    (flat * np.arange(6.0)).sum().backward()
+    assert not np.shares_memory(a.grad, b.grad)
+    assert not np.shares_memory(a.grad, mid.grad)
+    assert not np.shares_memory(mid.grad, flat.grad)
+    a.grad += 1.0
+    np.testing.assert_array_equal(b.grad, np.arange(6.0).reshape(2, 3))
+    np.testing.assert_array_equal(mid.grad, np.arange(6.0).reshape(2, 3))
+
+
+def test_constant_inputs_record_no_graph():
+    rng = np.random.default_rng(13)
+    x = ad.Tensor(rng.normal(size=(2, 3, 4)))
+    w = ad.Tensor(rng.normal(size=(4, 5)))
+    out = ad.log_softmax(((x @ w).tanh() + 1.0) * 2.0)
+    assert not out.requires_grad
+    assert out._parents == () and out._backward is None
+
+
 def test_tanh_exp_log():
     rng = np.random.default_rng(4)
     x0 = rng.uniform(0.5, 2.0, size=(6,))
@@ -117,6 +168,21 @@ def test_reshape_swap_getitem():
     check_op(lambda t: t.reshape((6, 4)).sum(), x0)
     check_op(lambda t: t.swap_last().tanh().sum(), x0)
     check_op(lambda t: t[1].sum(), x0)
+
+
+def test_getitem_with_repeated_index_accumulates():
+    rng = np.random.default_rng(14)
+    x0 = rng.normal(size=(3, 2))
+    check_op(lambda t: (t[np.array([0, 2, 0])] * 1.5).tanh().sum(), x0)
+    check_op(lambda t: (t[2] * t[0]).sum(), x0)
+
+
+def test_broadcast_to_sums_gradient_back():
+    rng = np.random.default_rng(15)
+    x0 = rng.normal(size=(3, 4))
+    other = ad.Tensor(rng.normal(size=(2, 3, 4)))
+    check_op(lambda t: (ad.broadcast_to(t, (2, 3, 4)) * other).tanh().sum(),
+             x0)
 
 
 def test_concat_routes_grads():
@@ -171,6 +237,35 @@ def test_log_softmax_masked_semantics():
 
     want = fd_grad(scalar, scores.copy())
     np.testing.assert_allclose(t.grad, want, rtol=1e-6, atol=1e-8)
+
+
+def reference_log_softmax(x, mask):
+    """The masked log-softmax written out with an explicit all-true mask
+    and a np.where around every step."""
+    mask = np.broadcast_to(np.ones(x.shape, dtype=bool) if mask is None
+                           else np.asarray(mask, dtype=bool), x.shape)
+    neg = np.where(mask, x, -np.inf)
+    m = np.max(neg, axis=-1, keepdims=True)
+    z = np.where(mask, x - m, -np.inf)
+    ez = np.where(mask, np.exp(np.where(mask, x - m, 0.0)), 0.0)
+    denom = ez.sum(axis=-1, keepdims=True)
+    return np.where(mask, z - np.log(denom), -np.inf)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.integers(1, 5), cols=st.integers(1, 9),
+       seed=st.integers(0, 2**16), masked=st.booleans())
+def test_log_softmax_is_bit_identical_to_reference(rows, cols, seed, masked):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(scale=5.0, size=(rows, cols))
+    mask = None
+    if masked:
+        mask = rng.random((rows, cols)) < 0.6
+        mask[np.arange(rows), rng.integers(cols, size=rows)] = True
+    want = reference_log_softmax(x, mask)
+    for requires_grad in (False, True):
+        got = ad.log_softmax(ad.Tensor(x, requires_grad=requires_grad), mask)
+        np.testing.assert_array_equal(got.data, want)
 
 
 def test_log_softmax_fully_masked_row_raises():

@@ -292,4 +292,19 @@ def test_train_command_smoke(tmp_path, capsys):
                  "--width", "8", "--n-min", "2", "--n-max", "3"]) == 0
     model = PolicyModel.load(out)
     assert model.config.width == 8
-    capsys.readouterr()
+    assert " s/iteration" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flags,rule", [
+    (["--width", "0"], "width must be >= 1"),
+    (["--iterations", "-3"], "iterations must be >= 1"),
+    (["--iterations", "0"], "iterations must be >= 1"),
+    (["--batch", "1"], "batch_size must be >= 2"),
+    (["--lr", "0"], "lr must be finite and > 0"),
+    (["--lr", "nan"], "lr must be finite and > 0")])
+def test_train_rejects_bad_settings_before_writing(flags, rule, tmp_path,
+                                                   capsys):
+    out = tmp_path / "model.npz"
+    assert main(["train", "--out", str(out), "--width", "8"] + flags) == 2
+    assert rule in capsys.readouterr().err
+    assert not out.exists()

@@ -64,7 +64,16 @@ def test_config_rejects_empty_ga_population_and_negative_samples(field):
     ({"gamma": 1.5}, "gamma must be in [0, 1]"),
     ({"gamma": float("nan")}, "gamma must be in [0, 1]"),
     ({"n_scenarios": 0}, "n_scenarios must be >= 1"),
-    ({"ga_generations": -1}, "ga_generations must be >= 0")])
+    ({"ga_generations": -1}, "ga_generations must be >= 0"),
+    ({"magnitudes": []}, "magnitudes must be non-empty"),
+    ({"focal_depth_km": -5.0}, "focal_depth_km must be >= 0"),
+    ({"w1": -1.0}, "w1 must be >= 0"),
+    ({"w2": -0.5}, "w2 must be >= 0"),
+    ({"exact_max_components": 0}, "exact_max_components must be >= 1"),
+    ({"exact_max_components": -1}, "exact_max_components must be >= 1"),
+    ({"exact_max_crews": 0}, "exact_max_crews must be >= 1"),
+    ({"exact_time_limit_s": 0.0}, "exact_time_limit_s must be > 0"),
+    ({"exact_time_limit_s": -1.0}, "exact_time_limit_s must be > 0")])
 def test_config_rejects_fields_before_any_output(field, rule, tmp_path):
     with pytest.raises(ConfigError, match=re.escape(rule)):
         PipelineConfig(**field)

@@ -58,6 +58,33 @@ def test_config_validates_head_divisibility():
         PolicyConfig(width=10, heads=4)
 
 
+@pytest.mark.parametrize("field,rule", [
+    ({"width": 0}, "width must be >= 1"),
+    ({"heads": 0}, "heads must be >= 1"),
+    ({"width": -4, "heads": -2}, "width must be >= 1"),
+    ({"ffn_hidden": 0}, "ffn_hidden must be >= 1"),
+    ({"enc_layers": -1}, "enc_layers must be >= 0"),
+    ({"dec_layers": -1}, "dec_layers must be >= 0")])
+def test_policy_config_rejects_sizes_with_config_error(field, rule):
+    with pytest.raises(ConfigError, match=rule):
+        PolicyConfig(**field)
+
+
+@pytest.mark.parametrize("field,rule", [
+    ({"iterations": 0}, "iterations must be >= 1"),
+    ({"iterations": -3}, "iterations must be >= 1"),
+    ({"batch_size": 1}, "batch_size must be >= 2"),
+    ({"epochs": 0}, "epochs must be >= 1"),
+    ({"lr": 0.0}, "lr must be finite and > 0"),
+    ({"lr": -1e-3}, "lr must be finite and > 0"),
+    ({"lr": float("inf")}, "lr must be finite and > 0"),
+    ({"lr": float("nan")}, "lr must be finite and > 0"),
+    ({"clip": -0.1}, "clip must be >= 0")])
+def test_ppo_config_rejects_bad_settings(field, rule):
+    with pytest.raises(ConfigError, match=rule):
+        PpoConfig(**field)
+
+
 def test_encoder_permutation_equivariance():
     model = PolicyModel.init(TINY, seed=1)
     rng = np.random.default_rng(0)
@@ -90,6 +117,48 @@ def test_decode_respects_mask_exactly():
     assert np.all(p[~mask] == 0.0)
     assert p[mask].sum() == pytest.approx(1.0)
     assert value.data.shape == ()
+
+
+def test_step_on_attended_memory_is_decode_step_bit_for_bit():
+    model = PolicyModel.init(SMALL, seed=5)
+    rng = np.random.default_rng(3)
+    memory = model.encode(rng.normal(size=(3, 6, COMP_FEATURES)))
+    crew = rng.normal(size=(3, 2, 6))
+    mask = rng.random((3, 12)) < 0.7
+    mask[:, 0] = True
+    want_lp, want_v = model.decode_step(memory, crew, mask)
+    # the graph-free model over the same arrays gives the same bits
+    const = model.constant()
+    for m in (model, const):
+        lp, v = m.step(m.attend(memory.data), crew, mask)
+        np.testing.assert_array_equal(lp.data, want_lp.data)
+        np.testing.assert_array_equal(v.data, want_v.data)
+    assert all(const.params[k].data is t.data
+               for k, t in model.params.items())
+
+
+def test_rollout_builds_no_graph_and_leaves_grads_alone(monkeypatch):
+    model = PolicyModel.init(TINY, seed=4)
+    inst = make_instance(seed=5, n=5, crews=2)
+    outputs = []
+    step = PolicyModel.step
+
+    def recording_step(self, ctx, crew_feats, mask):
+        out = step(self, ctx, crew_feats, mask)
+        outputs.append((ctx, out))
+        return out
+
+    monkeypatch.setattr(PolicyModel, "step", recording_step)
+    run_batch(model, [encode_instance(inst)] * 3, np.random.default_rng(0),
+              inst.gamma, greedy_first=True)
+    assert len(outputs) == 5
+    for ctx, (logp, value) in outputs:
+        for t in (logp, value, ctx.ptr_keys, ctx.pooled,
+                  *[x for layer in ctx.cross for kv in layer for x in kv]):
+            assert not t.requires_grad
+            assert t._parents == () and t._backward is None
+    assert all(t.grad is None and t.requires_grad
+               for t in model.params.values())
 
 
 def test_greedy_episode_is_deterministic_and_valid():
@@ -427,6 +496,7 @@ def test_ppo_short_run_trains_and_reports():
     assert trace.iterations_run == 4
     assert len(trace.mean_return) == 4
     assert all(np.isfinite(r) for r in trace.mean_return)
+    assert len(trace.seconds) == 4 and all(s > 0 for s in trace.seconds)
     assert not trace.aborted
     changed = any(not np.array_equal(before[k], t.data)
                   for k, t in model.params.items())
