@@ -91,6 +91,7 @@ class ExactResult:
     plan: DispatchPlan
     objective: ObjectiveBreakdown
     optimal: bool
+    stats: dict  # nodes, pruned, frontier (summed over depots), timed_out
 
 
 def travel_hours(a, b, speed_kmh: float) -> float:
@@ -273,35 +274,50 @@ def exact_dispatch(
 
     Each depot cluster is searched independently for the Pareto frontier of
     (makespan, weighted completion); frontiers are then combined exactly by
-    scanning candidate global makespans. Raises LimitError when a cluster
-    exceeds the size limits. On timeout the best plan found so far is
-    returned with optimal=False.
+    scanning candidate global makespans. Every cluster is checked against
+    the size limits before any is searched: LimitError names the first
+    depot, in depot order, that exceeds one. ConfigError is raised for a
+    NaN or negative time limit and for limits below 1. On timeout the best
+    plan found so far is returned with optimal=False. `stats` counts the
+    search: nodes expanded, nodes pruned by dominance, Pareto points kept
+    (summed over depots) and whether the deadline fired.
     """
+    if time_limit_s is not None and not time_limit_s >= 0:
+        raise ConfigError(f"exact time limit must be >= 0 s, "
+                          f"got {time_limit_s}")
+    for name, value in (("max_components_per_depot", max_components_per_depot),
+                        ("max_crews_per_depot", max_crews_per_depot)):
+        if value < 1:
+            raise ConfigError(f"{name} must be >= 1, got {value}")
     compiled = instance.compiled
-    deadline = None if time_limit_s is None else time.monotonic() + time_limit_s
-
-    complete = True
-    frontiers = {}
-    for k, (depot, idx) in enumerate(zip(instance.depots, compiled.depot_jobs)):
-        jobs = [instance.components[i] for i in idx]
-        if len(jobs) > max_components_per_depot:
-            raise LimitError(f"depot {depot.id}: {len(jobs)} components exceeds "
+    for depot, idx in zip(instance.depots, compiled.depot_jobs):
+        if len(idx) > max_components_per_depot:
+            raise LimitError(f"depot {depot.id}: {len(idx)} components exceeds "
                              f"the exact solver limit {max_components_per_depot}")
         if depot.crew_count > max_crews_per_depot:
             raise LimitError(f"depot {depot.id}: {depot.crew_count} crews exceeds "
                              f"the exact solver limit {max_crews_per_depot}")
+    deadline = None if time_limit_s is None else time.monotonic() + time_limit_s
+
+    stats = {"nodes": 0, "pruned": 0, "frontier": 0, "timed_out": False}
+    frontiers = {}
+    for k, (depot, idx) in enumerate(zip(instance.depots, compiled.depot_jobs)):
+        jobs = [instance.components[i] for i in idx]
         nodes = list(idx) + [len(instance.components) + k]
         travel = compiled.travel[np.ix_(nodes, nodes)].tolist()
-        frontier, finished = _depot_frontier(depot, jobs, travel, deadline)
+        frontier, finished = _depot_frontier(depot, jobs, travel, deadline,
+                                             stats)
         frontiers[depot.id] = frontier
-        complete = complete and finished
+        stats["frontier"] += len(frontier)
+        stats["timed_out"] = stats["timed_out"] or not finished
 
     plan = schedule_plan(instance, _combine_frontiers(instance, frontiers))
     breakdown = plan_objective(instance, plan)
-    return ExactResult(plan=plan, objective=breakdown, optimal=complete)
+    return ExactResult(plan=plan, objective=breakdown,
+                       optimal=not stats["timed_out"], stats=stats)
 
 
-def _depot_frontier(depot, jobs, travel, deadline):
+def _depot_frontier(depot, jobs, travel, deadline, stats):
     """Pareto frontier of (duration T, weighted completion E) over all
     ordered assignments of `jobs` to the depot's crews.
 
@@ -309,15 +325,34 @@ def _depot_frontier(depot, jobs, travel, deadline):
     is the depot. Crews are interchangeable, so the search is canonicalized:
     crew k's set must contain the lowest-indexed job still unassigned when
     crew k starts, and once a crew is left empty all later crews stay empty.
+
+    A node is pruned when a frontier point dominates its lower bounds. Each
+    remaining job finishes no earlier than its direct finish from the
+    current crew's position or, while a later crew is free, from the depot
+    at time 0. The last crew must also serve every remaining job in
+    sequence, each costing at least p_j (its cheapest incoming travel plus
+    its repair), so its T is at least t_crew + sum p_j and its E at least
+    the weighted completions of the single-machine schedule in Smith's
+    WSPT order (p_j / w_j ascending), which is optimal for that relaxation.
+
     Frontier entries are (T, E, routes) with routes a tuple of job-id tuples,
     one per crew. Returns (frontier, finished) where finished is False if
-    the deadline cut the search short.
+    the deadline cut the search short; adds the nodes expanded and pruned
+    to `stats`.
     """
     n_crews, home = depot.crew_count, len(jobs)
     repair = [c.repair_hours for c in jobs]
     weight = [c.curtailed_mw for c in jobs]
     if not jobs:
         return [(0.0, 0.0, tuple(() for _ in range(n_crews)))], True
+    fresh = travel[home]
+    # the sequence bound's per-job cost and Smith order; zero weights last,
+    # ties to the lower index
+    cost = [min(travel[i][j] for i in range(home + 1) if i != j) + repair[j]
+            for j in range(home)]
+    wspt = sorted(range(home), key=lambda j: (
+        weight[j] == 0, cost[j] / weight[j] if weight[j] else 0.0, j))
+    nodes = pruned = 0
 
     def assign(crew_idx, remaining, routes, t_max, e_sum):
         """Pick crew crew_idx's full route, then move to the next crew.
@@ -335,18 +370,37 @@ def _depot_frontier(depot, jobs, travel, deadline):
 
     def extend(crew_idx, remaining, routes, t_max, e_sum, seq, loc, t_crew,
                has_must, must):
+        nonlocal nodes, pruned
+        nodes += 1
         if deadline is not None and time.monotonic() > deadline:
             return False
         # admissible per-job completion bound: the best direct finish from
         # the current crew's position or a fresh crew at the depot
         here = travel[loc]
-        fresh = travel[home] if crew_idx + 1 < n_crews else None
-        lbs = {j: min(t_crew + here[j], fresh[j] if fresh else math.inf)
-               + repair[j] for j in remaining}
-        t_lb = max([t_max, t_crew] + list(lbs.values()))
-        e_lb = e_sum + sum(weight[j] * lbs[j] for j in remaining)
-        if _dominated_by_frontier(frontier, t_lb, e_lb):
-            return True
+        last = crew_idx + 1 == n_crews
+        if last:
+            lbs = [t_crew + here[j] + repair[j] for j in remaining]
+        else:
+            lbs = [min(t_crew + here[j], fresh[j]) + repair[j]
+                   for j in remaining]
+        t_lb = max(t_max, t_crew, *lbs)
+        e_lb = e_sum + sum([weight[j] * lb for j, lb in zip(remaining, lbs)])
+        if last and len(remaining) > 1:
+            # the one-crew sequence bound, relaxed by 1e-12 relative: its
+            # sums run in another order than a leaf's, and rounding must
+            # never lift it above a reachable leaf
+            t_seq, e_seq = t_crew, e_sum
+            for j in wspt:
+                if j in remaining:
+                    t_seq += cost[j]
+                    e_seq += weight[j] * t_seq
+            t_lb = max(t_lb, (1.0 - 1e-12) * t_seq)
+            e_lb = max(e_lb, (1.0 - 1e-12) * e_seq)
+        t_tol, e_tol = t_lb + 1e-12, e_lb + 1e-12
+        for ft, fe, _ in frontier:
+            if ft <= t_tol and fe <= e_tol:
+                pruned += 1
+                return True
 
         finished = True
         # close this crew's route and hand the rest to the next crew
@@ -368,6 +422,8 @@ def _depot_frontier(depot, jobs, travel, deadline):
     frontier = []
     _frontier_add(frontier, _greedy_seed(home, n_crews, jobs, travel))
     finished = assign(0, frozenset(range(len(jobs))), [], 0.0, 0.0)
+    stats["nodes"] += nodes
+    stats["pruned"] += pruned
     return frontier, finished
 
 

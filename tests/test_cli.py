@@ -286,6 +286,20 @@ def test_exit_code_3_on_solver_limits(network_path, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("flags,rule", [
+    (["--time-limit", "nan"], "time limit must be >= 0"),
+    (["--time-limit", "-1"], "time limit must be >= 0"),
+    (["--max-comps", "0"], "max_components_per_depot must be >= 1"),
+    (["--max-crews", "0"], "max_crews_per_depot must be >= 1")])
+def test_dispatch_exact_rejects_bad_settings_before_writing(
+        flags, rule, network_path, tmp_path, capsys):
+    out = tmp_path / "plan.json"
+    assert main(["dispatch", "exact", "--network", network_path,
+                 "--failed", "c_l1,c_g2", "--out", str(out)] + flags) == 2
+    assert rule in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_command_smoke(tmp_path, capsys):
     out = str(tmp_path / "model.npz")
     assert main(["train", "--out", out, "--iterations", "2", "--batch", "4",

@@ -7,7 +7,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import gridquake.dispatch as dispatch_module
 from gridquake.dispatch import (DispatchInstance, Depot, FailedComponent,
                                 _Compiled, cluster_to_depots, exact_dispatch,
                                 instance_from_scenario, plan_objective,
@@ -205,6 +207,118 @@ def test_exact_timeout_returns_feasible_incumbent():
     # still a valid plan covering everything
     check = plan_objective(inst, schedule_plan(inst, res.plan.routes))
     assert check.value == pytest.approx(res.objective.value, abs=1e-9)
+
+
+def option_count(n, crews):
+    """Ordered splits brute_force_value enumerates for one depot: n! orders
+    times C(n + crews - 1, crews - 1) cut placements."""
+    return math.factorial(n) * math.comb(n + crews - 1, crews - 1)
+
+
+@st.composite
+def separated_instances(draw, budget=60_000):
+    """1-3 depots 100 km apart with 1-3 crews and 0-6 components each,
+    drawn around their own depot so that the cluster sizes are the drawn
+    ones. Offsets come often from a 3-point grid, so components share
+    coordinates with each other and with their depot; curtailment weights
+    and repair times are often zero, and gamma is often 0 or 1. Cluster
+    sizes are drawn so that brute_force_value's product over depots of
+    ordered splits stays within `budget`."""
+    n_depots = draw(st.integers(1, 3))
+    crews = [draw(st.integers(1, 3)) for _ in range(n_depots)]
+    sizes, left = [0] * n_depots, budget
+    for k in draw(st.permutations(range(n_depots))):
+        fits = [n for n in range(7) if option_count(n, crews[k]) <= left]
+        sizes[k] = draw(st.sampled_from(fits))
+        left //= option_count(sizes[k], crews[k])
+    offset = st.one_of(st.sampled_from([-4.0, 0.0, 3.0]),
+                       st.floats(-10.0, 10.0, allow_nan=False))
+    depots = tuple(Depot(id=f"d{k}", x=100.0 * k, y=0.0, crew_count=crews[k])
+                   for k in range(n_depots))
+    comps = []
+    for k, n in enumerate(sizes):
+        for _ in range(n):
+            comps.append(FailedComponent(
+                id=f"c{len(comps)}", x=100.0 * k + draw(offset),
+                y=draw(offset),
+                repair_hours=draw(st.sampled_from([0.0, 0.5, 1.0, 3.5])),
+                curtailed_mw=draw(st.one_of(
+                    st.just(0.0), st.floats(0.0, 5.0, allow_nan=False)))))
+    gamma = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+    return DispatchInstance(components=tuple(comps), depots=depots,
+                            travel_speed_kmh=draw(st.floats(5.0, 60.0)),
+                            gamma=gamma)
+
+
+@settings(max_examples=80, deadline=None)
+@given(separated_instances())
+def test_exact_matches_enumeration_property(inst):
+    """The pruned search, its last-crew sequence bound included, finds the
+    unpruned enumeration's optimum."""
+    res = exact_dispatch(inst)
+    assert res.optimal
+    assert res.objective.value == pytest.approx(brute_force_value(inst),
+                                                abs=1e-9)
+    check = plan_objective(inst, schedule_plan(inst, res.plan.routes))
+    assert check.value == pytest.approx(res.objective.value, abs=1e-9)
+
+
+def test_exact_stats_count_the_search():
+    """nodes counts expansions, pruned the expansions cut by dominance,
+    frontier the Pareto points kept; a zero time limit stops the search at
+    its first node with only the greedy seed on the frontier."""
+    res = exact_dispatch(tiny_instance())
+    assert res.stats == {"nodes": 16, "pruned": 8, "frontier": 2,
+                         "timed_out": False}
+    res = exact_dispatch(tiny_instance(), time_limit_s=0.0)
+    assert not res.optimal
+    assert res.stats == {"nodes": 1, "pruned": 0, "frontier": 1,
+                         "timed_out": True}
+    empty = DispatchInstance(components=(), depots=(Depot(id="d1", x=0, y=0),))
+    assert exact_dispatch(empty).stats == {"nodes": 0, "pruned": 0,
+                                           "frontier": 1, "timed_out": False}
+
+
+def two_depot_instance():
+    """Depot d1 holds 2 components and 1 crew, depot d2 4 components and 3
+    crews."""
+    comps = tuple(FailedComponent(id=f"c{i}", x=x, y=0.0, repair_hours=1.0,
+                                  curtailed_mw=1.0)
+                  for i, x in enumerate([1.0, 2.0, 98.0, 99.0, 101.0, 102.0]))
+    depots = (Depot(id="d1", x=0.0, y=0.0, crew_count=1),
+              Depot(id="d2", x=100.0, y=0.0, crew_count=3))
+    return DispatchInstance(components=comps, depots=depots,
+                            travel_speed_kmh=10.0)
+
+
+def test_exact_refuses_over_cap_before_searching(monkeypatch):
+    """Depot d1 fits the caps and d2 does not: the refusal comes before d1
+    is searched, with the message naming d2."""
+    def no_search(*args):
+        raise AssertionError("searched a depot of a refused instance")
+    monkeypatch.setattr(dispatch_module, "_depot_frontier", no_search)
+    inst = two_depot_instance()
+    with pytest.raises(LimitError) as err:
+        exact_dispatch(inst, max_components_per_depot=3)
+    assert str(err.value) == ("depot d2: 4 components exceeds the exact "
+                              "solver limit 3")
+    with pytest.raises(LimitError) as err:
+        exact_dispatch(inst, max_crews_per_depot=2)
+    assert str(err.value) == ("depot d2: 3 crews exceeds the exact solver "
+                              "limit 2")
+
+
+@pytest.mark.parametrize("kwargs,rule", [
+    ({"time_limit_s": math.nan}, "time limit must be >= 0"),
+    ({"time_limit_s": -1.0}, "time limit must be >= 0"),
+    ({"max_components_per_depot": 0}, "max_components_per_depot must be >= 1"),
+    ({"max_crews_per_depot": 0}, "max_crews_per_depot must be >= 1"),
+    ({"max_crews_per_depot": -2}, "max_crews_per_depot must be >= 1")])
+def test_exact_rejects_bad_arguments(kwargs, rule):
+    """A NaN time limit used to mean no limit, a negative one returned the
+    greedy seed, and caps below 1 raised LimitError: all are bad input."""
+    with pytest.raises(ConfigError, match=rule):
+        exact_dispatch(tiny_instance(), **kwargs)
 
 
 def test_instance_from_scenario_uses_singleton_curtailment():

@@ -24,6 +24,7 @@ from gridquake.ga import (_Layout, _crossover, _fitness, _mutate,
 from gridquake.policy.train import InstanceFamily
 
 GOLDEN = Path(__file__).with_name("golden_exact_plans.json")
+SEQUENCE_GOLDEN = Path(__file__).with_name("golden_exact_sequence_plans.json")
 
 
 @st.composite
@@ -279,6 +280,36 @@ def golden_instance(k):
 def test_exact_plans_match_golden(k):
     want = json.loads(GOLDEN.read_text())[k]
     res = exact_dispatch(golden_instance(k))
+    assert res.optimal
+    assert {c: list(s) for c, s in sorted(res.plan.routes.items())} \
+        == want["routes"]
+    assert res.objective.value.hex() == want["objective"]
+
+
+def test_exact_stats_on_golden_instance():
+    """Search counters of golden instance 3 (one depot, 8 components, two
+    crews): the last-crew sequence bound prunes it to 3636 nodes (6450
+    with per-job bounds alone)."""
+    res = exact_dispatch(golden_instance(3))
+    assert res.stats == {"nodes": 3636, "pruned": 2540, "frontier": 7,
+                         "timed_out": False}
+
+
+def sequence_golden_instance(k):
+    """One depot with 8 or 9 components and 1-3 crews, the sizes at which
+    the last-crew sequence bound prunes most."""
+    rng = np.random.default_rng(2000 + k)
+    n = 8 + k % 2
+    fam = InstanceFamily(n_min=n, n_max=n, depot_count=1,
+                         crews_per_depot=1 + k // 2, gamma=(0.5, 0.2, 0.9)[k % 3])
+    return fam.sample_instance(rng)
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_exact_sequence_plans_match_golden(k):
+    """Plans recorded before the last crew was bounded by sequence."""
+    want = json.loads(SEQUENCE_GOLDEN.read_text())[k]
+    res = exact_dispatch(sequence_golden_instance(k))
     assert res.optimal
     assert {c: list(s) for c, s in sorted(res.plan.routes.items())} \
         == want["routes"]
