@@ -8,6 +8,12 @@ over crews, cross-attention into the encoder memory, then a pointer head
 scoring every (crew, component) pair with 10*tanh-clipped logits. A value
 head for PPO pools the encoder memory and decoder crew states.
 
+Multi-head attention treats the heads as an axis (Vaswani et al.,
+arXiv:1706.03762): `Wq`, `Wk` and `Wv` are each one (d, h*d_k) matrix, so
+an attention is one product per projection, one batched score product over
+(..., h, L, d_k), one softmax, one `attn @ v` and one `Wo`, whatever the
+head count. Layer norm is one fused autodiff op.
+
 The memory is fixed for a whole episode, so its side of the decoder (the
 cross-attention keys and values, the pointer keys and the pooled memory)
 is projected once by `attend` and read by every `step` (Kool et al.,
@@ -60,10 +66,18 @@ def _glorot(rng, fan_in, fan_out, shape):
     return rng.uniform(-limit, limit, size=shape)
 
 
+def _heads_as_columns(w: np.ndarray) -> np.ndarray:
+    """Per-head weights (h, d, d_k) as one (d, h*d_k) matrix whose columns
+    run head by head."""
+    h, d, dk = w.shape
+    return w.transpose(1, 0, 2).reshape(d, h * dk)
+
+
 def _attn_params(rng, d, h, dk, prefix, params):
-    params[f"{prefix}.Wq"] = Tensor(_glorot(rng, d, dk, (h, d, dk)), requires_grad=True)
-    params[f"{prefix}.Wk"] = Tensor(_glorot(rng, d, dk, (h, d, dk)), requires_grad=True)
-    params[f"{prefix}.Wv"] = Tensor(_glorot(rng, d, dk, (h, d, dk)), requires_grad=True)
+    for name in ("Wq", "Wk", "Wv"):
+        params[f"{prefix}.{name}"] = Tensor(
+            _heads_as_columns(_glorot(rng, d, dk, (h, d, dk))),
+            requires_grad=True)
     params[f"{prefix}.Wo"] = Tensor(_glorot(rng, h * dk, d, (h * dk, d)), requires_grad=True)
 
 
@@ -82,9 +96,10 @@ def _ffn_params(rng, d, hidden, prefix, params):
 class Attended(NamedTuple):
     """The memory side of the decoder, projected once per episode.
 
-    cross: per decoder layer, per head, (keys transposed (..., d_k, n),
-    values (..., n, d_k)); ptr_keys: pointer keys transposed (..., d, n);
-    pooled: the memory's mean over components (..., d).
+    cross: per decoder layer, one pair of all heads' transposed keys
+    (..., h, d_k, n) and values (..., h, n, d_k); ptr_keys: pointer keys
+    transposed (..., d, n); pooled: the memory's mean over components
+    (..., d).
     """
 
     cross: list
@@ -134,34 +149,34 @@ class PolicyModel:
     # --- building blocks ---
 
     def _ln(self, x: Tensor, prefix: str) -> Tensor:
-        g = self.params[f"{prefix}.g"]
-        b = self.params[f"{prefix}.b"]
-        mu = x.mean(axis=-1, keepdims=True)
-        xc = x - mu
-        var = (xc * xc).mean(axis=-1, keepdims=True)
-        return xc * (var + 1e-5) ** -0.5 * g + b
+        return ad.layer_norm(x, self.params[f"{prefix}.g"],
+                             self.params[f"{prefix}.b"])
 
     def _ffn(self, x: Tensor, prefix: str) -> Tensor:
         p = self.params
         h = (x @ p[f"{prefix}.W1"] + p[f"{prefix}.b1"]).tanh()
         return h @ p[f"{prefix}.W2"] + p[f"{prefix}.b2"]
 
-    def _keys_values(self, kv_in: Tensor, prefix: str) -> list:
-        """Per head: the transposed keys and the values of kv_in."""
-        p = self.params
-        return [((kv_in @ p[f"{prefix}.Wk"][h]).swap_last(),
-                 kv_in @ p[f"{prefix}.Wv"][h])
-                for h in range(self.config.heads)]
+    def _split_heads(self, x: Tensor) -> Tensor:
+        """(..., L, h*d_k) -> (..., h, L, d_k)."""
+        c = self.config
+        return x.reshape(x.shape[:-1] + (c.heads, c.d_head)).swapaxes(-3, -2)
 
-    def _attend(self, q_in: Tensor, kv: list, prefix: str) -> Tensor:
+    def _keys_values(self, kv_in: Tensor, prefix: str) -> tuple:
+        """All heads' transposed keys (..., h, d_k, n) and values
+        (..., h, n, d_k) of kv_in."""
         p = self.params
-        scale = 1.0 / math.sqrt(self.config.d_head)
-        heads = []
-        for h, (kt, vh) in enumerate(kv):
-            qh = q_in @ p[f"{prefix}.Wq"][h]
-            attn = ad.softmax((qh @ kt) * scale)
-            heads.append(attn @ vh)
-        return ad.concat(heads, axis=-1) @ p[f"{prefix}.Wo"]
+        return (self._split_heads(kv_in @ p[f"{prefix}.Wk"]).swapaxes(-1, -2),
+                self._split_heads(kv_in @ p[f"{prefix}.Wv"]))
+
+    def _attend(self, q_in: Tensor, kv: tuple, prefix: str) -> Tensor:
+        p = self.params
+        kt, v = kv
+        q = self._split_heads(q_in @ p[f"{prefix}.Wq"])
+        attn = ad.softmax((q @ kt) * (1.0 / math.sqrt(self.config.d_head)))
+        heads = (attn @ v).swapaxes(-3, -2)  # (..., L, h, d_k)
+        merged = heads.reshape(heads.shape[:-2] + (self.config.width,))
+        return merged @ p[f"{prefix}.Wo"]
 
     def _mha(self, q_in: Tensor, kv_in: Tensor, prefix: str) -> Tensor:
         return self._attend(q_in, self._keys_values(kv_in, prefix), prefix)
@@ -183,7 +198,7 @@ class PolicyModel:
         return Attended(
             cross=[self._keys_values(memory, f"dec.{i}.cross")
                    for i in range(self.config.dec_layers)],
-            ptr_keys=(memory @ self.params["ptr.Wk"]).swap_last(),
+            ptr_keys=(memory @ self.params["ptr.Wk"]).swapaxes(-1, -2),
             pooled=memory.mean(axis=-2))
 
     def step(self, ctx: Attended, crew_feats, mask: np.ndarray):
@@ -248,6 +263,10 @@ class PolicyModel:
 
     @classmethod
     def load(cls, path: str) -> "PolicyModel":
+        """Read a `save` checkpoint. Every array must be one that
+        `init(config)` makes, with its shape; attention weights stored per
+        head as (h, d, d_k), the layout before heads became an axis, are
+        read as one (d, h*d_k) matrix."""
         try:
             data = np.load(path)
         except (OSError, ValueError) as e:
@@ -255,11 +274,28 @@ class PolicyModel:
         with data:
             if "__config__" not in data.files:
                 raise ConfigError(f"{path!r} is not a policy checkpoint")
-            config = PolicyConfig(
-                **json.loads(bytes(data["__config__"]).decode("utf-8")))
-            params = {k: Tensor(data[k], requires_grad=True)
-                      for k in data.files if k != "__config__"}
-        return cls(config, params)
+            try:
+                config = PolicyConfig(
+                    **json.loads(bytes(data["__config__"]).decode("utf-8")))
+                arrays = {k: data[k] for k in data.files if k != "__config__"}
+            except (TypeError, ValueError) as e:
+                raise ConfigError(f"bad model checkpoint {path!r}: {e}") from e
+        want = {k: t.data.shape for k, t in cls.init(config).params.items()}
+        per_head = (config.heads, config.width, config.d_head)
+        for k, a in arrays.items():
+            if a.shape == per_head and k.endswith((".Wq", ".Wk", ".Wv")) \
+                    and not k.startswith("ptr."):
+                arrays[k] = _heads_as_columns(a)
+        problems = [f"missing {k}" for k in want if k not in arrays]
+        problems += [f"unknown {k}" for k in arrays if k not in want]
+        problems += [f"{k} has shape {arrays[k].shape}, expected {shape}"
+                     for k, shape in want.items()
+                     if k in arrays and arrays[k].shape != shape]
+        if problems:
+            raise ConfigError(f"model checkpoint {path!r} does not match its "
+                              f"config: {'; '.join(problems)}")
+        return cls(config, {k: Tensor(arrays[k], requires_grad=True)
+                            for k in want})
 
     def clone_params(self) -> dict:
         return {k: t.data.copy() for k, t in self.params.items()}

@@ -89,6 +89,17 @@ class BatchRollout:
     makespan: np.ndarray  # (B,)
 
 
+def draw(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One action per row of probs (B, K), from one uniform per row.
+
+    This is `Generator.choice(K, p=row)`'s own inverse-CDF algorithm run
+    on all rows at once: it consumes the stream as B `choice` calls do and
+    returns the same actions, bit for bit."""
+    cdf = np.cumsum(probs, axis=1)
+    cdf /= cdf[:, -1:]
+    return (cdf <= rng.random(len(probs))[:, None]).sum(axis=1)
+
+
 def run_batch(model: PolicyModel, encs: list, rng: np.random.Generator,
               gamma: float, greedy_first: bool = False) -> BatchRollout:
     """Rollout of B same-size instances in lockstep. Every row samples its
@@ -154,7 +165,7 @@ def run_batch(model: PolicyModel, encs: list, rng: np.random.Generator,
         probs = probs / probs.sum(axis=1, keepdims=True)
         actions = np.empty(B, dtype=np.int64)
         actions[:first] = np.argmax(lp[:first], axis=1)
-        actions[first:] = [rng.choice(m * n, p=p) for p in probs[first:]]
+        actions[first:] = draw(probs[first:], rng)
         ii, jj = np.divmod(actions, n)
 
         leg = travel[rows, crew_loc[rows, ii], jj]

@@ -1,7 +1,9 @@
 """Reverse-mode autodiff tests: every op checked against central finite
 differences, plus the masked softmax semantics the policy relies on, and
 oracles for the backward fast paths (one-GEMM weight gradients, copied-in
-first gradients, constant inputs that build no graph)."""
+first gradients, constant inputs that build no graph, the direct softmax
+and the fused layer norm against the graphs of elementwise ops they
+replace)."""
 
 import numpy as np
 import pytest
@@ -81,11 +83,11 @@ def test_matmul_with_1d_operands():
     m = ad.Tensor(rng.normal(size=(4, 3)))
     w = ad.Tensor(rng.normal(size=(4,)))
     check_op(lambda t: (t @ m).sum(), v0)          # vector @ matrix
-    check_op(lambda t: (m.swap_last() @ t).sum(), v0)  # matrix @ vector
+    check_op(lambda t: (m.swapaxes(-1, -2) @ t).sum(), v0)  # matrix @ vector
     check_op(lambda t: t @ w, v0)                  # dot product
     t = ad.Tensor(v0.copy(), requires_grad=True)
     assert (t @ m).shape == (3,)
-    assert (m.swap_last() @ t).shape == (3,)
+    assert (m.swapaxes(-1, -2) @ t).shape == (3,)
     assert (t @ w).shape == ()
 
 
@@ -166,7 +168,9 @@ def test_reshape_swap_getitem():
     rng = np.random.default_rng(7)
     x0 = rng.normal(size=(2, 3, 4))
     check_op(lambda t: t.reshape((6, 4)).sum(), x0)
-    check_op(lambda t: t.swap_last().tanh().sum(), x0)
+    check_op(lambda t: t.swapaxes(-1, -2).tanh().sum(), x0)
+    check_op(lambda t: (t.swapaxes(-3, -2) * np.arange(12.0).reshape(3, 2, 2)
+                        ).sum(), x0[..., :2])
     check_op(lambda t: t[1].sum(), x0)
 
 
@@ -280,6 +284,88 @@ def test_softmax_exact_zero_on_masked():
     p = ad.softmax(t, mask)
     assert p.data[0, 1] == 0.0
     assert p.data.sum() == pytest.approx(1.0)
+    with pytest.raises(InternalError):
+        ad.softmax(t, np.array([[False, False, False]]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=st.lists(st.integers(1, 5), min_size=1, max_size=3),
+       seed=st.integers(0, 2**16), masked=st.booleans())
+def test_softmax_matches_the_log_softmax_graph(shape, seed, masked):
+    """The direct softmax against exp(log_softmax): masked entries are
+    exactly 0.0 in both value and gradient, and the gradient agrees with
+    the composed graph to 1e-12."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(scale=3.0, size=shape)
+    mask = None
+    if masked:
+        mask = rng.random(shape) < 0.6
+        mask[..., 0] = True
+    w = rng.normal(size=shape)
+    got_t = ad.Tensor(x.copy(), requires_grad=True)
+    want_t = ad.Tensor(x.copy(), requires_grad=True)
+    got = ad.softmax(got_t, mask)
+    want = ad.log_softmax(want_t, mask).exp()
+    (got * w).tanh().sum().backward()
+    (want * w).tanh().sum().backward()
+    np.testing.assert_allclose(got.data, want.data, rtol=1e-13, atol=1e-15)
+    np.testing.assert_allclose(got_t.grad, want_t.grad, rtol=1e-12,
+                               atol=1e-12 * np.abs(want_t.grad).max())
+    if masked:
+        assert np.all(got.data[~mask] == 0.0)
+        assert np.all(got_t.grad[~mask] == 0.0)
+    check_op(lambda t: (ad.softmax(t, mask) * w).tanh().sum(), x)
+
+
+def composed_layer_norm(x, g, b):
+    """Layer norm as a graph of the elementwise ops."""
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    return xc * (var + 1e-5) ** -0.5 * g + b
+
+
+@settings(max_examples=60, deadline=None)
+@given(lead=st.lists(st.integers(1, 4), min_size=0, max_size=3),
+       d=st.integers(1, 9), seed=st.integers(0, 2**16),
+       spread=st.sampled_from([1e-3, 1.0, 50.0]))
+def test_layer_norm_matches_the_composed_graph(lead, d, seed, spread):
+    """The fused op's forward is the composed graph's bit for bit, and its
+    analytic gradients for x, g and b agree with that graph to 1e-12. The
+    x-gradient is a difference of terms as large as inv * |w * g|, and
+    both graphs round at that size, so that is the scale of its bound."""
+    rng = np.random.default_rng(seed)
+    x0 = rng.normal(scale=spread, size=(*lead, d)) + rng.normal()
+    g0, b0 = rng.normal(size=d), rng.normal(size=d)
+    w = rng.normal(size=(*lead, d))
+    outs = []
+    for fn in (ad.layer_norm, composed_layer_norm):
+        ts = [ad.Tensor(a.copy(), requires_grad=True) for a in (x0, g0, b0)]
+        out = fn(*ts)
+        (out * w).sum().backward()
+        outs.append((out.data, [t.grad for t in ts]))
+    (got, got_g), (want, want_g) = outs
+    np.testing.assert_array_equal(got, want)
+    inv = (x0.var(axis=-1, keepdims=True) + 1e-5) ** -0.5
+    scales = (np.abs(inv * w * g0).max(), np.abs(w).max(), np.abs(w).max())
+    for name, a, b, scale in zip("xgb", got_g, want_g, scales):
+        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12 * scale,
+                                   err_msg=name)
+    const = ad.layer_norm(ad.Tensor(x0), ad.Tensor(g0), ad.Tensor(b0))
+    np.testing.assert_array_equal(const.data, want)
+    assert const._parents == () and const._backward is None
+
+
+def test_layer_norm_gradients_match_central_differences():
+    rng = np.random.default_rng(16)
+    x0 = rng.normal(size=(2, 3, 5))
+    g0, b0 = rng.normal(size=5), rng.normal(size=5)
+    w = rng.normal(size=(2, 3, 5))
+    g, b = ad.Tensor(g0), ad.Tensor(b0)
+    x = ad.Tensor(x0)
+    check_op(lambda t: (ad.layer_norm(t, g, b) * w).tanh().sum(), x0)
+    check_op(lambda t: (ad.layer_norm(x, t, b) * w).tanh().sum(), g0)
+    check_op(lambda t: (ad.layer_norm(x, g, t) * w).tanh().sum(), b0)
 
 
 def test_backward_accumulates_through_shared_nodes():

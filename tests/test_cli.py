@@ -97,6 +97,17 @@ def test_exit_code_2_on_negative_samples(network_path, model_path, capsys):
     assert "samples must be >= 0" in capsys.readouterr().err
 
 
+def test_exit_code_2_on_checkpoint_missing_an_array(network_path, tmp_path,
+                                                    model_path, capsys):
+    with np.load(model_path) as data:
+        arrays = {k: data[k] for k in data.files if k != "ptr.Wk"}
+    path = str(tmp_path / "no_ptr_keys.npz")
+    np.savez(path, **arrays)
+    assert main(["dispatch", "policy", "--network", network_path,
+                 "--failed", "c_l1", "--model", path]) == 2
+    assert "missing ptr.Wk" in capsys.readouterr().err
+
+
 def test_report_subcommands(network_path, tmp_path, capsys):
     plans = []
     for i, solver in enumerate(["exact", "ga"]):

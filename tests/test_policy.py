@@ -1,8 +1,11 @@
 """Policy network and rollout tests: encoder symmetries, decision masking,
-plan validity, checkpoint round trips, reward bookkeeping, and golden plans
-for the batched decoder."""
+plan validity, checkpoint round trips and validation, reward bookkeeping,
+the batched draw against `Generator.choice`, an op-count guard on the
+decoding step, and golden plans for the batched decoder."""
 
+import collections
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -15,7 +18,7 @@ from gridquake.dispatch import (Depot, DispatchInstance, FailedComponent,
                                 plan_objective, schedule_plan, travel_hours)
 from gridquake.errors import ConfigError
 from gridquake.policy.nn import COMP_FEATURES, PolicyConfig, PolicyModel
-from gridquake.policy.rollout import (encode_instance, policy_dispatch,
+from gridquake.policy.rollout import (draw, encode_instance, policy_dispatch,
                                       run_batch)
 from gridquake.policy.train import (InstanceFamily, PpoConfig, _clip,
                                     _minimum, _ppo_loss, ppo_train)
@@ -137,6 +140,40 @@ def test_step_on_attended_memory_is_decode_step_bit_for_bit():
                for k, t in model.params.items())
 
 
+def test_step_op_count_does_not_grow_with_heads(monkeypatch):
+    """Heads are an axis: one decoding step runs the same products and
+    softmaxes whatever the head count, so a per-head loop shows here."""
+    calls = collections.Counter()
+    matmul, softmax = ad.Tensor.__matmul__, ad.softmax
+
+    def counting_matmul(self, other):
+        calls["matmul"] += 1
+        return matmul(self, other)
+
+    def counting_softmax(*args, **kwargs):
+        calls["softmax"] += 1
+        return softmax(*args, **kwargs)
+
+    monkeypatch.setattr(ad.Tensor, "__matmul__", counting_matmul)
+    monkeypatch.setattr(ad, "softmax", counting_softmax)
+    rng = np.random.default_rng(9)
+    comp = rng.normal(size=(3, 5, COMP_FEATURES))
+    crew = rng.normal(size=(3, 2, 6))
+    mask = np.ones((3, 10), dtype=bool)
+    counts = {}
+    for heads in (1, 2, 4):
+        model = PolicyModel.init(PolicyConfig(width=8, heads=heads,
+                                              enc_layers=1, dec_layers=2,
+                                              ffn_hidden=8), seed=0)
+        ctx = model.attend(model.encode(comp))
+        calls.clear()
+        model.step(ctx, crew, mask)
+        counts[heads] = dict(calls)
+    # embedding 1; per decoder layer self-attention 6, cross-attention 4
+    # and the feed-forward 2; pointer 2; value head 2
+    assert counts[1] == counts[2] == counts[4] == {"matmul": 29, "softmax": 4}
+
+
 def test_rollout_builds_no_graph_and_leaves_grads_alone(monkeypatch):
     model = PolicyModel.init(TINY, seed=4)
     inst = make_instance(seed=5, n=5, crews=2)
@@ -154,7 +191,7 @@ def test_rollout_builds_no_graph_and_leaves_grads_alone(monkeypatch):
     assert len(outputs) == 5
     for ctx, (logp, value) in outputs:
         for t in (logp, value, ctx.ptr_keys, ctx.pooled,
-                  *[x for layer in ctx.cross for kv in layer for x in kv]):
+                  *[x for kv in ctx.cross for x in kv]):
             assert not t.requires_grad
             assert t._parents == () and t._backward is None
     assert all(t.grad is None and t.requires_grad
@@ -247,6 +284,26 @@ def test_sampled_episodes_only_pick_feasible_pairs():
         assert set(plan.completion) == set(enc.comp_ids)
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 17),
+       k=st.integers(1, 40), keep=st.floats(0.05, 1.0))
+def test_draw_is_generator_choice_row_by_row(seed, rows, k, keep):
+    """The batched draw takes the actions and leaves the generator in the
+    state of one `Generator.choice` call per row, with zero-probability
+    entries anywhere in a row, its first and last included."""
+    rng = np.random.default_rng(seed)
+    mask = rng.random((rows, k)) < keep
+    mask[np.arange(rows), rng.integers(k, size=rows)] = True
+    probs = np.where(mask, np.exp(rng.normal(scale=3.0, size=(rows, k))),
+                     0.0)
+    probs /= probs.sum(axis=1, keepdims=True)
+    got_rng, want_rng = (np.random.default_rng(seed + 1) for _ in range(2))
+    got = draw(probs, got_rng)
+    assert got.tolist() == [int(want_rng.choice(k, p=p)) for p in probs]
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    assert mask[np.arange(rows), got].all()
+
+
 def test_policy_dispatch_best_of_decodes():
     model = PolicyModel.init(TINY, seed=8)
     inst = make_instance(seed=9, n=5, crews=2)
@@ -256,6 +313,31 @@ def test_policy_dispatch_best_of_decodes():
     assert sampled.objective.value <= greedy_only.objective.value + 1e-12
     check = plan_objective(inst, schedule_plan(inst, sampled.plan.routes))
     assert check.value == pytest.approx(sampled.objective.value, abs=1e-9)
+
+
+def test_policy_dispatch_keeps_the_greedy_plan_on_a_tie():
+    """Two identical components at one spot: every order has the same
+    objective, bit for bit. The greedy row takes the first; some sampled
+    rows, the last among them, take the other order, and still the greedy
+    plan is returned."""
+    comps = tuple(FailedComponent(id=f"f{k}", x=3.0, y=4.0,
+                                  repair_hours=2.0, curtailed_mw=1.5)
+                  for k in (1, 2))
+    inst = DispatchInstance(components=comps,
+                            depots=(Depot(id="d", x=0.0, y=0.0),))
+    model = PolicyModel.init(TINY, seed=0)
+    enc = encode_instance(inst)
+    roll = run_batch(model, [enc] * 9, np.random.default_rng(0), inst.gamma,
+                     greedy_first=True)
+    routes = [routes_of(enc, roll.actions[:, b]) for b in range(9)]
+    values = {plan_objective(inst, schedule_plan(inst, r)).value
+              for r in routes}
+    assert len(values) == 1
+    assert routes[0] == {"d:1": ["f1", "f2"]}
+    assert routes[-1] == {"d:1": ["f2", "f1"]}
+    res = policy_dispatch(model, inst, samples=8, seed=0)
+    assert res.plan.routes == {"d:1": ("f1", "f2")}
+    assert res.objective.value == values.pop()
 
 
 # Plans recorded from the one-episode-at-a-time decoder that `run_batch`
@@ -369,6 +451,64 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     assert a.plan.routes == b.plan.routes
 
 
+def old_layout_arrays(model):
+    """A model's arrays as checkpoints stored them before heads became an
+    axis: Wq, Wk and Wv of each attention as (h, d, d_k), one slice per
+    head."""
+    h, dk = model.config.heads, model.config.d_head
+    arrays = {}
+    for k, t in model.params.items():
+        a = t.data
+        if k.rsplit(".", 1)[-1] in ("Wq", "Wk", "Wv") and not k.startswith(
+                "ptr."):
+            a = a.reshape(a.shape[0], h, dk).transpose(1, 0, 2)
+        arrays[k] = a
+    return arrays
+
+
+def write_checkpoint(path, config, arrays):
+    blob = np.frombuffer(json.dumps(dataclasses.asdict(config)).encode(),
+                         dtype=np.uint8)
+    np.savez(path, __config__=blob, **arrays)
+
+
+def test_load_reads_the_per_head_checkpoint_layout(tmp_path):
+    model = PolicyModel.init(SMALL, seed=3)
+    arrays = old_layout_arrays(model)
+    assert arrays["dec.0.cross.Wk"].shape == (2, 16, 8)
+    # head 1's keys are columns 8..15 of the one matrix
+    np.testing.assert_array_equal(arrays["dec.0.cross.Wk"][1],
+                                  model.params["dec.0.cross.Wk"].data[:, 8:])
+    path = str(tmp_path / "old.npz")
+    write_checkpoint(path, SMALL, arrays)
+    back = PolicyModel.load(path)
+    for k, t in model.params.items():
+        assert np.array_equal(back.params[k].data, t.data), k
+    inst = make_instance(seed=12, n=8)
+    a = policy_dispatch(model, inst, samples=3, seed=7)
+    b = policy_dispatch(back, inst, samples=3, seed=7)
+    assert a.plan.routes == b.plan.routes
+    assert a.objective.value == b.objective.value
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda a: a.pop("ptr.Wk"), "missing ptr.Wk"),
+    (lambda a: a.update(extra=np.ones(3)), "unknown extra"),
+    (lambda a: a.update({"enc.0.ffn.W1": np.ones((8, 8))}),
+     r"enc.0.ffn.W1 has shape \(8, 8\), expected \(8, 12\)"),
+    (lambda a: a.update({"dec.0.self.Wq": np.ones((4, 8, 2))}),
+     r"dec.0.self.Wq has shape \(4, 8, 2\), expected \(8, 8\)"),
+])
+def test_load_rejects_arrays_that_do_not_match_the_config(tmp_path, edit,
+                                                         message):
+    arrays = {k: t.data for k, t in PolicyModel.init(TINY).params.items()}
+    edit(arrays)
+    path = str(tmp_path / "bad.npz")
+    write_checkpoint(path, TINY, arrays)
+    with pytest.raises(ConfigError, match=message):
+        PolicyModel.load(path)
+
+
 def test_load_rejects_non_checkpoint(tmp_path):
     path = tmp_path / "junk.npz"
     np.savez(path, a=np.ones(3))
@@ -378,6 +518,10 @@ def test_load_rejects_non_checkpoint(tmp_path):
     path2.write_text("hello")
     with pytest.raises(ConfigError):
         PolicyModel.load(str(path2))
+    path3 = tmp_path / "unknown_field.npz"
+    np.savez(path3, __config__=np.frombuffer(b'{"depth": 3}', dtype=np.uint8))
+    with pytest.raises(ConfigError, match="bad model checkpoint"):
+        PolicyModel.load(str(path3))
 
 
 def test_batch_rewards_telescope_to_objective():
