@@ -12,10 +12,10 @@ import os
 import sys
 import time
 
-from .dispatch import instance_from_scenario
+from .dispatch import ObjectiveBreakdown, instance_from_scenario
 from .errors import ConfigError, GridQuakeError, InternalError, LimitError
 from .fixtures import default_event
-from .model import load_network_file
+from .model import load_network_file, read_json, read_value
 from .pipeline import (PipelineConfig, load_pipeline_config, plan_document,
                        run_pipeline, solve, write_restoration)
 from .powerflow import energization_state, shed_at
@@ -152,13 +152,14 @@ def _cmd_train(args) -> int:
 
 
 def _load_plan_doc(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"{path}: invalid JSON: {e}") from e
-    if "completion" not in doc:
+    """A plan whose completion hours and objective, used by the reports,
+    have their types."""
+    doc = read_json(path)
+    if not isinstance(doc, dict) or "completion" not in doc:
         raise ConfigError(f"{path}: not a plan document")
+    read_value(dict[str, float], doc["completion"], f"{path}: completion")
+    read_value(ObjectiveBreakdown | None, doc.get("objective"),
+               f"{path}: objective")
     return doc
 
 

@@ -8,7 +8,6 @@ networks support randomized testing at controlled sizes.
 
 from __future__ import annotations
 
-import json
 from importlib import resources
 
 import numpy as np
@@ -116,4 +115,4 @@ def random_radial_network(
         "components": components,
         "profiles": profiles,
     }
-    return load_network(json.dumps(doc))
+    return load_network(doc)

@@ -8,9 +8,13 @@ treated as immutable after loading.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
 import math
-from dataclasses import dataclass, field
+import types
+import typing
+from dataclasses import dataclass
 
 from .errors import ConfigError
 
@@ -78,7 +82,7 @@ class Line:
     resistance: float  # p.u. on system base
     reactance: float  # p.u.
     capacity_mva: float
-    length_km: float = 0.0
+    length_km: float | None = None  # None: the span between the two buses
 
     def __post_init__(self):
         if self.from_bus == self.to_bus:
@@ -188,9 +192,6 @@ class Network:
     substation_import_mva: float | None = None
     travel_speed_kmh: float = 40.0
 
-    def component_ids(self) -> list[str]:
-        return list(self.components)
-
     def substation_buses(self) -> list[str]:
         return [b.id for b in self.buses.values() if b.is_substation]
 
@@ -257,10 +258,157 @@ class Network:
         return self.buses[comp.ref].site_class
 
 
-def _require(record: dict, key: str, path: str):
-    if key not in record:
-        raise ConfigError(f"{path}: missing required field {key!r}")
-    return record[key]
+def _join(path: str, name: str) -> str:
+    return f"{path}.{name}" if path else name
+
+
+def _scalar(kinds: tuple, what: str):
+    """Reader of a JSON scalar of the types `kinds`; a bool is no number."""
+    def read(value, path):
+        if not isinstance(value, kinds) or (isinstance(value, bool)
+                                            and bool not in kinds):
+            raise ConfigError(f"{path}: expected {what}, got {value!r}")
+        return value
+    return read
+
+
+_SCALARS = {
+    float: _scalar((int, float), "a number"),
+    int: _scalar((int,), "an integer"),
+    bool: _scalar((bool,), "true or false"),
+    str: _scalar((str,), "a string"),
+}
+
+
+@functools.cache
+def _reader(tp):
+    """A function (value, path) that checks a JSON value against the type
+    `tp` and returns it; lists read as tuples where `tp` is a tuple."""
+    if tp in _SCALARS:
+        return _SCALARS[tp]
+    if dataclasses.is_dataclass(tp):
+        return lambda value, path: read_record(tp, value, path)
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin in (typing.Union, types.UnionType):
+        [inner] = [a for a in args if a is not type(None)]
+        read = _reader(inner)
+        return lambda value, path: None if value is None else read(value, path)
+    if origin in (tuple, list):  # tuple[X, ...], tuple[X, X] or list[X]
+        item = _reader(args[0])
+        size = None if origin is list or args[-1] is Ellipsis else len(args)
+        what = "a list" if size is None else f"a list of {size} items"
+
+        def read(value, path):
+            if not isinstance(value, list) or (size is not None
+                                               and len(value) != size):
+                raise ConfigError(f"{path}: expected {what}, got {value!r}")
+            return origin(item(v, f"{path}[{i}]") for i, v in enumerate(value))
+        return read
+    if origin is dict and args[0] is str:
+        value_of = _reader(args[1])
+
+        def read(value, path):
+            if not isinstance(value, dict):
+                raise ConfigError(f"{path}: expected an object, got {value!r}")
+            return {k: value_of(v, f"{path}.{k}") for k, v in value.items()}
+        return read
+    raise TypeError(f"no document reader for {tp!r}")
+
+
+def _writer(tp):
+    """None when values of the type `tp` are JSON as they are, else a
+    function that makes them so: tuples become lists, records objects."""
+    if dataclasses.is_dataclass(tp):
+        return record_document
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin in (typing.Union, types.UnionType):
+        [inner] = [a for a in args if a is not type(None)]
+        write = _writer(inner)
+        return write and (lambda value: None if value is None else write(value))
+    if origin in (tuple, list):
+        item = _writer(args[0])
+        return list if item is None else (lambda value: [item(v) for v in value])
+    return dict if origin is dict else None
+
+
+@functools.cache
+def _fields(cls) -> dict:
+    """name -> (reader, required, writer) of each field of the dataclass
+    `cls`, in declaration order: the one schema of every document record."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: (_reader(hints[f.name]),
+                     f.default is f.default_factory is dataclasses.MISSING,
+                     _writer(hints[f.name]))
+            for f in dataclasses.fields(cls)}
+
+
+def read_record(cls, rec, path: str, **given):
+    """Build the dataclass `cls` from the JSON object `rec` found at `path`.
+
+    Each field's value is `given[name]`, else the document's, else the
+    dataclass default. A document value must have the field's declared
+    type: an integer is a number and a bool is not; `X | None` takes null;
+    a tuple or list field takes a list, a `dict[str, X]` an object, and a
+    dataclass field an object read the same way. Lists become tuples for
+    tuple fields; nothing else is converted. A missing required field, a
+    key that names no field, or a value of the wrong type is a ConfigError
+    naming its path."""
+    if not isinstance(rec, dict):
+        raise ConfigError(f"{path or 'document'}: expected an object, "
+                          f"got {rec!r}")
+    fields = _fields(cls)
+    if not rec.keys() <= fields.keys():
+        names = ", ".join(_join(path, k) for k in sorted(rec.keys() - fields))
+        raise ConfigError(f"unknown field {names}")
+    values = dict(given)
+    for name, value in rec.items():
+        if name not in values:
+            values[name] = fields[name][0](value, _join(path, name))
+    for name, (_, required, _) in fields.items():
+        if required and name not in values:
+            raise ConfigError(f"{path or 'document'}: missing required "
+                              f"field {name!r}")
+    return cls(**values)
+
+
+def record_document(obj) -> dict:
+    """The JSON object of a record that read_record reads back: its fields
+    in declaration order, the order in which the dataclass sets them."""
+    doc = dict(vars(obj))
+    for name, (_, _, write) in _fields(type(obj)).items():
+        if write is not None:
+            doc[name] = write(doc[name])
+    return doc
+
+
+def read_value(tp, value, path: str):
+    """Check one JSON value against the type `tp` as read_record does."""
+    return _reader(tp)(value, path)
+
+
+def read_json(path: str):
+    """Parse the JSON file at `path`; a parse error is a ConfigError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as e:  # a JSON or a UTF-8 decoding error
+            raise ConfigError(f"{path}: invalid JSON: {e}") from e
+
+
+def _section(document: dict, key: str, build) -> dict:
+    """The records under `key`, made by build(rec, path), by unique id."""
+    records = document.get(key, [])
+    if not (isinstance(records, list)
+            and all(isinstance(rec, dict) for rec in records)):
+        raise ConfigError(f"{key}: expected a list of objects, got {records!r}")
+    out = {}
+    for i, rec in enumerate(records):
+        path = f"{key}[{i}]"
+        obj = build(rec, path)
+        if obj.id in out:
+            raise ConfigError(f"{path}.id: duplicate id {obj.id!r}")
+        out[obj.id] = obj
+    return out
 
 
 def load_network(document: str | dict) -> Network:
@@ -277,143 +425,60 @@ def load_network(document: str | dict) -> Network:
     if not isinstance(document, dict):
         raise ConfigError("network document must be a JSON object")
 
-    profiles: dict[str, LoadProfile] = {}
-    for i, rec in enumerate(document.get("profiles", [])):
-        path = f"profiles[{i}]"
-        pid = _require(rec, "id", path)
-        if pid in profiles:
-            raise ConfigError(f"{path}.id: duplicate id {pid!r}")
-        q = rec.get("q_mvar")
-        profiles[pid] = LoadProfile(
-            id=pid,
-            p_mw=tuple(_require(rec, "p_mw", path)),
-            q_mvar=tuple(q) if q is not None else None,
-        )
+    profiles = _section(document, "profiles",
+                        functools.partial(read_record, LoadProfile))
 
-    buses: dict[str, Bus] = {}
-    for i, rec in enumerate(document.get("buses", [])):
-        path = f"buses[{i}]"
-        bid = _require(rec, "id", path)
-        if bid in buses:
-            raise ConfigError(f"{path}.id: duplicate id {bid!r}")
-        buses[bid] = Bus(
-            id=bid,
-            x=float(_require(rec, "x", path)),
-            y=float(_require(rec, "y", path)),
-            v_min=float(rec.get("v_min", 0.90)),
-            v_max=float(rec.get("v_max", 1.10)),
-            power_factor_angle=float(rec.get("power_factor_angle", 0.0)),
-            is_substation=bool(rec.get("is_substation", False)),
-            load_profile=rec.get("load_profile"),
-            site_class=rec.get("site_class", "rock"),
-        )
+    def bus(rec, path):
+        b = read_record(Bus, rec, path)
+        if b.load_profile is not None and b.load_profile not in profiles:
+            raise ConfigError(f"{path}.load_profile: "
+                              f"unknown profile {b.load_profile!r}")
+        return b
+    buses = _section(document, "buses", bus)
 
-    lines: dict[str, Line] = {}
-    for i, rec in enumerate(document.get("lines", [])):
-        path = f"lines[{i}]"
-        lid = _require(rec, "id", path)
-        if lid in lines:
-            raise ConfigError(f"{path}.id: duplicate id {lid!r}")
-        fb = _require(rec, "from_bus", path)
-        tb = _require(rec, "to_bus", path)
-        for end, name in ((fb, "from_bus"), (tb, "to_bus")):
-            if end not in buses:
-                raise ConfigError(f"{path}.{name}: unknown bus {end!r}")
-        length = rec.get("length_km")
-        if length is None:
-            a, b = buses[fb], buses[tb]
-            length = math.hypot(a.x - b.x, a.y - b.y)
-        lines[lid] = Line(
-            id=lid,
-            from_bus=fb,
-            to_bus=tb,
-            resistance=float(_require(rec, "resistance", path)),
-            reactance=float(_require(rec, "reactance", path)),
-            capacity_mva=float(_require(rec, "capacity_mva", path)),
-            length_km=float(length),
-        )
+    def line(rec, path):
+        ln = read_record(Line, rec, path)
+        for end, bus_id in (("from_bus", ln.from_bus), ("to_bus", ln.to_bus)):
+            if bus_id not in buses:
+                raise ConfigError(f"{path}.{end}: unknown bus {bus_id!r}")
+        if ln.length_km is None:
+            a, b = buses[ln.from_bus], buses[ln.to_bus]
+            ln = dataclasses.replace(ln, length_km=math.hypot(a.x - b.x,
+                                                              a.y - b.y))
+        return ln
+    lines = _section(document, "lines", line)
 
-    generators: dict[str, Generator] = {}
-    for i, rec in enumerate(document.get("generators", [])):
-        path = f"generators[{i}]"
-        gid = _require(rec, "id", path)
-        if gid in generators:
-            raise ConfigError(f"{path}.id: duplicate id {gid!r}")
-        bus = _require(rec, "bus", path)
-        if bus not in buses:
-            raise ConfigError(f"{path}.bus: unknown bus {bus!r}")
-        generators[gid] = Generator(
-            id=gid,
-            bus=bus,
-            p_min=float(rec.get("p_min", 0.0)),
-            p_max=float(_require(rec, "p_max", path)),
-            q_min=float(rec.get("q_min", 0.0)),
-            q_max=float(rec.get("q_max", 0.0)),
-        )
+    def generator(rec, path):
+        g = read_record(Generator, rec, path)
+        if g.bus not in buses:
+            raise ConfigError(f"{path}.bus: unknown bus {g.bus!r}")
+        return g
+    generators = _section(document, "generators", generator)
 
-    depots: dict[str, Depot] = {}
-    for i, rec in enumerate(document.get("depots", [])):
-        path = f"depots[{i}]"
-        did = _require(rec, "id", path)
-        if did in depots:
-            raise ConfigError(f"{path}.id: duplicate id {did!r}")
-        depots[did] = Depot(
-            id=did,
-            x=float(_require(rec, "x", path)),
-            y=float(_require(rec, "y", path)),
-            crew_count=int(rec.get("crew_count", 1)),
-        )
+    depots = _section(document, "depots",
+                      functools.partial(read_record, Depot))
 
-    components: dict[str, Component] = {}
-    for i, rec in enumerate(document.get("components", [])):
-        path = f"components[{i}]"
-        cid = _require(rec, "id", path)
-        if cid in components:
-            raise ConfigError(f"{path}.id: duplicate id {cid!r}")
-        kind = _require(rec, "kind", path)
+    def component(rec, path):
+        kind = rec.get("kind")
         if kind not in COMPONENT_KINDS:
             raise ConfigError(f"{path}.kind: unknown kind {kind!r}")
-        ref = _require(rec, "ref", path)
+        given = {}
+        if rec.get("fragility") is None:
+            given["fragility"] = FragilityCurve(*DEFAULT_FRAGILITY[kind])
+        if "repair_hours" not in rec:
+            given["repair_hours"] = DEFAULT_REPAIR_HOURS[kind]
+        c = read_record(Component, rec, path, **given)
         pool = {"line": lines, "generator": generators, "substation": buses}[kind]
-        if ref not in pool:
-            raise ConfigError(f"{path}.ref: unknown {kind} {ref!r}")
-        if kind == "substation" and not buses[ref].is_substation:
-            raise ConfigError(f"{path}.ref: bus {ref!r} is not a substation")
-        frag = rec.get("fragility")
-        if frag is None:
-            med, beta = DEFAULT_FRAGILITY[kind]
-            curve = FragilityCurve(med, beta)
-        else:
-            curve = FragilityCurve(
-                median_g=float(_require(frag, "median_g", f"{path}.fragility")),
-                beta=float(_require(frag, "beta", f"{path}.fragility")),
-            )
-        components[cid] = Component(
-            id=cid,
-            kind=kind,
-            ref=ref,
-            fragility=curve,
-            repair_hours=float(rec.get("repair_hours", DEFAULT_REPAIR_HOURS[kind])),
-        )
+        if c.ref not in pool:
+            raise ConfigError(f"{path}.ref: unknown {kind} {c.ref!r}")
+        if kind == "substation" and not buses[c.ref].is_substation:
+            raise ConfigError(f"{path}.ref: bus {c.ref!r} is not a substation")
+        return c
+    components = _section(document, "components", component)
 
-    for bid, bus in buses.items():
-        if bus.load_profile is not None and bus.load_profile not in profiles:
-            raise ConfigError(
-                f"buses[{list(buses).index(bid)}].load_profile: "
-                f"unknown profile {bus.load_profile!r}"
-            )
-
-    net = Network(
-        buses=buses,
-        lines=lines,
-        generators=generators,
-        depots=depots,
-        components=components,
-        profiles=profiles,
-        timestep_hours=float(document.get("timestep_hours", 1.0)),
-        substation_import_mva=document.get("substation_import_mva"),
-        travel_speed_kmh=float(document.get("travel_speed_kmh", 40.0)),
-    )
+    net = read_record(Network, document, "", buses=buses, lines=lines,
+                      generators=generators, depots=depots,
+                      components=components, profiles=profiles)
 
     report = validate_radiality(net)
     if report.cycles:
@@ -425,13 +490,9 @@ def load_network(document: str | dict) -> Network:
     return net
 
 
-def validate_radiality(net: Network, in_service: set[str] | None = None) -> RadialityReport:
-    """Check that the in-service lines form a forest and every tree holds a
-    source (substation bus or generator bus). `in_service` defaults to all
-    lines."""
-    if in_service is None:
-        in_service = set(net.lines)
-
+def validate_radiality(net: Network) -> RadialityReport:
+    """Check that the lines form a forest and every tree holds a source
+    (substation bus or generator bus)."""
     parent = {b: b for b in net.buses}
 
     def find(a):
@@ -442,10 +503,7 @@ def validate_radiality(net: Network, in_service: set[str] | None = None) -> Radi
 
     cycles = []
     adj: dict[str, list[tuple[str, str]]] = {b: [] for b in net.buses}
-    for lid in net.lines:
-        if lid not in in_service:
-            continue
-        ln = net.lines[lid]
+    for lid, ln in net.lines.items():
         ra, rb = find(ln.from_bus), find(ln.to_bus)
         if ra == rb:
             cycles.append(_trace_cycle(net, adj, ln))
@@ -489,61 +547,15 @@ def _trace_cycle(net: Network, adj, closing: Line) -> tuple[str, ...]:
 
 def network_to_document(net: Network) -> dict:
     """Inverse of load_network; round-trips exactly."""
-    return {
-        "timestep_hours": net.timestep_hours,
-        "substation_import_mva": net.substation_import_mva,
-        "travel_speed_kmh": net.travel_speed_kmh,
-        "buses": [
-            {
-                "id": b.id, "x": b.x, "y": b.y,
-                "v_min": b.v_min, "v_max": b.v_max,
-                "power_factor_angle": b.power_factor_angle,
-                "is_substation": b.is_substation,
-                "load_profile": b.load_profile,
-                "site_class": b.site_class,
-            }
-            for b in net.buses.values()
-        ],
-        "lines": [
-            {
-                "id": ln.id, "from_bus": ln.from_bus, "to_bus": ln.to_bus,
-                "resistance": ln.resistance, "reactance": ln.reactance,
-                "capacity_mva": ln.capacity_mva, "length_km": ln.length_km,
-            }
-            for ln in net.lines.values()
-        ],
-        "generators": [
-            {
-                "id": g.id, "bus": g.bus,
-                "p_min": g.p_min, "p_max": g.p_max,
-                "q_min": g.q_min, "q_max": g.q_max,
-            }
-            for g in net.generators.values()
-        ],
-        "depots": [
-            {"id": d.id, "x": d.x, "y": d.y, "crew_count": d.crew_count}
-            for d in net.depots.values()
-        ],
-        "components": [
-            {
-                "id": c.id, "kind": c.kind, "ref": c.ref,
-                "fragility": {"median_g": c.fragility.median_g,
-                              "beta": c.fragility.beta},
-                "repair_hours": c.repair_hours,
-            }
-            for c in net.components.values()
-        ],
-        "profiles": [
-            {
-                "id": p.id,
-                "p_mw": list(p.p_mw),
-                "q_mvar": list(p.q_mvar) if p.q_mvar is not None else None,
-            }
-            for p in net.profiles.values()
-        ],
-    }
+    doc, sections = {}, {}
+    for name in _fields(Network):
+        value = getattr(net, name)
+        if isinstance(value, dict):  # an id-keyed section, written as a list
+            sections[name] = [record_document(rec) for rec in value.values()]
+        else:
+            doc[name] = value
+    return {**doc, **sections}
 
 
 def load_network_file(path: str) -> Network:
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_network(fh.read())
+    return load_network(read_json(path))

@@ -9,7 +9,6 @@ wall-clock-dependent output (timings.json) is excluded from the manifest.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import os
 import time
@@ -20,7 +19,7 @@ from .dispatch import exact_dispatch, instance_from_scenario
 from .errors import ConfigError, InternalError, LimitError
 from .fixtures import default_event
 from .ga import GaConfig, ga_dispatch
-from .model import Network
+from .model import Network, read_json, read_record, record_document
 from .powerflow import ens_timeline
 from .report import (ComparisonRow, fill_gaps, plot_lines_svg,
                      resilience_curves_ok, write_comparison_csv, write_csv,
@@ -34,18 +33,18 @@ KNOWN_SOLVERS = ("exact", "ga", "policy")
 
 @dataclass
 class PipelineConfig:
-    magnitudes: tuple = (6.5, 7.5, 8.5)
+    magnitudes: tuple[float, ...] = (6.5, 7.5, 8.5)
     n_scenarios: int = 400
     reduce_to: int = 20
-    return_periods: tuple = (2.0, 10.0, 50.0, 100.0)
+    return_periods: tuple[float, ...] = (2.0, 10.0, 50.0, 100.0)
     w1: float = 1.0
     w2: float = 1.0
     gamma: float = 0.5
     seed: int = 0
     exact_ens: bool = False
-    epicenter: tuple = (20.0, 15.0)
+    epicenter: tuple[float, float] = (20.0, 15.0)
     focal_depth_km: float = 10.0
-    solvers: tuple = ("exact", "ga")
+    solvers: tuple[str, ...] = ("exact", "ga")
     ga_population: int = 60
     ga_generations: int = 120
     policy_model: str | None = None
@@ -64,7 +63,9 @@ class PipelineConfig:
             raise ConfigError("reduce_to must cover the return periods")
         for name, ok, rule in (
                 ("magnitudes", len(self.magnitudes) >= 1, "non-empty"),
-                ("focal_depth_km", self.focal_depth_km >= 0, ">= 0"),
+                ("return_periods", all(p > 0 for p in self.return_periods),
+                 "> 0"),
+                ("epicenter", len(self.epicenter) == 2, "an (x, y) pair"),
                 ("w1", self.w1 >= 0, ">= 0"),
                 ("w2", self.w2 >= 0, ">= 0"),
                 ("gamma", 0.0 <= self.gamma <= 1.0, "in [0, 1]"),
@@ -78,39 +79,18 @@ class PipelineConfig:
                 ("exact_time_limit_s", self.exact_time_limit_s > 0, "> 0")):
             if not ok:
                 raise ConfigError(f"{name} must be {rule}")
-
-
-_CONFIG_KEYS = {
-    "magnitudes", "n_scenarios", "reduce_to", "return_periods", "w1", "w2",
-    "gamma", "seed", "exact_ens", "epicenter", "focal_depth_km", "solvers",
-    "ga_population", "ga_generations", "policy_model", "policy_samples",
-    "exact_max_components", "exact_max_crews", "exact_time_limit_s",
-}
+        # each magnitude's event, so that the event's own rules apply
+        for mag in self.magnitudes:
+            default_event(mag, epicenter=self.epicenter,
+                          focal_depth_km=self.focal_depth_km)
 
 
 def config_from_document(doc: dict) -> PipelineConfig:
-    if not isinstance(doc, dict):
-        raise ConfigError("pipeline config must be a JSON object")
-    unknown = set(doc) - _CONFIG_KEYS
-    if unknown:
-        raise ConfigError(f"unknown pipeline config keys: {sorted(unknown)}")
-    coerced = dict(doc)
-    for key in ("magnitudes", "return_periods", "solvers", "epicenter"):
-        if key in coerced:
-            coerced[key] = tuple(coerced[key])
-    try:
-        return PipelineConfig(**coerced)
-    except TypeError as e:
-        raise ConfigError(f"bad pipeline config: {e}") from e
+    return read_record(PipelineConfig, doc, "")
 
 
 def load_pipeline_config(path: str) -> PipelineConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"{path}: invalid JSON: {e}") from e
-    return config_from_document(doc)
+    return config_from_document(read_json(path))
 
 
 def _stable_seed(*parts) -> int:
@@ -331,8 +311,7 @@ def run_pipeline(network: Network, config: PipelineConfig, out_dir: str,
     write_comparison_csv(rows, os.path.join(out_dir, "comparison.csv"))
 
     summary = {
-        "config": {k: (list(v) if isinstance(v, tuple) else v)
-                   for k, v in asdict(config).items()},
+        "config": record_document(config),
         "magnitudes": summaries,
     }
     write_json(summary, os.path.join(out_dir, "summary.json"))

@@ -433,13 +433,16 @@ class Adam:
             p.grad = None
 
     def step(self):
+        """One update, the moments in place and in the formula's order."""
         self.t += 1
         b1, b2 = self.beta1, self.beta2
+        c1, c2 = 1 - b1 ** self.t, 1 - b2 ** self.t
         for k, p in self.params.items():
             if p.grad is None:
                 continue
-            self.m[k] = b1 * self.m[k] + (1 - b1) * p.grad
-            self.v[k] = b2 * self.v[k] + (1 - b2) * p.grad ** 2
-            mhat = self.m[k] / (1 - b1 ** self.t)
-            vhat = self.v[k] / (1 - b2 ** self.t)
-            p.data -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+            m, v = self.m[k], self.v[k]
+            m *= b1
+            m += (1 - b1) * p.grad
+            v *= b2
+            v += (1 - b2) * p.grad ** 2
+            p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)

@@ -14,13 +14,12 @@ exactly only for the near-ties that decide the pick.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import ConfigError
-from .model import Network
+from .model import Network, read_json, read_record, record_document
 from .powerflow import de_energized_load, shed_at
 from .seismic import SeismicEvent, compute_pga_field, sample_damage
 
@@ -30,19 +29,19 @@ WEIGHT_TOL = 1e-9
 @dataclass(frozen=True)
 class DamageScenario:
     id: int
-    failed: tuple  # component ids that failed, document order
-    pga_g: dict  # component id -> sampled PGA (g)
+    failed: tuple[str, ...]  # component ids that failed, document order
     loss: float
     ens_mw: float  # load de-energized/shed at the reference hour
     weight: float
+    pga_g: dict[str, float] = field(default_factory=dict)  # id -> PGA, g
 
 
 @dataclass
 class ScenarioSet:
-    scenarios: list
+    scenarios: list[DamageScenario]
     magnitude: float
-    seed: int | None
     n_generated: int
+    seed: int | None = None
     w1: float = 1.0
     w2: float = 1.0
 
@@ -362,57 +361,14 @@ def reduction_distance(sset: ScenarioSet, retained_ids) -> float:
 # --- serialization ----------------------------------------------------------
 
 def scenario_set_to_document(sset: ScenarioSet) -> dict:
-    return {
-        "magnitude": sset.magnitude,
-        "seed": sset.seed,
-        "n_generated": sset.n_generated,
-        "w1": sset.w1,
-        "w2": sset.w2,
-        "scenarios": [
-            {
-                "id": s.id,
-                "failed": list(s.failed),
-                "pga_g": {k: s.pga_g[k] for k in sorted(s.pga_g)},
-                "loss": s.loss,
-                "ens_mw": s.ens_mw,
-                "weight": s.weight,
-            }
-            for s in sset.scenarios
-        ],
-    }
+    return record_document(sset)
 
 
 def scenario_set_from_document(doc: dict) -> ScenarioSet:
-    try:
-        scenarios = [
-            DamageScenario(
-                id=int(rec["id"]),
-                failed=tuple(rec["failed"]),
-                pga_g=dict(rec.get("pga_g", {})),
-                loss=float(rec["loss"]),
-                ens_mw=float(rec["ens_mw"]),
-                weight=float(rec["weight"]),
-            )
-            for rec in doc["scenarios"]
-        ]
-        sset = ScenarioSet(
-            scenarios=scenarios,
-            magnitude=float(doc["magnitude"]),
-            seed=doc.get("seed"),
-            n_generated=int(doc["n_generated"]),
-            w1=float(doc.get("w1", 1.0)),
-            w2=float(doc.get("w2", 1.0)),
-        )
-    except (KeyError, TypeError, ValueError) as e:
-        raise ConfigError(f"bad scenario set document: {e}") from e
+    sset = read_record(ScenarioSet, doc, "")
     sset.check_weights()
     return sset
 
 
 def load_scenario_set(path: str) -> ScenarioSet:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"{path}: invalid JSON: {e}") from e
-    return scenario_set_from_document(doc)
+    return scenario_set_from_document(read_json(path))

@@ -394,3 +394,24 @@ def test_adam_zero_grad_clears():
     w.grad = np.ones(3)
     opt.zero_grad()
     assert w.grad is None  # accumulation re-creates the buffer on demand
+
+
+def test_adam_steps_in_place_match_the_formula_bit_for_bit():
+    rng = np.random.default_rng(7)
+    w = ad.Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    opt = ad.Adam({"w": w}, lr=0.01)
+    m_buf, v_buf = opt.m["w"], opt.v["w"]
+    want, m, v = w.data.copy(), np.zeros((4, 3)), np.zeros((4, 3))
+    b1, b2, eps = opt.beta1, opt.beta2, opt.eps
+    for t in range(1, 6):
+        g = rng.normal(size=(4, 3))
+        w.grad = g
+        opt.step()
+        m = b1 * m + (1 - b1) * g
+        v = b2 * v + (1 - b2) * g ** 2
+        mhat = m / (1 - b1 ** t)
+        vhat = v / (1 - b2 ** t)
+        want -= 0.01 * mhat / (np.sqrt(vhat) + eps)
+        assert np.array_equal(w.data, want), t
+        assert np.array_equal(opt.m["w"], m) and np.array_equal(opt.v["w"], v)
+    assert opt.m["w"] is m_buf and opt.v["w"] is v_buf

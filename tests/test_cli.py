@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from gridquake.cli import main
-from gridquake.fixtures import builtin_feeder
+from gridquake.fixtures import builtin_feeder, default_event
 from gridquake.model import network_to_document
 from gridquake.policy.nn import PolicyConfig, PolicyModel
+from gridquake.scenarios import generate_scenarios, scenario_set_to_document
 
 
 @pytest.fixture()
@@ -333,3 +334,72 @@ def test_train_rejects_bad_settings_before_writing(flags, rule, tmp_path,
     assert main(["train", "--out", str(out), "--width", "8"] + flags) == 2
     assert rule in capsys.readouterr().err
     assert not out.exists()
+
+
+def _scenario_doc() -> dict:
+    return scenario_set_to_document(
+        generate_scenarios(builtin_feeder(), default_event(7.5), 3, seed=1))
+
+
+_PLAN = {"solver": "exact", "status": "ok", "completion": {"c_l3": 2.5},
+         "objective": {"value": 1.0, "makespan_hours": 2.5,
+                       "weighted_completion": 1.0, "gamma": 0.5}}
+
+
+@pytest.mark.parametrize("kind,edit,where", [
+    ("network", lambda d: d["buses"][0].update(x="abc"), "buses[0].x"),
+    ("network", lambda d: d["profiles"][0].update(p_mw=5), "profiles[0].p_mw"),
+    ("network", lambda d: d["components"][0].update(fragility=3),
+     "components[0].fragility"),
+    ("network", lambda d: d["buses"][1].update(v_mn=0.9), "buses[1].v_mn"),
+    ("network", lambda d: d.update(substation_import_mvaa=3.0),
+     "substation_import_mvaa"),
+    ("network", lambda d: d["depots"][0].update(crew_count=1.7),
+     "depots[0].crew_count"),
+    ("network", lambda d: d["buses"][0].update(is_substation="false"),
+     "buses[0].is_substation"),
+    ("config", lambda d: d.update(magnitudes="7.5"), "magnitudes"),
+    ("config", lambda d: d.update(magnitudes=[11]), "magnitude 11"),
+    ("config", lambda d: d.update(return_periods=[0, 2]), "return_periods"),
+    ("config", lambda d: d.update(epicenter=[1, 2, 3]), "epicenter"),
+    ("config", lambda d: d.update(seed=1.5), "seed"),
+    ("scenarios", lambda d: d["scenarios"][0].update(failed="c_l3"),
+     "scenarios[0].failed"),
+    ("plan", lambda d: d.update(completion={"c_l3": "x"}),
+     "completion.c_l3"),
+    ("plan", lambda d: d["objective"].update(value="x"), "objective.value"),
+])
+def test_exit_code_2_on_malformed_documents(kind, edit, where, tmp_path,
+                                            network_path, capsys):
+    doc = {"network": network_to_document(builtin_feeder()),
+           "config": {"magnitudes": [7.5], "n_scenarios": 10,
+                      "reduce_to": 4, "return_periods": [2, 10]},
+           "scenarios": _scenario_doc(),
+           "plan": json.loads(json.dumps(_PLAN))}[kind]
+    edit(doc)
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    if kind in ("network", "config"):
+        net = str(path) if kind == "network" else network_path
+        cfg = str(path) if kind == "config" else str(tmp_path / "cfg.json")
+        if kind == "network":
+            (tmp_path / "cfg.json").write_text("{}")
+        runs = [["pipeline", "--network", net, "--config", cfg,
+                 "--out", str(out)]]
+    elif kind == "scenarios":
+        runs = [["dispatch", "exact", "--network", network_path,
+                 "--scenarios", str(path), "--scenario-id", "0",
+                 "--out", str(out)],
+                ["reduce", "--scenarios", str(path), "--k", "2",
+                 "--out", str(out)]]
+    else:
+        runs = [["report", "resilience", "--network", network_path,
+                 "--plans", str(path), "--out", str(out)],
+                ["report", "compare", "--plans", str(path),
+                 "--out", str(out)]]
+    for argv in runs:
+        assert main(argv) == 2, argv
+        assert where in capsys.readouterr().err, argv
+        assert not any(p.name.startswith("out")
+                       for p in tmp_path.iterdir()), argv

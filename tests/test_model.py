@@ -2,12 +2,14 @@
 
 import json
 import math
+import re
 
 import pytest
 
 from gridquake.errors import ConfigError
-from gridquake.fixtures import builtin_feeder
-from gridquake.model import (load_network, network_to_document,
+from gridquake.fixtures import builtin_feeder, random_radial_network
+from gridquake.model import (FragilityCurve, LoadProfile, load_network,
+                             network_to_document, read_record,
                              validate_radiality)
 
 
@@ -116,22 +118,18 @@ def test_isolated_group_with_generator_allowed():
     assert "b3" in net.buses
 
 
-def test_validate_radiality_with_outages():
-    net = builtin_feeder()
-    report = validate_radiality(net)
-    assert report.ok
-    # removing a line strands its subtree unless a generator lives there
-    report2 = validate_radiality(net, in_service=[l for l in net.lines
-                                                 if l != "l5"])
-    assert report2.ok or report2.sourceless
+def test_validate_radiality_accepts_builtin_feeder():
+    assert validate_radiality(builtin_feeder()).ok
 
 
 def test_document_round_trip():
-    net = builtin_feeder()
-    doc = network_to_document(net)
-    net2 = load_network(json.dumps(doc))
-    assert network_to_document(net2) == doc
-    assert set(net2.components) == set(net.components)
+    nets = [builtin_feeder()] + [random_radial_network(s, n)
+                                 for s in range(5) for n in (2, 6, 30)]
+    for net in nets:
+        doc = network_to_document(net)
+        net2 = load_network(json.dumps(doc))
+        assert network_to_document(net2) == doc
+        assert repr(net2) == repr(net)
 
 
 def test_builtin_feeder_shape():
@@ -156,3 +154,97 @@ def test_component_locations():
     g = net.generators["g1"]
     b = net.buses[g.bus]
     assert net.component_location("c_g1") == pytest.approx((b.x, b.y))
+
+
+DELETE = object()
+
+
+def _with(path, value):
+    """doc_minimal() with the value at `path` (keys and list indices)
+    replaced, or the key removed when `value` is DELETE."""
+    doc = doc_minimal()
+    *parents, last = path
+    rec = doc
+    for key in parents:
+        rec = rec[key]
+    if value is DELETE:
+        del rec[last]
+    else:
+        rec[last] = value
+    return doc
+
+
+@pytest.mark.parametrize("path,value,where", [
+    (("buses", 1, "x"), "abc", "buses[1].x: expected a number"),
+    (("buses", 1, "x"), True, "buses[1].x: expected a number"),
+    (("buses", 1, "x"), None, "buses[1].x: expected a number"),
+    (("buses", 0, "is_substation"), "false",
+     "buses[0].is_substation: expected true or false"),
+    (("buses", 0, "is_substation"), 1,
+     "buses[0].is_substation: expected true or false"),
+    (("buses", 0, "v_mn"), 0.9, "unknown field buses[0].v_mn"),
+    (("substation_import_mvaa",), 3.0,
+     "unknown field substation_import_mvaa"),
+    (("timestep_hours",), "1", "timestep_hours: expected a number"),
+    (("buses", 1, "load_profile"), 1, "buses[1].load_profile"),
+    (("depots", 0, "crew_count"), 1.7,
+     "depots[0].crew_count: expected an integer"),
+    (("depots", 0, "crew_count"), 2.0,
+     "depots[0].crew_count: expected an integer"),
+    (("depots", 0, "id"), 5, "depots[0].id: expected a string"),
+    (("profiles", 0, "p_mw"), 5, "profiles[0].p_mw: expected a list"),
+    (("profiles", 0, "p_mw"), [1.0, "2"],
+     "profiles[0].p_mw[1]: expected a number"),
+    (("components", 0, "fragility"), 3,
+     "components[0].fragility: expected an object"),
+    (("components", 0, "fragility"), {"median_g": 0.3},
+     "components[0].fragility: missing required field 'beta'"),
+    (("components", 0, "fragility"), {"median_g": 0.3, "beta": "0.7"},
+     "components[0].fragility.beta: expected a number"),
+    (("components", 0, "repair_hours"), None,
+     "components[0].repair_hours: expected a number"),
+    (("lines", 0, "capacity_mva"), DELETE,
+     "lines[0]: missing required field 'capacity_mva'"),
+    (("lines",), {"l1": {}}, "lines: expected a list of objects"),
+    (("lines", 0), "l1", "lines: expected a list of objects"),
+])
+def test_malformed_network_field_names_its_path(path, value, where):
+    with pytest.raises(ConfigError, match=re.escape(where)):
+        load_network(_with(path, value))
+
+
+def test_integer_numbers_load_as_written():
+    # an integer is a number; it is stored as read, not converted
+    doc = doc_minimal()
+    doc["buses"][1].update(x=3, y=4)
+    doc["profiles"][0]["p_mw"] = [1, 2]
+    net = load_network(json.dumps(doc))
+    assert net.buses["b2"].x == 3 and type(net.buses["b2"].x) is int
+    assert net.profiles["p1"].p_mw == (1, 2)
+    assert net.lines["l1"].length_km == pytest.approx(5.0)
+    assert net.components["c1"].fragility == FragilityCurve(0.3, 0.7)
+    assert net.components["c1"].repair_hours == 1.0
+
+
+def test_null_length_and_fragility_take_the_loader_defaults():
+    doc = doc_minimal()
+    doc["lines"][0]["length_km"] = None
+    doc["components"][0]["fragility"] = None
+    net = load_network(doc)
+    assert net.lines["l1"].length_km == pytest.approx(5.0)
+    assert net.components["c1"].fragility == FragilityCurve(0.3, 0.7)
+
+
+def test_read_record_rules():
+    rec = {"id": "p", "p_mw": [1, 2.5], "q_mvar": None}
+    assert read_record(LoadProfile, rec, "x") == LoadProfile("p", (1, 2.5))
+    # given values win over the document and are taken as they are
+    assert read_record(LoadProfile, rec, "x", p_mw=(3.0,)).p_mw == (3.0,)
+    with pytest.raises(ConfigError, match=re.escape("x: expected an object")):
+        read_record(LoadProfile, [rec], "x")
+    with pytest.raises(ConfigError, match="document: missing required "
+                                          "field 'id'"):
+        read_record(LoadProfile, {"p_mw": [1.0]}, "")
+    with pytest.raises(ConfigError, match=re.escape("x.q_mvar[0]: expected "
+                                                    "a number, got False")):
+        read_record(LoadProfile, {**rec, "q_mvar": [False, 1.0]}, "x")

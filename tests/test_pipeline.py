@@ -12,7 +12,7 @@ from gridquake.cli import main
 from gridquake.dispatch import _Compiled
 from gridquake.errors import ConfigError
 from gridquake.fixtures import builtin_feeder
-from gridquake.model import network_to_document
+from gridquake.model import load_network, network_to_document
 from gridquake.pipeline import (PipelineConfig, config_from_document,
                                 run_pipeline)
 from gridquake.policy import PolicyConfig, PolicyModel
@@ -34,6 +34,27 @@ def test_config_document_round_trip():
 def test_config_rejects_unknown_keys():
     with pytest.raises(ConfigError):
         config_from_document({"n_scenariosss": 10})
+
+
+@pytest.mark.parametrize("field,where", [
+    ({"magnitudes": "7.5"}, "magnitudes: expected a list"),
+    ({"magnitudes": ["7.5"]}, "magnitudes[0]: expected a number"),
+    ({"epicenter": [1.0]}, "epicenter: expected a list of 2 items"),
+    ({"solvers": ["exact", 1]}, "solvers[1]: expected a string"),
+    ({"seed": 1.5}, "seed: expected an integer"),
+    ({"ga_population": 20.0}, "ga_population: expected an integer"),
+    ({"exact_ens": 1}, "exact_ens: expected true or false"),
+    ({"gamma": "0.5"}, "gamma: expected a number"),
+    ({"policy_model": 3}, "policy_model: expected a string")])
+def test_config_document_fields_are_typed(field, where):
+    with pytest.raises(ConfigError, match=re.escape(where)):
+        config_from_document(field)
+
+
+def test_config_document_keeps_numbers_as_written():
+    cfg = config_from_document({"gamma": 1, "w1": 2, "epicenter": [20, 15]})
+    assert (cfg.gamma, cfg.w1, cfg.epicenter) == (1, 2, (20, 15))
+    assert type(cfg.gamma) is int
 
 
 def test_config_rejects_unknown_solver():
@@ -73,7 +94,10 @@ def test_config_rejects_empty_ga_population_and_negative_samples(field):
     ({"exact_max_components": -1}, "exact_max_components must be >= 1"),
     ({"exact_max_crews": 0}, "exact_max_crews must be >= 1"),
     ({"exact_time_limit_s": 0.0}, "exact_time_limit_s must be > 0"),
-    ({"exact_time_limit_s": -1.0}, "exact_time_limit_s must be > 0")])
+    ({"exact_time_limit_s": -1.0}, "exact_time_limit_s must be > 0"),
+    ({"magnitudes": [11]}, "magnitude 11 outside [4, 10]"),
+    ({"return_periods": [0, 2]}, "return_periods must be > 0"),
+    ({"epicenter": [1, 2, 3]}, "epicenter must be an (x, y) pair")])
 def test_config_rejects_fields_before_any_output(field, rule, tmp_path):
     with pytest.raises(ConfigError, match=re.escape(rule)):
         PipelineConfig(**field)
@@ -205,3 +229,25 @@ def test_pipeline_loads_policy_checkpoint_once_per_run(tmp_path, monkeypatch):
     m2 = run_pipeline(net, cfg, str(tmp_path / "b"))
     assert loads == [path, path]
     assert m1 == m2
+
+
+def _as_integers(value):
+    """A document with every integral float written as an integer."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, list):
+        return [_as_integers(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _as_integers(v) for k, v in value.items()}
+    return value
+
+
+def test_integer_feeder_document_gives_the_same_manifest(tmp_path):
+    doc = network_to_document(builtin_feeder())
+    ints = load_network(json.dumps(_as_integers(doc)))
+    assert type(ints.buses["b1"].x) is int
+    assert type(ints.components["c_l1"].repair_hours) is int
+    cfg = dataclasses.replace(SMALL, exact_ens=True)
+    want = run_pipeline(load_network(doc), cfg, str(tmp_path / "floats"))
+    got = run_pipeline(ints, cfg, str(tmp_path / "ints"))
+    assert got == want
