@@ -91,6 +91,8 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    if args.hour is not None and args.hour < 0:
+        raise ConfigError("--hour must be >= 0")
     net = load_network_file(args.network)
     failed = _failed_set(args)
     hour = args.hour if args.hour is not None else net.peak_hour()

@@ -143,16 +143,15 @@ def attribute_curtailed_load(network: Network, failed_ids, hour: int) -> dict:
 
 def instance_from_scenario(
     network: Network, failed_ids, gamma: float = 0.5,
-    travel_speed_kmh: float | None = None, hour: int | None = None,
+    travel_speed_kmh: float | None = None,
 ) -> DispatchInstance:
-    """Build a dispatch instance for a damage scenario's failed set."""
-    if hour is None:
-        hour = network.peak_hour()
+    """Build a dispatch instance for a damage scenario's failed set, its
+    curtailment weights taken at the network's peak hour."""
     if travel_speed_kmh is None:
         travel_speed_kmh = network.travel_speed_kmh
     if not network.depots:
         raise ConfigError("network has no depots")
-    cl = attribute_curtailed_load(network, failed_ids, hour)
+    cl = attribute_curtailed_load(network, failed_ids, network.peak_hour())
     failed = set(failed_ids)
     comps = []
     for cid in [c for c in network.components if c in failed]:

@@ -21,24 +21,23 @@ from .dispatch import (DispatchInstance, DispatchPlan, ObjectiveBreakdown,
 from .errors import ConfigError
 
 
+# the search's fixed rates and sizes; GaConfig holds what callers set
+CROSSOVER_RATE = 0.9
+MUTATION_RATE = 0.2
+ELITE = 2  # a population of ELITE or fewer is kept whole
+TOURNAMENT = 3
+
+
 @dataclass(frozen=True)
 class GaConfig:
     population_size: int = 200
     generations: int = 500
-    crossover_rate: float = 0.9
-    mutation_rate: float = 0.2
-    elite: int = 2  # more than population_size keeps the whole population
-    tournament: int = 3
     seed: int = 0
 
     def __post_init__(self):
         for name, ok, rule in (
                 ("population_size", self.population_size >= 1, ">= 1"),
-                ("generations", self.generations >= 0, ">= 0"),
-                ("tournament", self.tournament >= 1, ">= 1"),
-                ("elite", self.elite >= 0, ">= 0"),
-                ("crossover_rate", 0 <= self.crossover_rate <= 1, "in [0, 1]"),
-                ("mutation_rate", 0 <= self.mutation_rate <= 1, "in [0, 1]")):
+                ("generations", self.generations >= 0, ">= 0")):
             if not ok:
                 raise ConfigError(f"{name} must be {rule}")
 
@@ -76,7 +75,7 @@ def ga_dispatch(instance: DispatchInstance, config: GaConfig = GaConfig()) -> Ga
     rng = np.random.default_rng(config.seed)
     lay = _Layout(instance)
     pop, m = config.population_size, len(instance.depots)
-    n_child = pop - min(config.elite, pop)
+    n_child = pop - min(ELITE, pop)
 
     keys = rng.random((pop, len(lay.slots))) + 2 * lay.col_depot
     perm = lay.slots[np.argsort(keys, axis=1)]
@@ -96,12 +95,11 @@ def ga_dispatch(instance: DispatchInstance, config: GaConfig = GaConfig()) -> Ga
 
         keep = np.argsort(scores, kind="stable")[:pop - n_child]
         a, b = _tournament(scores, rng.integers(
-            0, pop, size=(2 * n_child, config.tournament))).reshape(2, n_child)
+            0, pop, size=(2 * n_child, TOURNAMENT))).reshape(2, n_child)
         u = rng.random((n_child, m, 8))
         child = _mutate(lay, *_crossover(lay, perm[a], perm[b], cuts[a],
-                                         cuts[b], u[..., :4],
-                                         config.crossover_rate),
-                        u[..., 4:], config.mutation_rate)
+                                         cuts[b], u[..., :4], CROSSOVER_RATE),
+                        u[..., 4:], MUTATION_RATE)
         perm = np.concatenate([perm[keep], child[0]])
         cuts = np.concatenate([cuts[keep], child[1]])
         scores = np.concatenate([scores[keep], _fitness(lay, *child)])

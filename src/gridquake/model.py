@@ -192,6 +192,15 @@ class Network:
     substation_import_mva: float | None = None
     travel_speed_kmh: float = 40.0
 
+    def __post_init__(self):
+        for name, ok, rule in (
+                ("timestep_hours", self.timestep_hours > 0, "> 0"),
+                ("substation_import_mva", self.substation_import_mva is None
+                 or self.substation_import_mva >= 0, "null or >= 0"),
+                ("travel_speed_kmh", self.travel_speed_kmh > 0, "> 0")):
+            if not ok:
+                raise ConfigError(f"{name} must be {rule}")
+
     def substation_buses(self) -> list[str]:
         return [b.id for b in self.buses.values() if b.is_substation]
 

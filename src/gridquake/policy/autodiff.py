@@ -1,14 +1,16 @@
 """Minimal reverse-mode automatic differentiation over numpy float64 arrays.
 
-Covers exactly the ops the dispatch policy needs: broadcasting arithmetic,
-batched matmul, reductions, tanh/exp/log, reshape/swapaxes/concat,
-broadcast_to, masked softmax and log-softmax, a fused layer norm, and
-gather along the last axis. Softmax and layer norm are single ops with
-analytic backward passes, not graphs of the elementwise ops. Tensors
-form a DAG; backward() runs a single iterative topological sweep
-accumulating grads into leaves. An op whose inputs are all constants
-(no requires_grad) records no parents and no backward closure, so a
-forward pass over constant Tensors builds no graph at all.
+Covers exactly the ops the dispatch policy needs: broadcasting `+`, `-`,
+`*`, negation and scalar powers; matmul of a batched left operand or by a
+2-D weight; sum and mean; tanh and exp; reshape, swapaxes, concat and
+broadcast_to; where_const; masked softmax and log-softmax; a fused layer
+norm; and gather along the last axis; plus the Adam optimizer. Softmax
+and layer norm are single ops with analytic backward passes, not graphs
+of the elementwise ops. Tensors form a DAG; backward() runs a single
+iterative topological sweep accumulating grads into leaves. An op whose
+inputs are all constants (no requires_grad) records no parents and no
+backward closure, so a forward pass over constant Tensors builds no graph
+at all.
 """
 
 from __future__ import annotations
@@ -50,10 +52,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def ndim(self):
-        return self.data.ndim
-
     def item(self) -> float:
         return float(self.data)
 
@@ -92,7 +90,7 @@ class Tensor:
     # --- arithmetic ---
 
     def __add__(self, other):
-        other = _as_tensor(other)
+        other = as_tensor(other)
         out = Tensor(self.data + other.data, parents=(self, other))
 
         def back(g):
@@ -106,7 +104,7 @@ class Tensor:
     __radd__ = __add__
 
     def __mul__(self, other):
-        other = _as_tensor(other)
+        other = as_tensor(other)
         out = Tensor(self.data * other.data, parents=(self, other))
 
         def back(g):
@@ -123,16 +121,7 @@ class Tensor:
         return self * (-1.0)
 
     def __sub__(self, other):
-        return self + (-_as_tensor(other))
-
-    def __rsub__(self, other):
-        return _as_tensor(other) + (-self)
-
-    def __truediv__(self, other):
-        return self * _as_tensor(other) ** -1.0
-
-    def __rtruediv__(self, other):
-        return _as_tensor(other) * self ** -1.0
+        return self + (-as_tensor(other))
 
     def __pow__(self, exponent: float):
         if not np.isscalar(exponent):
@@ -146,20 +135,11 @@ class Tensor:
         return out
 
     def __matmul__(self, other):
-        other = _as_tensor(other)
-        # lift 1-D operands so the transposes in the backward pass are valid
-        if self.ndim == 1 and other.ndim == 1:
-            return (self * other).sum()
-        if self.ndim == 1:
-            prod = self.reshape((1, -1)) @ other
-            return prod.reshape(prod.shape[:-2] + prod.shape[-1:])
-        if other.ndim == 1:
-            prod = self @ other.reshape((-1, 1))
-            return prod.reshape(prod.shape[:-1])
+        other = as_tensor(other)
         out = Tensor(np.matmul(self.data, other.data), parents=(self, other))
 
         def back(g):
-            if other.ndim == 2:
+            if other.data.ndim == 2:
                 # a weight applied to a batch: each gradient is one GEMM
                 # over all rows, not a stack of per-row products to sum
                 k, n = other.data.shape
@@ -202,17 +182,6 @@ class Tensor:
         def back(g):
             if self.requires_grad:
                 self._accumulate(np.swapaxes(g, axis1, axis2))
-        out._backward = back if out.requires_grad else None
-        return out
-
-    def __getitem__(self, key):
-        out = Tensor(self.data[key], parents=(self,))
-
-        def back(g):
-            if self.requires_grad:
-                if self.grad is None:
-                    self.grad = np.zeros_like(self.data)
-                np.add.at(self.grad, key, g)
         out._backward = back if out.requires_grad else None
         return out
 
@@ -260,27 +229,14 @@ class Tensor:
         out._backward = back if out.requires_grad else None
         return out
 
-    def log(self):
-        out = Tensor(np.log(self.data), parents=(self,))
-
-        def back(g):
-            if self.requires_grad:
-                self._accumulate(g / self.data)
-        out._backward = back if out.requires_grad else None
-        return out
-
-
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
 
 def as_tensor(x) -> Tensor:
     """Wrap array-likes as constant Tensors; passes Tensors through."""
-    return _as_tensor(x)
+    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def concat(tensors, axis: int = -1) -> Tensor:
-    tensors = [_as_tensor(t) for t in tensors]
+    tensors = [as_tensor(t) for t in tensors]
     out = Tensor(np.concatenate([t.data for t in tensors], axis=axis),
                  parents=tuple(tensors))
     sizes = [t.data.shape[axis] for t in tensors]
@@ -414,16 +370,18 @@ def take_along_last(x: Tensor, idx: np.ndarray) -> Tensor:
     return out
 
 
+# Adam's moment decays and denominator guard (Kingma & Ba, arXiv:1412.6980)
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
+
 class Adam:
     """Standard Adam over a name -> Tensor parameter dict."""
 
-    def __init__(self, params: dict, lr: float = 3e-4, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: dict, lr: float = 3e-4):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
@@ -435,7 +393,7 @@ class Adam:
     def step(self):
         """One update, the moments in place and in the formula's order."""
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = BETA1, BETA2
         c1, c2 = 1 - b1 ** self.t, 1 - b2 ** self.t
         for k, p in self.params.items():
             if p.grad is None:
@@ -445,4 +403,4 @@ class Adam:
             m += (1 - b1) * p.grad
             v *= b2
             v += (1 - b2) * p.grad ** 2
-            p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + EPS)

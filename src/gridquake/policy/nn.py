@@ -24,12 +24,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from ..errors import ConfigError
+from ..model import read_record, record_document
 from . import autodiff as ad
 from .autodiff import Tensor
 
@@ -234,15 +235,6 @@ class PolicyModel:
         value = value.reshape(value.shape[:-1])
         return logp, value
 
-    def decode_step(self, memory: Tensor, crew_feats, mask: np.ndarray):
-        """One scheduling decision: `attend` then `step`.
-
-        memory: (..., n, d) encoder output; crew_feats (..., m, CREW_FEATURES);
-        mask (..., m*n) boolean over flattened (crew, component) pairs.
-        Returns (log_probs (..., m*n), value (...,)).
-        """
-        return self.step(self.attend(memory), crew_feats, mask)
-
     def constant(self) -> "PolicyModel":
         """The same model over constant Tensors that share the parameter
         arrays: its forward passes record no graph."""
@@ -256,7 +248,8 @@ class PolicyModel:
         Round-trips bit-exactly."""
         arrays = {k: t.data for k, t in self.params.items()}
         config_blob = np.frombuffer(
-            json.dumps(asdict(self.config), sort_keys=True).encode("utf-8"),
+            json.dumps(record_document(self.config),
+                       sort_keys=True).encode("utf-8"),
             dtype=np.uint8).copy()
         with open(path, "wb") as fh:
             np.savez(fh, __config__=config_blob, **arrays)
@@ -275,10 +268,12 @@ class PolicyModel:
             if "__config__" not in data.files:
                 raise ConfigError(f"{path!r} is not a policy checkpoint")
             try:
-                config = PolicyConfig(
-                    **json.loads(bytes(data["__config__"]).decode("utf-8")))
+                config = read_record(
+                    PolicyConfig,
+                    json.loads(bytes(data["__config__"]).decode("utf-8")),
+                    "__config__")
                 arrays = {k: data[k] for k in data.files if k != "__config__"}
-            except (TypeError, ValueError) as e:
+            except (ConfigError, ValueError) as e:
                 raise ConfigError(f"bad model checkpoint {path!r}: {e}") from e
         want = {k: t.data.shape for k, t in cls.init(config).params.items()}
         per_head = (config.heads, config.width, config.d_head)

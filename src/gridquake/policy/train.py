@@ -27,19 +27,33 @@ from .nn import PolicyModel
 from .rollout import encode_instance, run_batch
 
 
+# the sampled instances' service area (a square), repair hours, curtailed
+# load range and crew speed
+AREA_KM = 30.0
+REPAIR_CHOICES = (1.0, 2.0)
+CURTAILED_MIN, CURTAILED_MAX = 0.5, 5.0
+TRAVEL_SPEED_KMH = 40.0
+
+# PPO's fixed settings (Schulman et al., arXiv:1707.06347): epochs per
+# rollout, the ratio clip, and the value and entropy weights of the loss
+EPOCHS = 4
+CLIP = 0.2
+VALUE_COEF = 0.5
+ENTROPY_COEF = 0.01
+# ppo_train's divergence guard: a window of mean returns, and how many of
+# its interquartile ranges below its minimum count as a collapse
+DIVERGENCE_WINDOW = 21
+DIVERGENCE_IQRS = 5.0
+
+
 @dataclass(frozen=True)
 class InstanceFamily:
     """Random dispatch instances on a square service area."""
 
     n_min: int = 5
     n_max: int = 8
-    area_km: float = 30.0
     depot_count: int = 2
     crews_per_depot: int = 1
-    repair_choices: tuple = (1.0, 2.0)
-    curtailed_min: float = 0.5
-    curtailed_max: float = 5.0
-    travel_speed_kmh: float = 40.0
     gamma: float = 0.5
 
     def sample_instance(self, rng: np.random.Generator,
@@ -48,23 +62,22 @@ class InstanceFamily:
             n = int(rng.integers(self.n_min, self.n_max + 1))
         depots = tuple(
             Depot(id=f"d{k + 1}",
-                  x=float(rng.uniform(0, self.area_km)),
-                  y=float(rng.uniform(0, self.area_km)),
+                  x=float(rng.uniform(0, AREA_KM)),
+                  y=float(rng.uniform(0, AREA_KM)),
                   crew_count=self.crews_per_depot)
             for k in range(self.depot_count))
         comps = tuple(
             FailedComponent(
                 id=f"f{k + 1:03d}",
-                x=float(rng.uniform(0, self.area_km)),
-                y=float(rng.uniform(0, self.area_km)),
-                repair_hours=float(self.repair_choices[
-                    rng.integers(0, len(self.repair_choices))]),
-                curtailed_mw=float(rng.uniform(self.curtailed_min,
-                                               self.curtailed_max)),
+                x=float(rng.uniform(0, AREA_KM)),
+                y=float(rng.uniform(0, AREA_KM)),
+                repair_hours=float(REPAIR_CHOICES[
+                    rng.integers(0, len(REPAIR_CHOICES))]),
+                curtailed_mw=float(rng.uniform(CURTAILED_MIN, CURTAILED_MAX)),
             )
             for k in range(n))
         return DispatchInstance(components=comps, depots=depots,
-                                travel_speed_kmh=self.travel_speed_kmh,
+                                travel_speed_kmh=TRAVEL_SPEED_KMH,
                                 gamma=self.gamma)
 
 
@@ -72,22 +85,14 @@ class InstanceFamily:
 class PpoConfig:
     iterations: int = 500
     batch_size: int = 64
-    epochs: int = 4
     lr: float = 3e-4
-    clip: float = 0.2
-    value_coef: float = 0.5
-    entropy_coef: float = 0.01
     seed: int = 0
-    divergence_window: int = 21
-    divergence_iqrs: float = 5.0
 
     def __post_init__(self):
         for name, ok, rule in (
                 ("iterations", self.iterations >= 1, ">= 1"),
                 ("batch_size", self.batch_size >= 2, ">= 2"),
-                ("epochs", self.epochs >= 1, ">= 1"),
-                ("lr", math.isfinite(self.lr) and self.lr > 0, "finite and > 0"),
-                ("clip", self.clip >= 0, ">= 0")):
+                ("lr", math.isfinite(self.lr) and self.lr > 0, "finite and > 0")):
             if not ok:
                 raise ConfigError(f"{name} must be {rule}")
 
@@ -111,7 +116,7 @@ def _clip(x: Tensor, lo: float, hi: float) -> Tensor:
 
 
 def _ppo_loss(model: PolicyModel, roll, adv: np.ndarray,
-              returns: np.ndarray, config: PpoConfig) -> Tensor:
+              returns: np.ndarray) -> Tensor:
     """Clipped surrogate, value and entropy loss, averaged over all T steps
     and B rows of a rollout in one graph. The memory is projected on
     (B, n, d) once; matmul broadcasts it over the (T, B) crew features."""
@@ -121,9 +126,8 @@ def _ppo_loss(model: PolicyModel, roll, adv: np.ndarray,
     sel = ad.take_along_last(logp, roll.actions[..., None]).reshape((T, B))
     ratio = (sel - Tensor(roll.old_logp)).exp()
     adv_t = Tensor(adv)
-    surrogate = _minimum(
-        ratio * adv_t,
-        _clip(ratio, 1.0 - config.clip, 1.0 + config.clip) * adv_t)
+    surrogate = _minimum(ratio * adv_t,
+                         _clip(ratio, 1.0 - CLIP, 1.0 + CLIP) * adv_t)
     pi_loss = -surrogate.mean()
 
     diff = v - Tensor(returns)
@@ -131,8 +135,7 @@ def _ppo_loss(model: PolicyModel, roll, adv: np.ndarray,
 
     safe_logp = ad.where_const(roll.masks, logp, 0.0)
     entropy = -(logp.exp() * safe_logp).sum(axis=-1).mean()
-    return (pi_loss + config.value_coef * v_loss
-            - config.entropy_coef * entropy)
+    return pi_loss + VALUE_COEF * v_loss - ENTROPY_COEF * entropy
 
 
 def ppo_train(model: PolicyModel, family: InstanceFamily,
@@ -141,7 +144,7 @@ def ppo_train(model: PolicyModel, family: InstanceFamily,
     time trace.
 
     Training aborts early (trace.aborted) if the mean return collapses more
-    than `divergence_iqrs` interquartile ranges below the minimum of the
+    than DIVERGENCE_IQRS interquartile ranges below the minimum of the
     trailing window, which catches run-away updates without reacting to
     ordinary noise.
     """
@@ -160,8 +163,8 @@ def ppo_train(model: PolicyModel, family: InstanceFamily,
         adv = returns - roll.values
         adv = (adv - adv.mean()) / (adv.std() + 1e-8)
 
-        for _ in range(config.epochs):
-            loss = _ppo_loss(model, roll, adv, returns, config)
+        for _ in range(EPOCHS):
+            loss = _ppo_loss(model, roll, adv, returns)
             opt.zero_grad()
             loss.backward()
             opt.step()
@@ -171,11 +174,11 @@ def ppo_train(model: PolicyModel, family: InstanceFamily,
         trace.seconds.append(time.perf_counter() - t0)
         trace.iterations_run = it + 1
 
-        w = config.divergence_window
+        w = DIVERGENCE_WINDOW
         if len(trace.mean_return) > w:
             window = np.array(trace.mean_return[-(w + 1):-1])
             q75, q25 = np.percentile(window, [75, 25])
-            floor = window.min() - config.divergence_iqrs * (q75 - q25)
+            floor = window.min() - DIVERGENCE_IQRS * (q75 - q25)
             if mean_ret < floor:
                 trace.aborted = True
                 break

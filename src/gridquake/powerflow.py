@@ -364,13 +364,13 @@ def shed_at(network: Network, failed_ids, t: int) -> FlowSolution:
 
 def ens_timeline(
     network: Network, failed_ids, completion_hours: dict,
-    horizon: int | None = None, hour: int | None = None,
+    horizon: int | None = None,
 ) -> RestorationTimeline:
     """Hourly shed trajectory while repairs complete.
 
     A component is back in service from the first whole hour at or after its
-    repair completion. Loads are frozen at a reference hour (peak by default)
-    so the curve isolates the effect of restoration, not demand swing. Failed
+    repair completion. Loads are frozen at the peak hour so the curve
+    isolates the effect of restoration, not demand swing. Failed
     components absent from completion_hours stay out for the whole horizon.
     Hours with the same failed set as the hour before reuse its shed.
     """
@@ -379,9 +379,7 @@ def ens_timeline(
     if horizon is None:
         steps = [math.ceil(completion_hours[c]) for c in failed & set(completion_hours)]
         horizon = (max(steps) if steps else 0) + 1
-    if hour is None:
-        hour = network.peak_hour()
-    p_ref, q_ref = network.loads_at(hour)
+    p_ref, q_ref = network.loads_at(network.peak_hour())
     total = sum(p_ref.values())
 
     hours, fracs, sheds = [], [], []

@@ -216,7 +216,7 @@ def plot_lines_svg(curves: dict, path: str, title: str,
         fh.write("\n".join(parts) + "\n")
 
 
-def resilience_curves_ok(curves: dict, tol: float = 1e-9) -> list:
+def resilience_curves_ok(curves: dict) -> list:
     """Validate restoration curves: served fraction never decreases (loads
     are frozen, equipment only returns) and the final value is 1. Returns a
     list of violation strings."""
@@ -224,7 +224,7 @@ def resilience_curves_ok(curves: dict, tol: float = 1e-9) -> list:
     for name in sorted(curves):
         _, ys = curves[name]
         for a, b in zip(ys, ys[1:]):
-            if b < a - tol:
+            if b < a - 1e-9:
                 problems.append(f"{name}: served fraction drops {a} -> {b}")
                 break
         if abs(ys[-1] - 1.0) > 1e-6:

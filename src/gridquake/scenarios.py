@@ -88,6 +88,9 @@ def generate_scenarios(
     """Monte Carlo damage sampling: n equally weighted scenarios."""
     if n < 1:
         raise ConfigError("need at least one scenario")
+    for name, w in (("w1", w1), ("w2", w2)):
+        if not w >= 0:
+            raise ConfigError(f"{name} must be >= 0")
     rng = np.random.default_rng(seed)
     pga_field = compute_pga_field(network, event)
     hour = network.peak_hour()

@@ -39,6 +39,9 @@ _BASIC = 2
 # updates in between each add a little rounding; refactoring bounds it.
 _REFACTOR_EVERY = 64
 
+# Feasibility, pricing and ratio-test tolerance.
+_TOL = 1e-9
+
 
 @dataclass
 class LpResult:
@@ -56,7 +59,6 @@ class LpResult:
 
 def solve_lp(
     c, A, b, lower, upper,
-    tol: float = 1e-9,
     max_iter: int | None = None,
     start: tuple | None = None,
 ) -> LpResult:
@@ -69,7 +71,7 @@ def solve_lp(
     `start` is an optional crash basis (basis, at_upper): `basis` names the
     basic column of each row, and `at_upper` (one bool per column) puts a
     nonbasic column at its upper bound instead of its lower. Phase 2 runs
-    from it if it is nonsingular and primal feasible within `tol`; if not,
+    from it if it is nonsingular and primal feasible within `_TOL`; if not,
     phase 1 runs as without it.
     """
     c = np.asarray(c, dtype=float)
@@ -83,7 +85,7 @@ def solve_lp(
     m, n = A.shape
     if c.shape != (n,) or b.shape != (m,) or lower.shape != (n,) or upper.shape != (n,):
         raise InternalError("inconsistent LP dimensions")
-    if np.any(lower > upper + tol):
+    if np.any(lower > upper + _TOL):
         raise InternalError("lower bound exceeds upper bound")
     if np.any(np.isinf(lower) & np.isinf(upper)):
         raise InternalError("free variables (both bounds infinite) unsupported")
@@ -94,11 +96,11 @@ def solve_lp(
     stats = {"start": "phase1", "phase1_iterations": 0,
              "phase2_iterations": 0, "bland": False, "refactorizations": 0}
     if start is not None:
-        basis, status, Binv = _crash_start(A, b, lower, upper, start, tol)
+        basis, status, Binv = _crash_start(A, b, lower, upper, start)
         if Binv is not None:
             stats["start"] = "crash"
             stats["refactorizations"] = 1
-            it2, _ = _simplex_core(c, A, b, lower, upper, basis, status, tol,
+            it2, _ = _simplex_core(c, A, b, lower, upper, basis, status,
                                    max_iter, allowed=n, stats=stats,
                                    Binv=Binv)
             stats["phase2_iterations"] = it2
@@ -121,10 +123,10 @@ def solve_lp(
     status[n:] = _BASIC
     basis = np.arange(n, n + m)
 
-    it1, obj1 = _simplex_core(c1, A1, b, lo1, hi1, basis, status, tol,
-                              max_iter, allowed=n + m, stats=stats)
+    it1, obj1 = _simplex_core(c1, A1, b, lo1, hi1, basis, status, max_iter,
+                              allowed=n + m, stats=stats)
     stats["phase1_iterations"] = it1
-    if obj1 > tol * max(1.0, np.abs(b).sum()):
+    if obj1 > _TOL * max(1.0, np.abs(b).sum()):
         return LpResult(status=INFEASIBLE, x=None, objective=None,
                         iterations=it1, stats=stats)
 
@@ -134,15 +136,15 @@ def solve_lp(
     hi1[n:] = 0.0
     c2 = np.concatenate([c, np.zeros(m)])
 
-    it2, _ = _simplex_core(c2, A1, b, lo1, hi1, basis, status, tol,
-                           max_iter, allowed=n, stats=stats)
+    it2, _ = _simplex_core(c2, A1, b, lo1, hi1, basis, status, max_iter,
+                           allowed=n, stats=stats)
     stats["phase2_iterations"] = it2
     return _optimal(c2, A1, b, lo1, hi1, basis, status, n, it1 + it2, stats)
 
 
-def _crash_start(A, b, lo, hi, start, tol):
+def _crash_start(A, b, lo, hi, start):
     """(basis, status, basis inverse) of a crash start; the inverse is None
-    if the start is singular or not primal feasible within tol."""
+    if the start is singular or not primal feasible within _TOL."""
     m, n = A.shape
     basis, at_upper = (np.asarray(a) for a in start)
     if (basis.shape != (m,) or at_upper.shape != (n,)
@@ -167,9 +169,9 @@ def _crash_start(A, b, lo, hi, start, tol):
     # does not reproduce the right-hand side
     scale = max(1.0, float(np.abs(rhs).max(initial=0.0)))
     if not (np.all(np.isfinite(xb))
-            and np.all(np.abs(B @ xb - rhs) <= tol * scale)
-            and np.all(xb >= lo[basis] - tol)
-            and np.all(xb <= hi[basis] + tol)):
+            and np.all(np.abs(B @ xb - rhs) <= _TOL * scale)
+            and np.all(xb >= lo[basis] - _TOL)
+            and np.all(xb <= hi[basis] + _TOL)):
         return basis, status, None
     return basis, status, Binv
 
@@ -199,8 +201,8 @@ def _invert_basis(A, basis, it):
         raise InternalError(f"singular basis at iteration {it}: {e}") from e
 
 
-def _simplex_core(c, A, b, lo, hi, basis, status, tol, max_iter, allowed,
-                  stats, Binv=None):
+def _simplex_core(c, A, b, lo, hi, basis, status, max_iter, allowed, stats,
+                  Binv=None):
     """Run simplex iterations in place on (basis, status).
 
     `allowed` limits entering candidates to the first `allowed` columns, which
@@ -224,7 +226,7 @@ def _simplex_core(c, A, b, lo, hi, basis, status, tol, max_iter, allowed,
         x[basis] = xb
 
         obj = float(c @ x)
-        if obj < last_obj - tol:
+        if obj < last_obj - _TOL:
             stall = 0
         else:
             stall += 1
@@ -235,8 +237,8 @@ def _simplex_core(c, A, b, lo, hi, basis, status, tol, max_iter, allowed,
         y = c[basis] @ Binv
         d = c - y @ A  # reduced costs
 
-        eligible_lo = (status == _AT_LOWER) & (d < -tol)
-        eligible_hi = (status == _AT_UPPER) & (d > tol)
+        eligible_lo = (status == _AT_LOWER) & (d < -_TOL)
+        eligible_hi = (status == _AT_UPPER) & (d > _TOL)
         eligible = eligible_lo | eligible_hi
         eligible[allowed:] = False
         idx = np.nonzero(eligible)[0]
@@ -256,8 +258,8 @@ def _simplex_core(c, A, b, lo, hi, basis, status, tol, max_iter, allowed,
         # ratio test over the rows that move; a falling basic stops at its
         # lower bound, a rising one at its upper, and (xb - bound) / w is
         # the step to it either way. Rows are visited in order: a step
-        # within tol of the best goes to the lower basis index.
-        rows = np.flatnonzero(np.abs(w) > tol)
+        # within _TOL of the best goes to the lower basis index.
+        rows = np.flatnonzero(np.abs(w) > _TOL)
         movers = basis[rows]
         falling = w[rows] > 0
         bound = np.where(falling, lo[movers], hi[movers])
@@ -268,7 +270,7 @@ def _simplex_core(c, A, b, lo, hi, basis, status, tol, max_iter, allowed,
         leave_to = _AT_LOWER
         for i, var, t, fall in zip(rows.tolist(), movers.tolist(),
                                    steps.tolist(), falling.tolist()):
-            if t < t_best - tol or (t < t_best + tol and leave >= 0
+            if t < t_best - _TOL or (t < t_best + _TOL and leave >= 0
                                     and var < leave_var):
                 t_best, leave, leave_var = t, i, var
                 leave_to = _AT_LOWER if fall else _AT_UPPER

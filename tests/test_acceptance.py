@@ -270,7 +270,8 @@ def test_criterion_09_gradient_checks():
         mask[[2, 5]] = False
 
         def loss():
-            logp, value = model.decode_step(model.encode(comp), crew, mask)
+            logp, value = model.step(model.attend(model.encode(comp)),
+                                     crew, mask)
             picked = ad.take_along_last(logp.reshape((1, 8)),
                                         np.array([[1]]))
             return picked.sum() + value * 0.5

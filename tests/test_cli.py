@@ -283,6 +283,20 @@ def test_exit_code_2_on_reduce_k_below_one(network_path, tmp_path, capsys):
         assert "k must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,rule", [
+    (["gen", "--magnitude", "7.5", "--n", "3", "--w1", "-1"],
+     "w1 must be >= 0"),
+    (["gen", "--magnitude", "7.5", "--n", "3", "--w2", "-0.5"],
+     "w2 must be >= 0"),
+    (["eval", "--failed", "c_l1", "--hour", "-3"], "--hour must be >= 0")])
+def test_exit_code_2_on_negative_weight_or_hour(argv, rule, network_path,
+                                                tmp_path, capsys):
+    out = tmp_path / "out.json"
+    assert main(argv + ["--network", network_path, "--out", str(out)]) == 2
+    assert rule in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_exit_code_2_on_bad_magnitude(network_path, capsys):
     assert main(["gen", "--network", network_path,
                  "--magnitude", "12.0"]) == 2
@@ -358,6 +372,10 @@ _PLAN = {"solver": "exact", "status": "ok", "completion": {"c_l3": 2.5},
      "depots[0].crew_count"),
     ("network", lambda d: d["buses"][0].update(is_substation="false"),
      "buses[0].is_substation"),
+    ("network", lambda d: d.update(timestep_hours=-1), "timestep_hours"),
+    ("network", lambda d: d.update(substation_import_mva=-2),
+     "substation_import_mva"),
+    ("network", lambda d: d.update(travel_speed_kmh=0), "travel_speed_kmh"),
     ("config", lambda d: d.update(magnitudes="7.5"), "magnitudes"),
     ("config", lambda d: d.update(magnitudes=[11]), "magnitude 11"),
     ("config", lambda d: d.update(return_periods=[0, 2]), "return_periods"),

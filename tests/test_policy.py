@@ -20,7 +20,8 @@ from gridquake.errors import ConfigError
 from gridquake.policy.nn import COMP_FEATURES, PolicyConfig, PolicyModel
 from gridquake.policy.rollout import (draw, encode_instance, policy_dispatch,
                                       run_batch)
-from gridquake.policy.train import (InstanceFamily, PpoConfig, _clip,
+from gridquake.policy.train import (CLIP, ENTROPY_COEF, VALUE_COEF,
+                                    InstanceFamily, PpoConfig, _clip,
                                     _minimum, _ppo_loss, ppo_train)
 
 TINY = PolicyConfig(width=8, heads=2, enc_layers=1, dec_layers=1,
@@ -77,12 +78,11 @@ def test_policy_config_rejects_sizes_with_config_error(field, rule):
     ({"iterations": 0}, "iterations must be >= 1"),
     ({"iterations": -3}, "iterations must be >= 1"),
     ({"batch_size": 1}, "batch_size must be >= 2"),
-    ({"epochs": 0}, "epochs must be >= 1"),
     ({"lr": 0.0}, "lr must be finite and > 0"),
     ({"lr": -1e-3}, "lr must be finite and > 0"),
     ({"lr": float("inf")}, "lr must be finite and > 0"),
     ({"lr": float("nan")}, "lr must be finite and > 0"),
-    ({"clip": -0.1}, "clip must be >= 0")])
+    ({"lr": float("-inf")}, "lr must be finite and > 0")])
 def test_ppo_config_rejects_bad_settings(field, rule):
     with pytest.raises(ConfigError, match=rule):
         PpoConfig(**field)
@@ -115,7 +115,7 @@ def test_decode_respects_mask_exactly():
     crew = rng.normal(size=(2, 6))
     mask = np.zeros(8, dtype=bool)
     mask[[1, 4, 6]] = True
-    logp, value = model.decode_step(memory, crew, mask)
+    logp, value = model.step(model.attend(memory), crew, mask)
     p = np.exp(logp.data)
     assert np.all(p[~mask] == 0.0)
     assert p[mask].sum() == pytest.approx(1.0)
@@ -129,8 +129,9 @@ def test_step_on_attended_memory_is_decode_step_bit_for_bit():
     crew = rng.normal(size=(3, 2, 6))
     mask = rng.random((3, 12)) < 0.7
     mask[:, 0] = True
-    want_lp, want_v = model.decode_step(memory, crew, mask)
-    # the graph-free model over the same arrays gives the same bits
+    want_lp, want_v = model.step(model.attend(memory), crew, mask)
+    # the memory as a plain array, and the graph-free model over the same
+    # parameter arrays, give the same bits
     const = model.constant()
     for m in (model, const):
         lp, v = m.step(m.attend(memory.data), crew, mask)
@@ -522,6 +523,26 @@ def test_load_rejects_non_checkpoint(tmp_path):
     np.savez(path3, __config__=np.frombuffer(b'{"depth": 3}', dtype=np.uint8))
     with pytest.raises(ConfigError, match="bad model checkpoint"):
         PolicyModel.load(str(path3))
+    # config values of the wrong JSON type name their field
+    arrays = {k: t.data for k, t in PolicyModel.init(TINY).params.items()}
+    for field, value in (("heads", 2.0), ("width", True)):
+        blob = np.frombuffer(json.dumps(
+            {**dataclasses.asdict(TINY), field: value}).encode(),
+            dtype=np.uint8)
+        path4 = tmp_path / f"typed_{field}.npz"
+        np.savez(path4, __config__=blob, **arrays)
+        with pytest.raises(ConfigError,
+                           match=f"__config__.{field}: expected an integer"):
+            PolicyModel.load(str(path4))
+
+
+def test_saved_config_blob_is_sorted_json_of_every_field(tmp_path):
+    path = str(tmp_path / "m.npz")
+    PolicyModel.init(TINY).save(path)
+    with np.load(path) as data:
+        blob = bytes(data["__config__"])
+    assert blob == json.dumps(dataclasses.asdict(TINY),
+                              sort_keys=True).encode()
 
 
 def test_batch_rewards_telescope_to_objective():
@@ -559,7 +580,7 @@ def test_model_gradients_match_fd_through_decode():
     mask[2] = False
 
     def loss_value():
-        logp, value = model.decode_step(model.encode(comp), crew, mask)
+        logp, value = model.step(model.attend(model.encode(comp)), crew, mask)
         return ad.take_along_last(
             logp.reshape((1, 6)), np.array([[1]])).sum() + value * 0.7
 
@@ -582,25 +603,24 @@ def test_model_gradients_match_fd_through_decode():
         assert got == pytest.approx(want, rel=1e-5, abs=1e-9), name
 
 
-def reference_ppo_loss(model, roll, adv, returns, config):
+def reference_ppo_loss(model, roll, adv, returns):
     """The PPO loss as one graph per decision step, summed and averaged."""
     T, B = roll.actions.shape
     memory = model.encode(roll.comp_feats)
     total = None
     for t in range(T):
-        logp_t, v_t = model.decode_step(memory, roll.crew_feats[t],
-                                        roll.masks[t])
+        logp_t, v_t = model.step(model.attend(memory), roll.crew_feats[t],
+                                 roll.masks[t])
         sel = ad.take_along_last(logp_t, roll.actions[t][:, None]).reshape(B)
         ratio = (sel - ad.Tensor(roll.old_logp[t])).exp()
         adv_t = ad.Tensor(adv[t])
-        surrogate = _minimum(
-            ratio * adv_t,
-            _clip(ratio, 1.0 - config.clip, 1.0 + config.clip) * adv_t)
+        surrogate = _minimum(ratio * adv_t,
+                             _clip(ratio, 1.0 - CLIP, 1.0 + CLIP) * adv_t)
         diff = v_t - ad.Tensor(returns[t])
         safe_logp = ad.where_const(roll.masks[t], logp_t, 0.0)
         entropy = -(logp_t.exp() * safe_logp).sum(axis=-1).mean()
-        term = (-surrogate.mean() + config.value_coef * (diff * diff).mean()
-                - config.entropy_coef * entropy)
+        term = (-surrogate.mean() + VALUE_COEF * (diff * diff).mean()
+                - ENTROPY_COEF * entropy)
         total = term if total is None else total + term
     return total * (1.0 / T)
 
@@ -613,14 +633,19 @@ def test_ppo_loss_graph_matches_per_step_reference():
     returns = np.cumsum(roll.rewards[::-1], axis=0)[::-1]
     adv = returns - roll.values
     adv = (adv - adv.mean()) / adv.std()
-    config = PpoConfig(clip=0.1)
     # a different model than the one that acted, so ratios leave the clip
     model = PolicyModel.init(TINY, seed=16)
+    const = model.constant()
+    logp, _ = const.step(const.attend(const.encode(roll.comp_feats)),
+                         roll.crew_feats, roll.masks)
+    ratio = np.exp(np.take_along_axis(logp.data, roll.actions[..., None],
+                                      axis=-1)[..., 0] - roll.old_logp)
+    assert np.any(np.abs(ratio - 1.0) > CLIP)  # the clipped branch is taken
     grads = []
     for loss_fn in (_ppo_loss, reference_ppo_loss):
         for t in model.params.values():
             t.grad = None
-        loss = loss_fn(model, roll, adv, returns, config)
+        loss = loss_fn(model, roll, adv, returns)
         loss.backward()
         grads.append((loss.item(), {k: t.grad for k, t in
                                     model.params.items()}))
