@@ -9,9 +9,9 @@ from .seismic import (DEFAULT_GMPE, GmpeCoefficients, PgaField, SeismicEvent,
                       failure_probability, ground_motion_pga, normal_cdf,
                       sample_damage)
 from .simplex import INFEASIBLE, OPTIMAL, LpResult, solve_lp
-from .powerflow import (FlowSolution, OperationalState, RestorationTimeline,
-                        TripleProductLinearization, de_energized_load,
-                        energization_state, ens_timeline,
+from .powerflow import (FlowSolution, OperationalState, PeakShed,
+                        RestorationTimeline, TripleProductLinearization,
+                        de_energized_load, energization_state, ens_timeline,
                         linearize_triple_product, shed_at, solve_shedding_lp)
 from .scenarios import (DamageScenario, LossDistribution, ScenarioSet,
                         forward_reduce, generate_scenarios, load_scenario_set,
@@ -38,8 +38,8 @@ __all__ = [
     "GaResult", "Generator", "GmpeCoefficients", "GridQuakeError",
     "INFEASIBLE", "InstanceFamily", "InternalError", "Line", "LimitError",
     "LoadProfile", "LossDistribution", "LpResult", "Network",
-    "OPTIMAL", "ObjectiveBreakdown", "OperationalState", "PgaField",
-    "PipelineConfig", "PolicyConfig", "PolicyModel", "PpoConfig",
+    "OPTIMAL", "ObjectiveBreakdown", "OperationalState", "PeakShed",
+    "PgaField", "PipelineConfig", "PolicyConfig", "PolicyModel", "PpoConfig",
     "RadialityReport", "RestorationTimeline", "ScenarioSet", "SeismicEvent",
     "TrainTrace", "TripleProductLinearization",
     "builtin_feeder", "cluster_to_depots", "component_failure_probabilities",

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -155,11 +156,15 @@ def _cmd_train(args) -> int:
 
 def _load_plan_doc(path: str) -> dict:
     """A plan whose completion hours and objective, used by the reports,
-    have their types."""
+    have their types; every completion hour is finite and >= 0."""
     doc = read_json(path)
     if not isinstance(doc, dict) or "completion" not in doc:
         raise ConfigError(f"{path}: not a plan document")
     read_value(dict[str, float], doc["completion"], f"{path}: completion")
+    for cid, hour in doc["completion"].items():
+        if not 0.0 <= hour < math.inf:
+            raise ConfigError(f"{path}: completion.{cid}: must be finite and "
+                              f">= 0, got {hour!r}")
     read_value(ObjectiveBreakdown | None, doc.get("objective"),
                f"{path}: objective")
     return doc

@@ -361,7 +361,8 @@ def read_record(cls, rec, path: str, **given):
     dataclass field an object read the same way. Lists become tuples for
     tuple fields; nothing else is converted. A missing required field, a
     key that names no field, or a value of the wrong type is a ConfigError
-    naming its path."""
+    naming its path, and so is a value rule of `cls` whose message starts
+    with the field's name."""
     if not isinstance(rec, dict):
         raise ConfigError(f"{path or 'document'}: expected an object, "
                           f"got {rec!r}")
@@ -377,7 +378,12 @@ def read_record(cls, rec, path: str, **given):
         if required and name not in values:
             raise ConfigError(f"{path or 'document'}: missing required "
                               f"field {name!r}")
-    return cls(**values)
+    try:
+        return cls(**values)
+    except ConfigError as e:
+        if path and str(e).split(" ", 1)[0] in fields:
+            raise ConfigError(_join(path, str(e))) from e
+        raise
 
 
 def record_document(obj) -> dict:

@@ -20,7 +20,7 @@ from .errors import ConfigError, InternalError, LimitError
 from .fixtures import default_event
 from .ga import GaConfig, ga_dispatch
 from .model import Network, read_json, read_record, record_document
-from .powerflow import ens_timeline
+from .powerflow import PeakShed, ens_timeline
 from .report import (ComparisonRow, fill_gaps, plot_lines_svg,
                      resilience_curves_ok, write_comparison_csv, write_csv,
                      write_json, write_resilience_csv)
@@ -154,13 +154,16 @@ def solve(solver, instance, *, seed, model, samples, max_components,
     raise ConfigError(f"unknown solver {solver!r}")
 
 
-def write_restoration(network, plans, prefix, title, horizon=None) -> dict:
+def write_restoration(network, plans, prefix, title, horizon=None,
+                      peak_shed=None) -> dict:
     """Restoration curves of several plans over one shared horizon, written
     to `prefix`.csv and `prefix`.svg; returns each plan's timeline.
 
     `plans` maps a curve name to (failed ids, completion hours). The
     horizon defaults to, and must reach, one hour past the last completion
-    of any plan, so that every curve ends fully restored."""
+    of any plan, so that every curve ends fully restored. Every timeline
+    takes its shed from `peak_shed` (a fresh PeakShed when none is given),
+    so an operating state the plans share is solved once."""
     need = max([1] + [math.ceil(max(completion.values())) + 1
                       for _, completion in plans.values() if completion])
     if horizon is None:
@@ -168,8 +171,10 @@ def write_restoration(network, plans, prefix, title, horizon=None) -> dict:
     elif horizon < need:
         raise ConfigError(f"horizon {horizon} ends before the last repair; "
                           f"it must be >= {need}")
+    if peak_shed is None:
+        peak_shed = PeakShed(network)
     timelines = {name: ens_timeline(network, failed, completion,
-                                    horizon=horizon)
+                                    horizon=horizon, peak_shed=peak_shed)
                  for name, (failed, completion) in sorted(plans.items())}
     curves = {name: (t.hours, t.served_fraction)
               for name, t in timelines.items()}
@@ -202,6 +207,9 @@ def run_pipeline(network: Network, config: PipelineConfig, out_dir: str,
 
     # stage 1: hazard and scenario sets
     t0 = time.monotonic()
+    # one per study: scenario losses and every timeline read the same
+    # peak-hour operating states
+    peak_shed = PeakShed(network)
     sets = {}
     summaries = {}
     for mag in config.magnitudes:
@@ -211,7 +219,7 @@ def run_pipeline(network: Network, config: PipelineConfig, out_dir: str,
             network, event, config.n_scenarios,
             w1=config.w1, w2=config.w2,
             seed=_stable_seed(config.seed, mag, "scenarios"),
-            exact_ens=config.exact_ens)
+            exact_ens=config.exact_ens, peak_shed=peak_shed)
         tag = _mag_tag(mag)
         write_json(scenario_set_to_document(sset),
                    os.path.join(out_dir, "scenarios", f"{tag}_full.json"))
@@ -291,7 +299,8 @@ def run_pipeline(network: Network, config: PipelineConfig, out_dir: str,
                  if result is not None}
         timelines = write_restoration(
             network, plans, os.path.join(out_dir, "resilience", name),
-            title=f"Restoration, M{mag:g} scenario {sid}") if plans else {}
+            title=f"Restoration, M{mag:g} scenario {sid}",
+            peak_shed=peak_shed) if plans else {}
         for solver, (status, result, _) in sorted(solvers.items()):
             doc = plan_document(solver, status, result, magnitude=mag,
                                 scenario_id=sid)

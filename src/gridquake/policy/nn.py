@@ -56,6 +56,9 @@ class PolicyConfig:
                 raise ConfigError(f"{name} must be >= 0")
         if self.width % self.heads != 0:
             raise ConfigError("width must be divisible by heads")
+        if not 0.0 < self.score_clip < math.inf:
+            raise ConfigError(f"score_clip must be finite and > 0, got "
+                              f"{self.score_clip!r}")
 
     @property
     def d_head(self) -> int:

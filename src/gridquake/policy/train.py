@@ -56,6 +56,17 @@ class InstanceFamily:
     crews_per_depot: int = 1
     gamma: float = 0.5
 
+    def __post_init__(self):
+        for name, ok, rule in (
+                ("n_min", self.n_min >= 1, ">= 1"),
+                ("n_max", self.n_max >= self.n_min, ">= n_min"),
+                ("depot_count", self.depot_count >= 1, ">= 1"),
+                ("crews_per_depot", self.crews_per_depot >= 1, ">= 1"),
+                ("gamma", 0.0 <= self.gamma <= 1.0, "in [0, 1]")):
+            if not ok:
+                raise ConfigError(f"{name} must be {rule}, got "
+                                  f"{getattr(self, name)!r}")
+
     def sample_instance(self, rng: np.random.Generator,
                         n: int | None = None) -> DispatchInstance:
         if n is None:

@@ -125,9 +125,13 @@ def energization_state(network: Network, failed_ids) -> OperationalState:
 
 def de_energized_load(network: Network, failed_ids, t: int) -> float:
     """MW of load sitting in islands with no operational source at hour t."""
-    state = energization_state(network, failed_ids)
-    p, _ = network.loads_at(t)
-    return sum(p[b] for b in network.buses if not state.energized[b])
+    return _de_energized(network, energization_state(network, failed_ids),
+                         network.loads_at(t)[0])
+
+
+def _de_energized(network: Network, state: OperationalState,
+                  p_load: dict) -> float:
+    return sum(p_load[b] for b in network.buses if not state.energized[b])
 
 
 def _effective_q_ratio(p_load: float, q_load: float) -> float:
@@ -362,9 +366,54 @@ def shed_at(network: Network, failed_ids, t: int) -> FlowSolution:
     return solve_shedding_lp(network, state, p, q)
 
 
+class PeakShed:
+    """Peak-hour shed of failed sets on one network, for one study.
+
+    The peak hour's loads are read once. The shedding LP at fixed loads
+    reads only the energized part of the operating state: the energized
+    buses and the out-of-service lines, generators and substations that
+    touch them. Failed sets that differ only inside de-energized islands
+    have the same part, so each distinct part is solved once; identical
+    inputs give identical results, so reuse changes no output. Make one per
+    study: it does not see later edits to the network.
+    """
+
+    def __init__(self, network: Network):
+        self.network = network
+        self.p_load, self.q_load = network.loads_at(network.peak_hour())
+        self.total_mw = sum(self.p_load.values())
+        self._shed = {}  # energized part -> MW shed
+
+    def de_energized(self, failed_ids) -> float:
+        """MW of peak load in islands with no operational source."""
+        return _de_energized(self.network,
+                             energization_state(self.network, failed_ids),
+                             self.p_load)
+
+    def __call__(self, failed_ids) -> float:
+        """Minimum MW shed at the peak hour with failed_ids out."""
+        state = energization_state(self.network, failed_ids)
+        part = self._energized_part(state)
+        if part not in self._shed:
+            self._shed[part] = solve_shedding_lp(
+                self.network, state, self.p_load, self.q_load).total_shed_mw
+        return self._shed[part]
+
+    def _energized_part(self, state: OperationalState) -> tuple:
+        net = self.network
+        on = frozenset(b for b, live in state.energized.items() if live)
+        return (on,
+                frozenset(lid for lid in state.lines_out
+                          if net.lines[lid].from_bus in on
+                          or net.lines[lid].to_bus in on),
+                frozenset(gid for gid in state.gens_out
+                          if net.generators[gid].bus in on),
+                state.substations_out & on)
+
+
 def ens_timeline(
     network: Network, failed_ids, completion_hours: dict,
-    horizon: int | None = None,
+    horizon: int | None = None, peak_shed: PeakShed | None = None,
 ) -> RestorationTimeline:
     """Hourly shed trajectory while repairs complete.
 
@@ -372,28 +421,24 @@ def ens_timeline(
     repair completion. Loads are frozen at the peak hour so the curve
     isolates the effect of restoration, not demand swing. Failed
     components absent from completion_hours stay out for the whole horizon.
-    Hours with the same failed set as the hour before reuse its shed.
+    Each hour's shed comes from `peak_shed`, a fresh PeakShed when none is
+    given; timelines that share one solve each distinct energized part once.
     """
+    if peak_shed is None:
+        peak_shed = PeakShed(network)
     failed = set(failed_ids)
     missing = failed - set(completion_hours)
     if horizon is None:
         steps = [math.ceil(completion_hours[c]) for c in failed & set(completion_hours)]
         horizon = (max(steps) if steps else 0) + 1
-    p_ref, q_ref = network.loads_at(network.peak_hour())
-    total = sum(p_ref.values())
+    total = peak_shed.total_mw
 
     hours, fracs, sheds = [], [], []
     ens = 0.0
-    prev_failed = None
     for t in range(horizon):
         still_failed = {c for c in failed
                         if c in missing or math.ceil(completion_hours[c]) > t}
-        # loads are frozen, so an unchanged failed set keeps last hour's shed
-        if still_failed != prev_failed:
-            state = energization_state(network, still_failed)
-            shed = solve_shedding_lp(network, state, p_ref,
-                                     q_ref).total_shed_mw
-            prev_failed = still_failed
+        shed = peak_shed(still_failed)
         hours.append(t)
         sheds.append(shed)
         fracs.append(1.0 if total <= 0 else (total - shed) / total)

@@ -109,6 +109,24 @@ def test_exit_code_2_on_checkpoint_missing_an_array(network_path, tmp_path,
     assert "missing ptr.Wk" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("score_clip", [float("nan"), -10.0, 0.0,
+                                        float("inf")])
+def test_exit_code_2_on_checkpoint_with_bad_score_clip(
+        score_clip, network_path, tmp_path, model_path, capsys):
+    with np.load(model_path) as data:
+        arrays = {k: data[k] for k in data.files}
+    config = json.loads(bytes(arrays["__config__"]).decode("utf-8"))
+    config["score_clip"] = score_clip
+    arrays["__config__"] = np.frombuffer(json.dumps(config).encode("utf-8"),
+                                         dtype=np.uint8)
+    path = str(tmp_path / "bad_clip.npz")
+    np.savez(path, **arrays)
+    assert main(["dispatch", "policy", "--network", network_path,
+                 "--failed", "c_l1", "--model", path]) == 2
+    assert ("__config__.score_clip must be finite and > 0"
+            in capsys.readouterr().err)
+
+
 def test_report_subcommands(network_path, tmp_path, capsys):
     plans = []
     for i, solver in enumerate(["exact", "ga"]):
@@ -341,7 +359,11 @@ def test_train_command_smoke(tmp_path, capsys):
     (["--iterations", "0"], "iterations must be >= 1"),
     (["--batch", "1"], "batch_size must be >= 2"),
     (["--lr", "0"], "lr must be finite and > 0"),
-    (["--lr", "nan"], "lr must be finite and > 0")])
+    (["--lr", "nan"], "lr must be finite and > 0"),
+    (["--n-min", "9", "--n-max", "5"], "n_max must be >= n_min"),
+    (["--n-min", "0", "--n-max", "0"], "n_min must be >= 1"),
+    (["--depots", "0"], "depot_count must be >= 1"),
+    (["--crews", "0"], "crews_per_depot must be >= 1")])
 def test_train_rejects_bad_settings_before_writing(flags, rule, tmp_path,
                                                    capsys):
     out = tmp_path / "model.npz"
@@ -419,5 +441,23 @@ def test_exit_code_2_on_malformed_documents(kind, edit, where, tmp_path,
     for argv in runs:
         assert main(argv) == 2, argv
         assert where in capsys.readouterr().err, argv
+        assert not any(p.name.startswith("out")
+                       for p in tmp_path.iterdir()), argv
+
+
+@pytest.mark.parametrize("hour", [float("nan"), float("inf"), -5.0])
+def test_exit_code_2_on_plan_completion_not_finite_or_negative(
+        hour, tmp_path, network_path, capsys):
+    doc = json.loads(json.dumps(_PLAN))
+    doc["completion"]["c_l3"] = hour
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(doc))  # NaN, Infinity: json reads them back
+    out = tmp_path / "out"
+    for argv in (["report", "resilience", "--network", network_path,
+                  "--plans", str(path), "--out", str(out)],
+                 ["report", "compare", "--plans", str(path),
+                  "--out", str(out)]):
+        assert main(argv) == 2, argv
+        assert f"{path}: completion.c_l3" in capsys.readouterr().err, argv
         assert not any(p.name.startswith("out")
                        for p in tmp_path.iterdir()), argv

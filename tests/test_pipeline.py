@@ -8,6 +8,7 @@ import re
 import pytest
 
 import gridquake.pipeline as pipeline
+import gridquake.powerflow as powerflow
 from gridquake.cli import main
 from gridquake.dispatch import _Compiled
 from gridquake.errors import ConfigError
@@ -204,6 +205,36 @@ def test_pipeline_compiles_each_instance_once_for_all_solvers(tmp_path,
     assert len(plans) == 3 * len(instances) > 0
     assert len(compiled) == len(instances)
     assert all(a is b for a, b in zip(compiled, instances))
+
+
+def test_pipeline_solves_each_energized_part_once_per_study(tmp_path,
+                                                           monkeypatch):
+    """Scenario losses (exact_ens) and every restoration timeline share one
+    peak-hour cache, which lives for one run_pipeline call only."""
+    net = builtin_feeder()
+    solve = powerflow.solve_shedding_lp
+    parts = []
+
+    def spying(network, state, p_load, q_load):
+        on = frozenset(b for b, live in state.energized.items() if live)
+        parts.append((
+            on,
+            frozenset(l for l in state.lines_out
+                      if {net.lines[l].from_bus, net.lines[l].to_bus} & on),
+            frozenset(g for g in state.gens_out
+                      if net.generators[g].bus in on),
+            state.substations_out & on))
+        return solve(network, state, p_load, q_load)
+
+    monkeypatch.setattr(powerflow, "solve_shedding_lp", spying)
+    cfg = dataclasses.replace(SMALL, exact_ens=True)
+    first = run_pipeline(net, cfg, str(tmp_path / "a"))
+    per_study = len(parts)
+    assert len(set(parts)) == per_study > 0
+    second = run_pipeline(net, cfg, str(tmp_path / "b"))
+    assert len(parts) == 2 * per_study
+    assert parts[per_study:] == parts[:per_study]
+    assert first == second
 
 
 def test_pipeline_loads_policy_checkpoint_once_per_run(tmp_path, monkeypatch):

@@ -13,12 +13,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gridquake.powerflow as powerflow
 from gridquake.errors import ConfigError, InternalError
 from gridquake.fixtures import builtin_feeder, random_radial_network
-from gridquake.model import load_network
-from gridquake.powerflow import (TripleProductLinearization,
+from gridquake.model import load_network, network_to_document
+from gridquake.powerflow import (PeakShed, TripleProductLinearization,
                                  de_energized_load, energization_state,
                                  ens_timeline, linearize_triple_product,
                                  shed_at, solve_shedding_lp)
@@ -309,6 +310,85 @@ def test_ens_timeline_solves_once_per_distinct_consecutive_state(monkeypatch):
         reference_load_mw=total,
     )
     assert tl == expect
+
+
+def restorable_radial(seed, n_buses):
+    """A random radial feeder whose lines carry the whole peak load, so
+    that with everything repaired nothing is shed."""
+    doc = network_to_document(random_radial_network(seed, n_buses=n_buses))
+    for line in doc["lines"]:
+        line["capacity_mva"] = 100.0
+    return load_network(doc)
+
+
+def oracle_timeline(net, failed, hours, horizon):
+    """ens_timeline's definition, one shed_at per hour and nothing shared."""
+    peak = net.peak_hour()
+    total = sum(net.loads_at(peak)[0].values())
+    sheds = [shed_at(net, {c for c in failed
+                           if c not in hours or math.ceil(hours[c]) > t},
+                     peak).total_shed_mw
+             for t in range(horizon)]
+    ens = 0.0
+    for s in sheds:
+        ens += s * net.timestep_hours
+    return powerflow.RestorationTimeline(
+        hours=list(range(horizon)),
+        served_fraction=[1.0 if total <= 0 else (total - s) / total
+                         for s in sheds],
+        shed_mw=sheds, ens_mwh=ens, reference_load_mw=total)
+
+
+@st.composite
+def study(draw):
+    """A network and a few restoration plans of random failed sets; each
+    component's completion hour is drawn, or left out (never repaired)."""
+    if draw(st.booleans()):
+        net = builtin_feeder()
+    else:
+        net = restorable_radial(draw(st.integers(0, 10_000)),
+                                draw(st.integers(2, 7)))
+    ids = sorted(net.components)
+    plans = []
+    for _ in range(draw(st.integers(1, 4))):
+        failed = draw(st.lists(st.sampled_from(ids), unique=True))
+        hours = {c: draw(st.floats(0.0, 6.0)) for c in failed
+                 if draw(st.integers(0, 4))}
+        plans.append((failed, hours))
+    return net, plans, draw(st.none() | st.integers(1, 9))
+
+
+@settings(max_examples=40, deadline=None)
+@given(study())
+def test_timelines_sharing_a_peak_shed_match_an_lp_per_hour(case):
+    net, plans, horizon = case
+    peak_shed = PeakShed(net)
+    for failed, hours in plans:
+        tl = ens_timeline(net, failed, hours, horizon=horizon,
+                          peak_shed=peak_shed)
+        assert tl == oracle_timeline(net, failed, hours, len(tl.hours))
+
+
+def test_failures_inside_a_dead_island_cost_no_extra_lp(monkeypatch):
+    # l5 cuts b6-b8 off the substation, and no generator sits there, so
+    # l6 and l7 fail inside a de-energized island
+    net = builtin_feeder()
+    expect = shed_at(net, ["c_l5", "c_l6"], net.peak_hour()).total_shed_mw
+    solved = []
+
+    def counting(*args, **kwargs):
+        solved.append(args[1].failed)
+        return solve_shedding_lp(*args, **kwargs)
+
+    monkeypatch.setattr(powerflow, "solve_shedding_lp", counting)
+    peak_shed = PeakShed(net)
+    sheds = [peak_shed(failed) for failed in
+             (["c_l5"], ["c_l5", "c_l6"], ["c_l5", "c_l6", "c_l7"])]
+    assert solved == [frozenset({"c_l5"})]
+    assert sheds == [expect] * 3
+    # a failure on the energized side is a new part
+    peak_shed(["c_l5", "c_l9"])
+    assert len(solved) == 2
 
 
 def test_triple_product_linearization_exact_on_all_combos():

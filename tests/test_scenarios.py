@@ -18,11 +18,12 @@ from hypothesis import given, settings, strategies as st
 
 from gridquake.errors import ConfigError
 from gridquake.fixtures import builtin_feeder, default_event
+from gridquake.powerflow import de_energized_load, shed_at
 from gridquake.scenarios import (LossDistribution, ScenarioSet, DamageScenario,
                                  _redistribute, forward_reduce,
                                  generate_scenarios,
                                  reduction_distance, return_period_loss,
-                                 scenario_ens_mw, scenario_set_from_document,
+                                 scenario_set_from_document,
                                  scenario_set_to_document,
                                  select_representatives, system_loss,
                                  wasserstein1)
@@ -126,8 +127,8 @@ def test_scenario_ens_exact_at_least_connectivity():
     net = builtin_feeder()
     t = net.peak_hour()
     for failed in (["c_l1"], ["c_l2", "c_g1"], ["c_sub"], ["c_l9", "c_l10"]):
-        approx = scenario_ens_mw(net, failed, t)
-        exact = scenario_ens_mw(net, failed, t, exact=True)
+        approx = de_energized_load(net, failed, t)
+        exact = shed_at(net, failed, t).total_shed_mw
         assert exact >= approx - 1e-9
 
 
