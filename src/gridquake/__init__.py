@@ -11,7 +11,7 @@ from .seismic import (DEFAULT_GMPE, GmpeCoefficients, PgaField, SeismicEvent,
 from .simplex import INFEASIBLE, OPTIMAL, LpResult, solve_lp
 from .powerflow import (FlowSolution, OperationalState, PeakShed,
                         RestorationTimeline, TripleProductLinearization,
-                        de_energized_load, energization_state, ens_timeline,
+                        energization_state, ens_timeline,
                         linearize_triple_product, shed_at, solve_shedding_lp)
 from .scenarios import (DamageScenario, LossDistribution, ScenarioSet,
                         forward_reduce, generate_scenarios, load_scenario_set,
@@ -43,7 +43,7 @@ __all__ = [
     "RadialityReport", "RestorationTimeline", "ScenarioSet", "SeismicEvent",
     "TrainTrace", "TripleProductLinearization",
     "builtin_feeder", "cluster_to_depots", "component_failure_probabilities",
-    "compute_pga_field", "config_from_document", "de_energized_load",
+    "compute_pga_field", "config_from_document",
     "default_event", "encode_instance", "energization_state", "ens_timeline",
     "exact_dispatch", "failure_probability", "forward_reduce", "ga_dispatch",
     "generate_scenarios", "ground_motion_pga", "instance_from_scenario",

@@ -15,10 +15,13 @@ import time
 
 from .dispatch import ObjectiveBreakdown, instance_from_scenario
 from .errors import ConfigError, GridQuakeError, InternalError, LimitError
-from .fixtures import default_event
+from .fixtures import DEFAULT_EPICENTER, DEFAULT_FOCAL_DEPTH_KM, default_event
+from .ga import GaConfig
 from .model import load_network_file, read_json, read_value
-from .pipeline import (PipelineConfig, load_pipeline_config, plan_document,
-                       run_pipeline, solve, write_restoration)
+from .pipeline import (KNOWN_SOLVERS, PipelineConfig, load_pipeline_config,
+                       plan_document, run_pipeline, solve, write_restoration)
+from .policy import (InstanceFamily, PolicyConfig, PolicyModel, PpoConfig,
+                     ppo_train)
 from .powerflow import energization_state, shed_at
 from .report import write_csv, write_json
 from .scenarios import (forward_reduce, generate_scenarios, load_scenario_set,
@@ -118,10 +121,7 @@ def _cmd_dispatch(args) -> int:
     failed = _failed_set(args)
     instance = instance_from_scenario(net, failed, gamma=args.gamma,
                                       travel_speed_kmh=args.speed)
-    model = None
-    if args.model:
-        from .policy import PolicyModel
-        model = PolicyModel.load(args.model)
+    model = PolicyModel.load(args.model) if args.model else None
     t0 = time.monotonic()
     result = solve(args.solver, instance, seed=args.seed, model=model,
                    samples=args.samples, max_components=args.max_comps,
@@ -136,8 +136,6 @@ def _cmd_dispatch(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    from .policy import (InstanceFamily, PolicyConfig, PolicyModel, PpoConfig,
-                         ppo_train)
     family = InstanceFamily(n_min=args.n_min, n_max=args.n_max,
                             depot_count=args.depots,
                             crews_per_depot=args.crews)
@@ -233,8 +231,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="sample damage scenarios for one event")
     p.add_argument("--network", required=True)
     p.add_argument("--magnitude", type=float, required=True)
-    p.add_argument("--epicenter", default="20,15", help="x,y in km")
-    p.add_argument("--depth", type=float, default=10.0, help="focal depth km")
+    p.add_argument("--epicenter", default="%g,%g" % DEFAULT_EPICENTER,
+                   help="x,y in km")
+    p.add_argument("--depth", type=float, default=DEFAULT_FOCAL_DEPTH_KM,
+                   help="focal depth km")
     p.add_argument("--n", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--w1", type=float, default=1.0)
@@ -263,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("dispatch", help="plan repair crew routes")
-    p.add_argument("solver", choices=["exact", "ga", "policy"])
+    p.add_argument("solver", choices=KNOWN_SOLVERS)
     p.add_argument("--network", required=True)
     p.add_argument("--failed")
     p.add_argument("--scenarios")
@@ -274,8 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-comps", type=int, default=9)
     p.add_argument("--max-crews", type=int, default=3)
     p.add_argument("--time-limit", type=float)
-    p.add_argument("--pop", type=int, default=200)
-    p.add_argument("--gens", type=int, default=500)
+    p.add_argument("--pop", type=int, default=GaConfig.population_size)
+    p.add_argument("--gens", type=int, default=GaConfig.generations)
     p.add_argument("--model", help="policy checkpoint (.npz)")
     p.add_argument("--samples", type=int, default=16)
     p.add_argument("--out")
@@ -283,15 +283,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train the dispatch policy")
     p.add_argument("--out", required=True)
-    p.add_argument("--iterations", type=int, default=500)
-    p.add_argument("--batch", type=int, default=64)
-    p.add_argument("--lr", type=float, default=3e-4)
+    p.add_argument("--iterations", type=int, default=PpoConfig.iterations)
+    p.add_argument("--batch", type=int, default=PpoConfig.batch_size)
+    p.add_argument("--lr", type=float, default=PpoConfig.lr)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--width", type=int, default=64)
-    p.add_argument("--n-min", type=int, default=5)
-    p.add_argument("--n-max", type=int, default=8)
-    p.add_argument("--depots", type=int, default=2)
-    p.add_argument("--crews", type=int, default=1)
+    p.add_argument("--width", type=int, default=PolicyConfig.width)
+    p.add_argument("--n-min", type=int, default=InstanceFamily.n_min)
+    p.add_argument("--n-max", type=int, default=InstanceFamily.n_max)
+    p.add_argument("--depots", type=int, default=InstanceFamily.depot_count)
+    p.add_argument("--crews", type=int,
+                   default=InstanceFamily.crews_per_depot)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("report", help="derived reports")

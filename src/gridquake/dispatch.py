@@ -9,7 +9,9 @@ curtailment-weighted completion times:
     value = gamma * T + (1 - gamma) * sum_d cl_d * completion_d
 
 where T is the latest repair completion over all crews (the drive back to
-the depot is tracked but not part of T).
+the depot is tracked but not part of T). A component's curtailment weight
+cl_d is the peak-hour load its failure alone de-energizes, read from the
+study's `powerflow.PeakShed`.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 
 from .errors import ConfigError, LimitError
 from .model import Depot, Network
-from .powerflow import de_energized_load
+from .powerflow import PeakShed
 
 
 @dataclass(frozen=True)
@@ -135,26 +137,25 @@ class _Compiled:
                                 for a in nodes])
 
 
-def attribute_curtailed_load(network: Network, failed_ids, hour: int) -> dict:
-    """Curtailment weight per failed component: the load de-energized when
-    that component alone is out."""
-    return {cid: de_energized_load(network, [cid], hour) for cid in failed_ids}
-
-
 def instance_from_scenario(
     network: Network, failed_ids, gamma: float = 0.5,
-    travel_speed_kmh: float | None = None,
+    travel_speed_kmh: float | None = None, peak_shed: PeakShed | None = None,
 ) -> DispatchInstance:
-    """Build a dispatch instance for a damage scenario's failed set, its
-    curtailment weights taken at the network's peak hour."""
+    """Build a dispatch instance for a damage scenario's failed set.
+
+    Each component's curtailment weight is the peak-hour load that its
+    failure alone de-energizes, `peak_shed.de_energized([id])`; a fresh
+    PeakShed is made when none is given, and a study passes its own so the
+    peak hour is read once. The weights do not depend on which is used."""
     if travel_speed_kmh is None:
         travel_speed_kmh = network.travel_speed_kmh
     if not network.depots:
         raise ConfigError("network has no depots")
-    cl = attribute_curtailed_load(network, failed_ids, network.peak_hour())
-    failed = set(failed_ids)
+    if peak_shed is None:
+        peak_shed = PeakShed(network)
+    cl = {cid: peak_shed.de_energized([cid]) for cid in failed_ids}
     comps = []
-    for cid in [c for c in network.components if c in failed]:
+    for cid in [c for c in network.components if c in cl]:
         x, y = network.component_location(cid)
         comps.append(FailedComponent(
             id=cid, x=x, y=y,

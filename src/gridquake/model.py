@@ -3,7 +3,9 @@ repair depots, and damageable components, plus JSON (de)serialization.
 
 Networks are radial (a forest of trees, each rooted at a source). The loader
 validates the document schema, cross-references, and topology; instances are
-treated as immutable after loading.
+treated as immutable after loading. `find_islands` is the one union-find
+over lines: the loader's radiality check and the post-event energization
+check (`powerflow.energization_state`) both ask it for islands.
 """
 
 from __future__ import annotations
@@ -505,10 +507,13 @@ def load_network(document: str | dict) -> Network:
     return net
 
 
-def validate_radiality(net: Network) -> RadialityReport:
-    """Check that the lines form a forest and every tree holds a source
-    (substation bus or generator bus)."""
-    parent = {b: b for b in net.buses}
+def find_islands(buses, lines, sources) -> tuple[list, list, list]:
+    """The islands that the Line records `lines` make of the bus ids `buses`,
+    by one union-find: the bus groups, each in the order of `buses` and
+    ordered by their first bus; whether each group holds a bus of
+    `sources`; and the lines, in their order, whose two ends were already
+    joined when they came, so that each closes a cycle."""
+    parent = {b: b for b in buses}
 
     def find(a):
         while parent[a] != a:
@@ -516,33 +521,42 @@ def validate_radiality(net: Network) -> RadialityReport:
             a = parent[a]
         return a
 
-    cycles = []
-    adj: dict[str, list[tuple[str, str]]] = {b: [] for b in net.buses}
-    for lid, ln in net.lines.items():
+    closing = []
+    for ln in lines:
         ra, rb = find(ln.from_bus), find(ln.to_bus)
         if ra == rb:
-            cycles.append(_trace_cycle(net, adj, ln))
+            closing.append(ln)
         else:
             parent[ra] = rb
-            adj[ln.from_bus].append((ln.to_bus, lid))
-            adj[ln.to_bus].append((ln.from_bus, lid))
-
-    source_buses = set(net.substation_buses())
-    source_buses.update(g.bus for g in net.generators.values())
-
     groups: dict[str, list[str]] = {}
-    for b in net.buses:
+    for b in parent:
         groups.setdefault(find(b), []).append(b)
-    sourceless = [
-        tuple(members)
-        for members in groups.values()
-        if not any(m in source_buses for m in members)
-    ]
-    return RadialityReport(cycles=tuple(cycles), sourceless=tuple(sourceless))
+    islands = [tuple(members) for members in groups.values()]
+    return islands, [any(b in sources for b in g) for g in islands], closing
 
 
-def _trace_cycle(net: Network, adj, closing: Line) -> tuple[str, ...]:
-    # path from closing.from_bus to closing.to_bus in the current forest,
+def validate_radiality(net: Network) -> RadialityReport:
+    """Check that the lines form a forest and every tree holds a source
+    (substation bus or generator bus)."""
+    sources = set(net.substation_buses())
+    sources.update(g.bus for g in net.generators.values())
+    islands, sourced, closing = find_islands(net.buses, net.lines.values(),
+                                             sources)
+    # each closing line's cycle is its path in the forest of the others,
+    # which is unique
+    closing_ids = {ln.id for ln in closing}
+    forest = {b: [] for b in net.buses}
+    for lid, ln in net.lines.items():
+        if lid not in closing_ids:
+            forest[ln.from_bus].append((ln.to_bus, lid))
+            forest[ln.to_bus].append((ln.from_bus, lid))
+    return RadialityReport(
+        cycles=tuple(_trace_cycle(forest, ln) for ln in closing),
+        sourceless=tuple(g for g, on in zip(islands, sourced) if not on))
+
+
+def _trace_cycle(adj, closing: Line) -> tuple[str, ...]:
+    # path from closing.from_bus to closing.to_bus in the forest `adj`,
     # plus the closing line itself
     target = closing.to_bus
     stack = [(closing.from_bus, None, [])]

@@ -70,6 +70,7 @@ class PipelineConfig:
                 ("w2", self.w2 >= 0, ">= 0"),
                 ("gamma", 0.0 <= self.gamma <= 1.0, "in [0, 1]"),
                 ("n_scenarios", self.n_scenarios >= 1, ">= 1"),
+                ("reduce_to", self.reduce_to >= 1, ">= 1"),
                 ("ga_population", self.ga_population >= 1, ">= 1"),
                 ("ga_generations", self.ga_generations >= 0, ">= 0"),
                 ("policy_samples", self.policy_samples >= 0, ">= 0"),
@@ -79,10 +80,17 @@ class PipelineConfig:
                 ("exact_time_limit_s", self.exact_time_limit_s > 0, "> 0")):
             if not ok:
                 raise ConfigError(f"{name} must be {rule}")
-        # each magnitude's event, so that the event's own rules apply
+        # each magnitude's event, so that the event's own rules apply, and
+        # each its own artifact tag, so that none overwrites another's files
+        tagged = {}
         for mag in self.magnitudes:
             default_event(mag, epicenter=self.epicenter,
                           focal_depth_km=self.focal_depth_km)
+            tag = _mag_tag(mag)
+            if tag in tagged:
+                raise ConfigError(f"magnitudes {tagged[tag]!r} and {mag!r} "
+                                  f"share the artifact tag {tag}")
+            tagged[tag] = mag
 
 
 def config_from_document(doc: dict) -> PipelineConfig:
@@ -207,8 +215,8 @@ def run_pipeline(network: Network, config: PipelineConfig, out_dir: str,
 
     # stage 1: hazard and scenario sets
     t0 = time.monotonic()
-    # one per study: scenario losses and every timeline read the same
-    # peak-hour operating states
+    # one per study: scenario losses, curtailment weights and every
+    # timeline read the same peak-hour operating states
     peak_shed = PeakShed(network)
     sets = {}
     summaries = {}
@@ -270,7 +278,8 @@ def run_pipeline(network: Network, config: PipelineConfig, out_dir: str,
                 continue
             # one instance, so one compiled form, for every solver
             instance = instance_from_scenario(network, scenario.failed,
-                                              gamma=config.gamma)
+                                              gamma=config.gamma,
+                                              peak_shed=peak_shed)
             for solver in config.solvers:
                 try:
                     status, result = "ok", solve(

@@ -4,7 +4,11 @@ dispatch, and restoration timelines.
 The shedding problem is one LinDistFlow LP over all energized buses, in
 which each energized island is a separate block: nodal P/Q balance, linear
 voltage drop along lines, box limits on flows, generation, voltages, and
-shed. De-energized islands shed everything by construction.
+shed. De-energized islands shed everything by construction. Islands come
+from `model.find_islands`, the union-find that the network loader's
+radiality check also uses. A study's peak-hour questions (scenario losses,
+dispatch curtailment weights, restoration timelines) all go through one
+`PeakShed`.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InternalError
-from .model import Network
+from .model import Network, find_islands
 from . import simplex
 
 
@@ -78,40 +82,15 @@ def energization_state(network: Network, failed_ids) -> OperationalState:
         else:
             subs_out.add(comp.ref)
 
-    parent = {b: b for b in network.buses}
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for ln in network.lines.values():
-        if ln.id in lines_out:
-            continue
-        ra, rb = find(ln.from_bus), find(ln.to_bus)
-        if ra != rb:
-            parent[ra] = rb
-
-    sources = set()
-    for bid in network.substation_buses():
-        if bid not in subs_out:
-            sources.add(bid)
-    for g in network.generators.values():
-        if g.id not in gens_out:
-            sources.add(g.bus)
-
-    groups: dict[str, list[str]] = {}
-    for b in network.buses:
-        groups.setdefault(find(b), []).append(b)
-
-    energized = {}
-    islands = []
-    for members in groups.values():
-        on = any(m in sources for m in members)
-        for m in members:
-            energized[m] = on
-        islands.append(tuple(members))
+    sources = {b for b in network.substation_buses() if b not in subs_out}
+    sources.update(g.bus for g in network.generators.values()
+                   if g.id not in gens_out)
+    islands, sourced, _ = find_islands(
+        network.buses,
+        (ln for ln in network.lines.values() if ln.id not in lines_out),
+        sources)
+    energized = {m: on for members, on in zip(islands, sourced)
+                 for m in members}
 
     return OperationalState(
         failed=failed,
@@ -121,17 +100,6 @@ def energization_state(network: Network, failed_ids) -> OperationalState:
         energized=energized,
         islands=tuple(islands),
     )
-
-
-def de_energized_load(network: Network, failed_ids, t: int) -> float:
-    """MW of load sitting in islands with no operational source at hour t."""
-    return _de_energized(network, energization_state(network, failed_ids),
-                         network.loads_at(t)[0])
-
-
-def _de_energized(network: Network, state: OperationalState,
-                  p_load: dict) -> float:
-    return sum(p_load[b] for b in network.buses if not state.energized[b])
 
 
 def _effective_q_ratio(p_load: float, q_load: float) -> float:
@@ -385,10 +353,12 @@ class PeakShed:
         self._shed = {}  # energized part -> MW shed
 
     def de_energized(self, failed_ids) -> float:
-        """MW of peak load in islands with no operational source."""
-        return _de_energized(self.network,
-                             energization_state(self.network, failed_ids),
-                             self.p_load)
+        """MW of peak load in islands with no operational source: a
+        scenario's connectivity loss, and with one failed id that
+        component's dispatch curtailment weight."""
+        state = energization_state(self.network, failed_ids)
+        return sum(self.p_load[b] for b in self.network.buses
+                   if not state.energized[b])
 
     def __call__(self, failed_ids) -> float:
         """Minimum MW shed at the peak hour with failed_ids out."""

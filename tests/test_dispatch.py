@@ -16,9 +16,10 @@ from gridquake.dispatch import (DispatchInstance, Depot, FailedComponent,
                                 schedule_plan, subtour_violations,
                                 travel_hours)
 from gridquake.errors import ConfigError, LimitError
-from gridquake.fixtures import builtin_feeder
+from gridquake.fixtures import builtin_feeder, random_radial_network
 from gridquake.ga import GaConfig, ga_dispatch
 from gridquake.pipeline import solve
+from gridquake.powerflow import PeakShed, energization_state
 from gridquake.policy import PolicyConfig, PolicyModel, policy_dispatch
 from gridquake.policy.train import InstanceFamily
 
@@ -332,6 +333,28 @@ def test_instance_from_scenario_uses_singleton_curtailment():
     assert by_id["c_l1"].curtailed_mw >= by_id["c_g1"].curtailed_mw
     assert inst.gamma == pytest.approx(0.5)
     assert inst.travel_speed_kmh == pytest.approx(net.travel_speed_kmh)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_instance_weights_from_a_shared_peak_shed_match_an_oracle(data):
+    if data.draw(st.booleans()):
+        net = builtin_feeder()
+    else:
+        net = random_radial_network(data.draw(st.integers(0, 10_000)),
+                                    n_buses=data.draw(st.integers(2, 12)))
+    p_load = net.loads_at(net.peak_hour())[0]
+    peak_shed = PeakShed(net)
+    for _ in range(3):
+        failed = data.draw(st.lists(st.sampled_from(sorted(net.components)),
+                                    unique=True))
+        shared = instance_from_scenario(net, failed, peak_shed=peak_shed)
+        # the load that each failure alone de-energizes, summed in bus order
+        for c in shared.components:
+            state = energization_state(net, [c.id])
+            assert c.curtailed_mw == sum(p_load[b] for b in net.buses
+                                         if not state.energized[b])
+        assert shared == instance_from_scenario(net, failed)
 
 
 def test_crew_ids_are_stable():

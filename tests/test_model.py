@@ -8,8 +8,8 @@ import pytest
 
 from gridquake.errors import ConfigError
 from gridquake.fixtures import builtin_feeder, random_radial_network
-from gridquake.model import (FragilityCurve, LoadProfile, load_network,
-                             network_to_document, read_record,
+from gridquake.model import (Bus, FragilityCurve, Line, LoadProfile, Network,
+                             load_network, network_to_document, read_record,
                              validate_radiality)
 
 
@@ -120,6 +120,23 @@ def test_isolated_group_with_generator_allowed():
 
 def test_validate_radiality_accepts_builtin_feeder():
     assert validate_radiality(builtin_feeder()).ok
+
+
+def test_validate_radiality_reports_each_cycle_and_sourceless_group():
+    buses = {b: Bus(id=b, x=0.0, y=0.0, is_substation=b == "b1")
+             for b in ("b1", "b2", "b3", "b4", "b5", "b6")}
+    ends = [("b1", "b2"), ("b2", "b3"), ("b3", "b4"), ("b4", "b1"),
+            ("b2", "b4"), ("b3", "b6")]
+    lines = {f"l{i}": Line(id=f"l{i}", from_bus=a, to_bus=b, resistance=0.0,
+                           reactance=0.0, capacity_mva=1.0)
+             for i, (a, b) in enumerate(ends, start=1)}
+    net = Network(buses=buses, lines=lines, generators={}, depots={},
+                  components={}, profiles={})
+    report = validate_radiality(net)
+    # l4 and l5 each close a cycle: their path in the forest of l1-l3, l6
+    assert report.cycles == (("l3", "l2", "l1", "l4"), ("l2", "l3", "l5"))
+    assert report.sourceless == (("b5",),)
+    assert not report.ok
 
 
 def test_document_round_trip():

@@ -13,7 +13,7 @@ from gridquake.cli import main
 from gridquake.dispatch import _Compiled
 from gridquake.errors import ConfigError
 from gridquake.fixtures import builtin_feeder
-from gridquake.model import load_network, network_to_document
+from gridquake.model import Network, load_network, network_to_document
 from gridquake.pipeline import (PipelineConfig, config_from_document,
                                 run_pipeline)
 from gridquake.policy import PolicyConfig, PolicyModel
@@ -98,7 +98,12 @@ def test_config_rejects_empty_ga_population_and_negative_samples(field):
     ({"exact_time_limit_s": -1.0}, "exact_time_limit_s must be > 0"),
     ({"magnitudes": [11]}, "magnitude 11 outside [4, 10]"),
     ({"return_periods": [0, 2]}, "return_periods must be > 0"),
-    ({"epicenter": [1, 2, 3]}, "epicenter must be an (x, y) pair")])
+    ({"epicenter": [1, 2, 3]}, "epicenter must be an (x, y) pair"),
+    ({"reduce_to": 0, "return_periods": []}, "reduce_to must be >= 1"),
+    ({"magnitudes": [7.5, 7.5000001]},
+     "magnitudes 7.5 and 7.5000001 share the artifact tag m7_5"),
+    ({"magnitudes": [6.5, 7.5, 7.5]},
+     "magnitudes 7.5 and 7.5 share the artifact tag m7_5")])
 def test_config_rejects_fields_before_any_output(field, rule, tmp_path):
     with pytest.raises(ConfigError, match=re.escape(rule)):
         PipelineConfig(**field)
@@ -111,6 +116,21 @@ def test_config_rejects_fields_before_any_output(field, rule, tmp_path):
     assert main(["pipeline", "--network", str(net), "--config", str(cfg),
                  "--out", str(out)]) == 2
     assert not out.exists()
+
+
+def test_a_study_reads_the_peak_hour_once(tmp_path, monkeypatch):
+    calls = []
+    peak_hour = Network.peak_hour
+
+    def counting(net):
+        calls.append(net)
+        return peak_hour(net)
+
+    monkeypatch.setattr(Network, "peak_hour", counting)
+    config = PipelineConfig(magnitudes=(8.0,), reduce_to=6, ga_population=30,
+                            ga_generations=40, exact_max_components=7, seed=5)
+    run_pipeline(builtin_feeder(), config, str(tmp_path / "run"))
+    assert len(calls) == 1
 
 
 def test_pipeline_produces_expected_artifacts(tmp_path):

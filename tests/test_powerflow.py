@@ -20,9 +20,9 @@ from gridquake.errors import ConfigError, InternalError
 from gridquake.fixtures import builtin_feeder, random_radial_network
 from gridquake.model import load_network, network_to_document
 from gridquake.powerflow import (PeakShed, TripleProductLinearization,
-                                 de_energized_load, energization_state,
-                                 ens_timeline, linearize_triple_product,
-                                 shed_at, solve_shedding_lp)
+                                 energization_state, ens_timeline,
+                                 linearize_triple_product, shed_at,
+                                 solve_shedding_lp)
 
 
 def brute_force_min_shed(net, t=0, step=0.1):
@@ -216,11 +216,65 @@ def test_unknown_failed_id_raises():
         energization_state(net, ["nope"])
 
 
+@st.composite
+def failed_set(draw):
+    """The built-in feeder or a random radial one, and a random failed set."""
+    if draw(st.booleans()):
+        net = builtin_feeder()
+    else:
+        net = random_radial_network(draw(st.integers(0, 10_000)),
+                                    n_buses=draw(st.integers(2, 12)))
+    return net, draw(st.lists(st.sampled_from(sorted(net.components)),
+                              unique=True))
+
+
+def bfs_islands(net, failed):
+    """Connected bus groups over the lines in service, each in document
+    order, by breadth-first search; and the buses reachable from a source
+    in service."""
+    out = {(net.components[c].kind, net.components[c].ref) for c in failed}
+    adj = {b: [] for b in net.buses}
+    for ln in net.lines.values():
+        if ("line", ln.id) not in out:
+            adj[ln.from_bus].append(ln.to_bus)
+            adj[ln.to_bus].append(ln.from_bus)
+
+    def reach(starts):
+        seen, queue = set(starts), list(starts)
+        for u in queue:
+            for w in adj[u]:
+                if w not in seen:
+                    seen.add(w)
+                    queue.append(w)
+        return seen
+
+    groups, grouped = [], set()
+    for b in net.buses:
+        if b not in grouped:
+            members = reach([b])
+            grouped |= members
+            groups.append(tuple(m for m in net.buses if m in members))
+    live = reach([b for b in net.substation_buses()
+                  if ("substation", b) not in out]
+                 + [g.bus for g in net.generators.values()
+                    if ("generator", g.id) not in out])
+    return tuple(groups), live
+
+
+@settings(max_examples=60, deadline=None)
+@given(failed_set())
+def test_energization_matches_reachability_from_live_sources(case):
+    net, failed = case
+    state = energization_state(net, failed)
+    islands, live = bfs_islands(net, failed)
+    assert state.energized == {b: b in live for b in net.buses}
+    assert state.islands == islands
+
+
 def test_de_energized_load_is_monotone_in_failures():
-    net = builtin_feeder()
-    t = net.peak_hour()
-    singles = de_energized_load(net, ["c_l2"], t)
-    more = de_energized_load(net, ["c_l2", "c_g1"], t)
+    peak_shed = PeakShed(builtin_feeder())
+    singles = peak_shed.de_energized(["c_l2"])
+    more = peak_shed.de_energized(["c_l2", "c_g1"])
     assert more >= singles - 1e-12
 
 

@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from gridquake.errors import ConfigError
 from gridquake.fixtures import builtin_feeder, default_event
-from gridquake.powerflow import de_energized_load, shed_at
+from gridquake.powerflow import PeakShed, shed_at
 from gridquake.scenarios import (LossDistribution, ScenarioSet, DamageScenario,
                                  _redistribute, forward_reduce,
                                  generate_scenarios,
@@ -126,8 +126,9 @@ def test_generate_scenarios_loss_scales_with_magnitude():
 def test_scenario_ens_exact_at_least_connectivity():
     net = builtin_feeder()
     t = net.peak_hour()
+    peak_shed = PeakShed(net)
     for failed in (["c_l1"], ["c_l2", "c_g1"], ["c_sub"], ["c_l9", "c_l10"]):
-        approx = de_energized_load(net, failed, t)
+        approx = peak_shed.de_energized(failed)
         exact = shed_at(net, failed, t).total_shed_mw
         assert exact >= approx - 1e-9
 
