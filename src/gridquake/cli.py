@@ -268,16 +268,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--failed")
     p.add_argument("--scenarios")
     p.add_argument("--scenario-id", type=int)
-    p.add_argument("--gamma", type=float, default=0.5)
+    p.add_argument("--gamma", type=float, default=PipelineConfig.gamma)
     p.add_argument("--speed", type=float, help="travel speed km/h")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-comps", type=int, default=9)
-    p.add_argument("--max-crews", type=int, default=3)
+    p.add_argument("--max-comps", type=int,
+                   default=PipelineConfig.exact_max_components)
+    p.add_argument("--max-crews", type=int,
+                   default=PipelineConfig.exact_max_crews)
     p.add_argument("--time-limit", type=float)
     p.add_argument("--pop", type=int, default=GaConfig.population_size)
     p.add_argument("--gens", type=int, default=GaConfig.generations)
     p.add_argument("--model", help="policy checkpoint (.npz)")
-    p.add_argument("--samples", type=int, default=16)
+    p.add_argument("--samples", type=int,
+                   default=PipelineConfig.policy_samples)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_dispatch)
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, asdict
 
 from .dispatch import exact_dispatch, instance_from_scenario
 from .errors import ConfigError, InternalError, LimitError
-from .fixtures import default_event
+from .fixtures import DEFAULT_EPICENTER, DEFAULT_FOCAL_DEPTH_KM, default_event
 from .ga import GaConfig, ga_dispatch
 from .model import Network, read_json, read_record, record_document
 from .powerflow import PeakShed, ens_timeline
@@ -42,8 +42,8 @@ class PipelineConfig:
     gamma: float = 0.5
     seed: int = 0
     exact_ens: bool = False
-    epicenter: tuple[float, float] = (20.0, 15.0)
-    focal_depth_km: float = 10.0
+    epicenter: tuple[float, float] = DEFAULT_EPICENTER
+    focal_depth_km: float = DEFAULT_FOCAL_DEPTH_KM
     solvers: tuple[str, ...] = ("exact", "ga")
     ga_population: int = 60
     ga_generations: int = 120

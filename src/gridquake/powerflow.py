@@ -89,8 +89,9 @@ def energization_state(network: Network, failed_ids) -> OperationalState:
         network.buses,
         (ln for ln in network.lines.values() if ln.id not in lines_out),
         sources)
-    energized = {m: on for members, on in zip(islands, sourced)
-                 for m in members}
+    live = {m for members, on in zip(islands, sourced) if on
+            for m in members}
+    energized = {b: b in live for b in network.buses}
 
     return OperationalState(
         failed=failed,
@@ -120,8 +121,10 @@ def solve_shedding_lp(
     The all-shed point (every generator at p_min = 0, zero flows, flat
     voltage) is feasible for any network whose generators can idle, so a
     well-formed instance cannot be infeasible; if the solver still reports
-    infeasible, InternalError is raised. The simplex starts from a basis at
-    that point (see _all_shed_start), so it needs no phase 1.
+    infeasible, InternalError is raised. The simplex starts each energized
+    island at its all-served point if that point is feasible, and at the
+    all-shed point otherwise (see _crash_basis), so it needs no phase 1,
+    and an island that can serve its whole load takes no pivot.
     """
     sol = FlowSolution(v={}, p_shed={}, q_shed={}, p_line={}, q_line={},
                        p_gen={}, q_gen={}, p_import={}, q_import={})
@@ -227,8 +230,8 @@ def solve_shedding_lp(
     for g in live_gens:
         sources.setdefault(g.bus, []).append(
             (False, g.q_max - g.q_min, ix_pg[g.id], ix_qg[g.id]))
-    start = _all_shed_start(network, state, cols, lo, hi, row_of, live_lines,
-                            sources, ix_v, ix_pl, ix_ql)
+    start = _crash_basis(network, state, cols, A, b_vec, lo, hi, row_of,
+                         live_lines, sources, ix_v, ix_pl, ix_ql)
     res = simplex.solve_lp(c, A, b_vec, lo, hi, start=start)
     if res.status != simplex.OPTIMAL:
         raise InternalError(
@@ -267,46 +270,59 @@ def solve_shedding_lp(
     return sol
 
 
-def _all_shed_start(network, state, cols, lo, hi, row_of, live_lines,
-                    sources, ix_v, ix_pl, ix_ql):
-    """A crash basis at the all-shed point for the shedding LP's columns and
-    rows, as (basis, at_upper) for simplex.solve_lp.
+def _crash_basis(network, state, cols, A, b, lo, hi, row_of, live_lines,
+                 sources, ix_v, ix_pl, ix_ql):
+    """A crash basis for the shedding LP's columns and rows, as (basis,
+    at_upper) for simplex.solve_lp: each energized island starts at its
+    all-served point if the LP's rows hold there, and at its all-shed point
+    otherwise. The islands' blocks share no row, so each picks on its own.
 
     Each energized island is walked as a tree from its source with the
     widest reactive range, a live substation first; its P and Q rows take
-    that source's columns. Every other bus's balance rows take its parent
-    line's pl and ql, and the line's drop row takes the bus's v. A bus with
-    a reactive source whose box holds 0 idles it at 0 instead: that column
-    takes the bus's Q row, the parent line's ql its drop row, and the bus's
-    v stays at v_max, which must then equal the root's. Nonbasic columns
-    shed the whole load, hold generation at p_min and reactive sources at
-    their bound nearest 0, and voltages at v_max. None if a row is left
-    without a column, as in a meshed island (which the loader refuses).
-    """
-    def at_upper_bound(kind, lo_, hi_):
-        if kind in ("shed", "qshed"):
-            return abs(hi_) > abs(lo_)  # the bound that sheds the whole load
-        if kind in ("qg", "qs"):
-            return abs(hi_) < abs(lo_)  # the bound nearest 0
-        return kind == "v"  # pg at p_min, ps at 0
+    that source's columns, and every other bus's balance rows take its
+    parent line's pl and ql. Nonbasic generation sits at p_min, reactive
+    sources at their bound nearest 0 (the lower on a tie), and voltages at
+    v_max.
 
-    at_upper = np.array([at_upper_bound(kind, l, h)
-                         for kind, _, l, h, _ in cols])
+    - All served: every shed and qshed column sits at its bound nearest 0,
+      and each line's drop row takes its child bus's v. The basis is solved
+      once against A; an island keeps it if every basic value of its rows
+      lies within its box (within the simplex's own tolerance).
+    - All shed, for every other island: shed and qshed sit at the bound that
+      sheds the whole load. A bus with a reactive source whose box holds 0
+      idles it at 0 instead: that column takes the bus's Q row, the parent
+      line's ql its drop row, and the bus's v stays at v_max, which must
+      then equal the root's. That pins the bus to the root's voltage, which
+      is why the all-served start does not idle.
+
+    None if a row is left without a column, as in a meshed island (which
+    the loader refuses).
+    """
+    kinds = np.array([col[0] for col in cols])
+    sheds = np.isin(kinds, ("shed", "qshed"))
+    nearest_zero = np.abs(hi) < np.abs(lo)
+    # v at v_max, pg at p_min and ps at 0 (their lower bounds)
+    at_upper = np.where(np.isin(kinds, ("qg", "qs")), nearest_zero,
+                        kinds == "v")
+    at_upper[sheds] = ~nearest_zero[sheds]  # shed the whole load
+
     nb = len(row_of)
-    basis = np.full(2 * nb + len(live_lines), -1)
-    adj = {b: [] for b in row_of}
+    served = np.full(len(b), -1)
+    basis = np.full(len(b), -1)  # all shed until an island is served
+    adj = {bus: [] for bus in row_of}
     for k, ln in enumerate(live_lines):
         adj[ln.from_bus].append((k, ln, ln.to_bus))
         adj[ln.to_bus].append((k, ln, ln.from_bus))
 
+    blocks = []  # (rows, buses) of each energized island
     for island in state.islands:
         if not state.energized[island[0]]:
             continue
         (_, _, p_col, q_col), root = max(
-            ((src, b) for b in island for src in sources.get(b, ())),
+            ((src, bus) for bus in island for src in sources.get(bus, ())),
             key=lambda pair: pair[0][:2])
-        basis[row_of[root]] = p_col
-        basis[nb + row_of[root]] = q_col
+        rows = [row_of[root], nb + row_of[root]]
+        served[rows] = basis[rows] = (p_col, q_col)
         v_root = network.buses[root].v_max
         order, seen = [root], {root}
         for u in order:
@@ -316,15 +332,33 @@ def _all_shed_start(network, state, cols, lo, hi, row_of, live_lines,
                 seen.add(w)
                 order.append(w)
                 r, drop = row_of[w], 2 * nb + k
+                rows += [r, nb + r, drop]
+                served[r] = basis[r] = ix_pl[ln.id]
+                served[nb + r], served[drop] = ix_ql[ln.id], ix_v[w]
                 idle = next((q for _, _, _, q in sources.get(w, ())
                              if lo[q] <= 0.0 <= hi[q]), None)
-                basis[r] = ix_pl[ln.id]
                 if (idle is not None and ln.reactance > 0
                         and network.buses[w].v_max == v_root):
                     basis[nb + r], basis[drop] = idle, ix_ql[ln.id]
                 else:
                     basis[nb + r], basis[drop] = ix_ql[ln.id], ix_v[w]
-    return (basis, at_upper) if basis.min() >= 0 else None
+        blocks.append((rows, island))
+    if basis.min() < 0:
+        return None
+
+    x = np.where(np.where(sheds, nearest_zero, at_upper), hi, lo)
+    x[served] = 0.0
+    xb = np.linalg.solve(A[:, served], b - A @ x)
+    inside = ((xb >= lo[served] - simplex._TOL)
+              & (xb <= hi[served] + simplex._TOL))
+    served_buses = set()
+    for rows, island in blocks:
+        if inside[rows].all():
+            basis[rows] = served[rows]
+            served_buses.update(island)
+    keep = sheds & np.array([key in served_buses for _, key, *_ in cols])
+    at_upper[keep] = nearest_zero[keep]
+    return basis, at_upper
 
 
 def shed_at(network: Network, failed_ids, t: int) -> FlowSolution:

@@ -4,9 +4,11 @@ Solves   min c.x   s.t.  A x = b,  lower <= x <= upper.
 
 A caller that knows a feasible basis passes it as a crash start (Bixby,
 "Implementing the simplex method: the initial basis", 1992): the shedding
-LP passes the all-shed basis. If that basis is nonsingular and primal
-feasible, phase 2 runs from it directly. Otherwise, and for every LP without
-a start, phase 1 first finds a feasible basis from one artificial per row.
+LP passes a basis that starts each energized island at its all-served point
+where the LP's rows hold there, and at its all-shed point elsewhere. If the
+start is nonsingular and primal feasible, phase 2 runs from it directly.
+Otherwise, and for every LP without a start, phase 1 first finds a feasible
+basis from one artificial per row.
 
 Sized for distribution feeders (hundreds of rows). Each phase keeps an
 explicit inverse of the basis matrix: it is computed afresh when the phase
@@ -15,9 +17,10 @@ is carried by one rank-one (eta) update per basis change, so an iteration
 costs O(m^2 + m n) in matrix-vector products instead of three dense solves
 (Chvatal, Linear Programming, ch. 24). The returned point is solved afresh
 on the final basis, so it depends on that basis alone, not on the rounding
-of the path to it. Pricing is Dantzig (most negative reduced cost) with a
-permanent switch to Bland's rule once the objective stalls, which guards
-against cycling on degenerate bases.
+of the path to it. Pricing is Dantzig (the largest reduced-cost violation,
+ties within _TOL going to the lowest column index, so that the vertex does
+not depend on how the BLAS rounds) with a permanent switch to Bland's rule
+once the objective stalls, which guards against cycling on degenerate bases.
 """
 
 from __future__ import annotations
@@ -245,10 +248,14 @@ def _simplex_core(c, A, b, lo, hi, basis, status, max_iter, allowed, stats,
         if idx.size == 0:
             return it, obj
 
+        # Dantzig takes the largest |d|, and of those within _TOL of it the
+        # lowest index: reduced costs that tie in exact arithmetic are
+        # ordered by how y @ A rounded, which the BLAS's threading decides
         if bland:
             j = int(idx[0])
         else:
-            j = int(idx[np.argmax(np.abs(d[idx]))])
+            size = np.abs(d[idx])
+            j = int(idx[np.argmax(size >= size.max() - _TOL)])
 
         # direction of basic variables as x_j moves by +t (from lower) or
         # -t (from upper); fold the sign in so t >= 0 either way

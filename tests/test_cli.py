@@ -2,13 +2,16 @@
 
 import json
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from gridquake.cli import main
-from gridquake.fixtures import builtin_feeder, default_event
+from gridquake.cli import build_parser, main
+from gridquake.fixtures import (DEFAULT_EPICENTER, DEFAULT_FOCAL_DEPTH_KM,
+                                builtin_feeder, default_event)
 from gridquake.model import network_to_document
+from gridquake.pipeline import PipelineConfig
 from gridquake.policy.nn import PolicyConfig, PolicyModel
 from gridquake.scenarios import generate_scenarios, scenario_set_to_document
 
@@ -89,6 +92,21 @@ def test_dispatch_without_failures_gives_empty_plan(network_path, tmp_path,
         assert doc["routes"] == docs["exact"]["routes"]
         assert all(r == [] for r in doc["routes"].values())
     capsys.readouterr()
+
+
+def test_parser_defaults_are_the_dataclass_defaults():
+    defaults = {f.name: f.default for f in fields(PipelineConfig)}
+    assert defaults["epicenter"] == DEFAULT_EPICENTER
+    assert defaults["focal_depth_km"] == DEFAULT_FOCAL_DEPTH_KM
+    parser = build_parser()
+    dispatch = parser.parse_args(["dispatch", "exact", "--network", "n"])
+    assert dispatch.gamma == defaults["gamma"]
+    assert dispatch.max_comps == defaults["exact_max_components"]
+    assert dispatch.max_crews == defaults["exact_max_crews"]
+    assert dispatch.samples == defaults["policy_samples"]
+    gen = parser.parse_args(["gen", "--network", "n", "--magnitude", "7"])
+    assert tuple(map(float, gen.epicenter.split(","))) == defaults["epicenter"]
+    assert gen.depth == defaults["focal_depth_km"]
 
 
 def test_exit_code_2_on_negative_samples(network_path, model_path, capsys):

@@ -23,6 +23,7 @@ from gridquake.powerflow import (PeakShed, TripleProductLinearization,
                                  energization_state, ens_timeline,
                                  linearize_triple_product, shed_at,
                                  solve_shedding_lp)
+from test_simplex import assert_matches_highs, shedding_lps
 
 
 def brute_force_min_shed(net, t=0, step=0.1):
@@ -193,6 +194,13 @@ def test_energization_islands_and_sources():
     st2 = energization_state(net, ["c_l2", "c_l3"])
     assert not st2.energized["b3"]
     assert st2.energized["b4"] and st2.energized["b5"]
+
+
+def test_energized_is_keyed_in_document_order():
+    # c_l1 splits the feeder into b1, b6-b12 and b2-b5, b13
+    net = builtin_feeder()
+    state = energization_state(net, ["c_l1"])
+    assert list(state.energized) == list(net.buses)
 
 
 def test_failed_substation_without_generators_blacks_out():
@@ -373,6 +381,68 @@ def restorable_radial(seed, n_buses):
     for line in doc["lines"]:
         line["capacity_mva"] = 100.0
     return load_network(doc)
+
+
+@pytest.mark.parametrize("net", [builtin_feeder()] + [
+    restorable_radial(seed, 30) for seed in range(5)],
+    ids=["builtin"] + [f"radial30-seed{seed}" for seed in range(5)])
+def test_servable_feeder_starts_at_its_optimum(net):
+    # every island can serve its whole load, so the crash start is already
+    # optimal: no pivot, and no shed but exact zeros
+    (_, _, res), = shedding_lps(net, [])
+    assert res.stats["start"] == "crash"
+    assert res.iterations == 0
+    flow = shed_at(net, [], 0)
+    assert all(flow.p_shed[b] == 0.0 for b in net.buses)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000), n_buses=st.integers(2, 30),
+       fail_fraction=st.floats(0.0, 0.6))
+def test_mixed_served_and_shed_islands_match_highs(seed, n_buses,
+                                                   fail_fraction):
+    # failures cut generator islands off the substation; those whose
+    # generators cannot carry their load start all shed, the rest all served
+    net = restorable_radial(seed, n_buses)
+    ids = sorted(net.components)
+    rng = np.random.default_rng(seed)
+    failed = list(rng.choice(ids, size=int(fail_fraction * len(ids)),
+                             replace=False))
+    for args, _, res in shedding_lps(net, failed):
+        assert res.stats["start"] == "crash"
+        assert_matches_highs(*args, res)
+
+
+def test_island_whose_generator_cannot_carry_its_load_starts_all_shed():
+    # l2 out: b1-b2 is served from the substation, and b3's 1 MW generator
+    # cannot carry its 3 MW load
+    doc = {
+        "buses": [
+            {"id": "b1", "x": 0, "y": 0, "is_substation": True},
+            {"id": "b2", "x": 1, "y": 0, "load_profile": "p2"},
+            {"id": "b3", "x": 2, "y": 0, "load_profile": "p3"},
+        ],
+        "lines": [{"id": f"l{k}", "from_bus": f"b{k}", "to_bus": f"b{k + 1}",
+                   "resistance": 0.01, "reactance": 0.01,
+                   "capacity_mva": 10.0} for k in (1, 2)],
+        "generators": [{"id": "g3", "bus": "b3", "p_min": 0.0, "p_max": 1.0,
+                        "q_min": -1.0, "q_max": 1.0}],
+        "depots": [{"id": "d1", "x": 0, "y": 0}],
+        "components": [{"id": f"c_l{k}", "kind": "line", "ref": f"l{k}"}
+                       for k in (1, 2)],
+        "profiles": [{"id": "p2", "p_mw": [1.0]}, {"id": "p3", "p_mw": [3.0]}],
+    }
+    net = load_network(doc)
+    (args, kwargs, res), = shedding_lps(net, ["c_l2"])
+    c = args[0]
+    _, at_upper = kwargs["start"]
+    # the shed columns, b2's then b3's, are the only ones with a cost
+    assert at_upper[c > 0].tolist() == [False, True]
+    assert res.stats["start"] == "crash"
+    assert_matches_highs(*args, res)
+    flow = shed_at(net, ["c_l2"], 0)
+    assert flow.p_shed["b2"] == 0.0
+    assert flow.p_shed["b3"] == pytest.approx(2.0, abs=1e-9)
 
 
 def oracle_timeline(net, failed, hours, horizon):

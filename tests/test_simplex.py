@@ -3,6 +3,10 @@
 scipy is a test-only dependency; the solver itself must not need it.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -211,6 +215,34 @@ def test_seeded_120_bus_shedding_lp_matches_highs():
         assert res.stats["start"] == "crash"
         assert simplex._REFACTOR_EVERY < res.iterations < 200
         assert_matches_highs(*args, res)
+
+
+VERTEX_PROBE = """
+import numpy as np
+from gridquake.fixtures import random_radial_network
+from gridquake.powerflow import shed_at
+for seed in (3, 0, 1):
+    net = random_radial_network(seed, n_buses=120)
+    flow = shed_at(net, [], 0)
+    print(np.array([flow.p_shed[b] for b in net.buses]
+                   + [flow.v[b] for b in net.buses]).tobytes().hex())
+"""
+
+
+def test_shedding_lp_vertex_does_not_depend_on_blas_threads():
+    # these feeders' lines cannot carry their load, so each LP pivots from
+    # the all-shed start through reduced costs that tie in exact arithmetic
+    src = Path(__file__).resolve().parents[1] / "src"
+    vertices = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+        vertices.append(subprocess.run(
+            [sys.executable, "-c", VERTEX_PROBE], env=env, check=True,
+            capture_output=True, text=True).stdout)
+    assert vertices[0].count("\n") == 3
+    assert vertices[0] == vertices[1]
 
 
 def test_refactorization_and_bound_flip_paths():
