@@ -144,16 +144,19 @@ def instance_from_scenario(
     """Build a dispatch instance for a damage scenario's failed set.
 
     Each component's curtailment weight is the peak-hour load that its
-    failure alone de-energizes, `peak_shed.de_energized([id])`; a fresh
-    PeakShed is made when none is given, and a study passes its own so the
-    peak hour is read once. The weights do not depend on which is used."""
+    failure alone de-energizes: one `peak_shed.de_energized` call answers
+    every component's one-component set. A fresh PeakShed is made when none
+    is given, and a study passes its own so the peak hour is read once. The
+    weights do not depend on which is used."""
     if travel_speed_kmh is None:
         travel_speed_kmh = network.travel_speed_kmh
     if not network.depots:
         raise ConfigError("network has no depots")
     if peak_shed is None:
         peak_shed = PeakShed(network)
-    cl = {cid: peak_shed.de_energized([cid]) for cid in failed_ids}
+    failed_ids = list(failed_ids)
+    cl = dict(zip(failed_ids,
+                  peak_shed.de_energized([[cid] for cid in failed_ids])))
     comps = []
     for cid in [c for c in network.components if c in cl]:
         x, y = network.component_location(cid)

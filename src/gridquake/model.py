@@ -3,9 +3,10 @@ repair depots, and damageable components, plus JSON (de)serialization.
 
 Networks are radial (a forest of trees, each rooted at a source). The loader
 validates the document schema, cross-references, and topology; instances are
-treated as immutable after loading. `find_islands` is the one union-find
-over lines: the loader's radiality check and the post-event energization
-check (`powerflow.energization_state`) both ask it for islands.
+treated as immutable after loading. `find_islands`, a sequential
+union-find over lines, serves the loader's radiality check, which needs the
+lines, in order, that close a cycle; post-event islands come from
+`powerflow.island_labels`, which labels many failed sets at once.
 """
 
 from __future__ import annotations

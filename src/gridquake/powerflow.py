@@ -5,10 +5,10 @@ The shedding problem is one LinDistFlow LP over all energized buses, in
 which each energized island is a separate block: nodal P/Q balance, linear
 voltage drop along lines, box limits on flows, generation, voltages, and
 shed. De-energized islands shed everything by construction. Islands come
-from `model.find_islands`, the union-find that the network loader's
-radiality check also uses. A study's peak-hour questions (scenario losses,
-dispatch curtailment weights, restoration timelines) all go through one
-`PeakShed`.
+from `island_labels`, which labels the islands of many failed sets in one
+array pass. A study's peak-hour questions (scenario losses, dispatch
+curtailment weights, restoration timelines) all go through one `PeakShed`,
+which answers a whole batch of failed sets' de-energized load at once.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InternalError
-from .model import Network, find_islands
+from .model import Network
 from . import simplex
 
 
@@ -59,48 +59,140 @@ class RestorationTimeline:
     reference_load_mw: float
 
 
+def island_labels(n_buses: int, ends, live) -> np.ndarray:
+    """Island labels of k line outage patterns at once. `ends` is an (m, 2)
+    array of each line's two bus positions, and row i of the (k, m) bool
+    array `live` marks the lines in service in pattern i. Entry [i, b] of
+    the (k, n_buses) result is the smallest bus position in bus b's island
+    under pattern i, so labels in ascending order list the islands by their
+    first bus.
+
+    Min-label hooking with pointer jumping: each round, every live line
+    whose two ends carry different labels hooks the larger label (a root)
+    onto the smaller one, and every label then jumps to its root. A label
+    only falls and always names a bus of its island, so at the fixed point
+    each island carries its first bus. The lines need not form a forest.
+    """
+    k = len(live)
+    # a label is a position in the flattened (k, n_buses) array, so one
+    # gather jumps every pattern's labels at once
+    offset = np.arange(0, k * n_buses, n_buses)[:, None]
+    label = np.arange(k * n_buses)
+    rows, cols = np.nonzero(live)
+    u = ends[cols, 0] + offset[rows, 0]
+    v = ends[cols, 1] + offset[rows, 0]
+    while True:
+        lu, lv = label[u], label[v]
+        lo, hi = np.minimum(lu, lv), np.maximum(lu, lv)
+        if (lo == hi).all():
+            return label.reshape(k, n_buses) - offset
+        np.minimum.at(label, hi, lo)
+        while True:
+            up = label[label]
+            if (up == label).all():
+                break
+            label = up
+
+
+class _Grid:
+    """A network's buses, lines and sources as index arrays, to answer the
+    energization of many failed sets in one island_labels pass."""
+
+    def __init__(self, network: Network):
+        self.network = network
+        self.buses = list(network.buses)
+        at = {b: i for i, b in enumerate(self.buses)}
+        self.ends = np.array([(at[ln.from_bus], at[ln.to_bus])
+                              for ln in network.lines.values()],
+                             dtype=np.intp).reshape(-1, 2)
+        self.gen_bus = np.array([at[g.bus]
+                                 for g in network.generators.values()],
+                                dtype=np.intp)
+        self.substation = np.array([b.is_substation
+                                    for b in network.buses.values()],
+                                   dtype=bool)
+        # a failed set marks equipment out in one (k, lines + generators +
+        # buses) array; each component's column is its line, generator or
+        # substation bus
+        m, g = len(self.ends), len(self.gen_bus)
+        column = {"line": {lid: i for i, lid in enumerate(network.lines)},
+                  "generator": {gid: m + i for i, gid
+                                in enumerate(network.generators)},
+                  "substation": {b: m + g + i for b, i in at.items()}}
+        self.column = {cid: column[c.kind][c.ref]
+                       for cid, c in network.components.items()}
+
+    def energized(self, failed_sets):
+        """(up, labels, energized) of the k failed sets: a (k, lines +
+        generators + buses) array of the equipment in service, and (k,
+        n_buses) arrays of each bus's island label (see island_labels) and
+        whether its island holds an operational substation or an available
+        generator."""
+        failed_sets = list(failed_sets)
+        try:
+            out = [self.column[cid] for ids in failed_sets for cid in ids]
+        except KeyError:
+            unknown = ({cid for ids in failed_sets for cid in ids}
+                       - self.column.keys())
+            raise ConfigError(
+                f"unknown component ids: {sorted(unknown)}") from None
+        k, n = len(failed_sets), len(self.buses)
+        m, g = len(self.ends), len(self.gen_bus)
+        up = np.ones((k, m + g + n), dtype=bool)
+        up[np.repeat(np.arange(k), [len(ids) for ids in failed_sets]),
+           out] = False
+        labels = island_labels(n, self.ends, up[:, :m])
+        fed = np.zeros((k, n), dtype=bool)
+        rows, buses = np.nonzero(up[:, m + g:] & self.substation)
+        fed[rows, labels[rows, buses]] = True
+        rows, gens = np.nonzero(up[:, m:m + g])
+        fed[rows, labels[rows, self.gen_bus[gens]]] = True
+        return up, labels, fed[np.arange(k)[:, None], labels]
+
+    def energized_parts(self, up, energized) -> list:
+        """Each failed set's energized part as a hashable key: its energized
+        buses, and its out-of-service lines, generators and substations
+        that touch them."""
+        touched = np.hstack([energized[:, self.ends[:, 0]]
+                             | energized[:, self.ends[:, 1]],
+                             energized[:, self.gen_bus], energized])
+        return [row.tobytes()
+                for row in np.hstack([energized, touched & ~up])]
+
+    def state(self, failed: frozenset, labels, energized) -> OperationalState:
+        """The OperationalState of one failed set from its rows of
+        `energized`'s labels and energized arrays."""
+        comps = self.network.components
+        refs = {"line": set(), "generator": set(), "substation": set()}
+        for cid in failed:
+            refs[comps[cid].kind].add(comps[cid].ref)
+        islands = {}
+        for b, label in zip(self.buses, labels.tolist()):
+            islands.setdefault(label, []).append(b)
+        return OperationalState(
+            failed=failed,
+            lines_out=frozenset(refs["line"]),
+            gens_out=frozenset(refs["generator"]),
+            substations_out=frozenset(refs["substation"]),
+            energized=dict(zip(self.buses, energized.tolist())),
+            islands=tuple(tuple(group) for group in islands.values()),
+        )
+
+
 def energization_state(network: Network, failed_ids) -> OperationalState:
     """Resolve island energization from a set of failed component ids.
 
     A failed line is out of service; a failed generator is unavailable; a
     failed substation keeps its bus as a node but loses grid supply. An
     island is energized iff it contains an operational substation or an
-    available generator.
+    available generator. Islands are listed by their first bus, each in
+    document order. This is island_labels on a batch of one; a PeakShed
+    answers a batch of failed sets in one pass.
     """
+    grid = _Grid(network)
     failed = frozenset(failed_ids)
-    unknown = failed - set(network.components)
-    if unknown:
-        raise ConfigError(f"unknown component ids: {sorted(unknown)}")
-
-    lines_out, gens_out, subs_out = set(), set(), set()
-    for cid in failed:
-        comp = network.components[cid]
-        if comp.kind == "line":
-            lines_out.add(comp.ref)
-        elif comp.kind == "generator":
-            gens_out.add(comp.ref)
-        else:
-            subs_out.add(comp.ref)
-
-    sources = {b for b in network.substation_buses() if b not in subs_out}
-    sources.update(g.bus for g in network.generators.values()
-                   if g.id not in gens_out)
-    islands, sourced, _ = find_islands(
-        network.buses,
-        (ln for ln in network.lines.values() if ln.id not in lines_out),
-        sources)
-    live = {m for members, on in zip(islands, sourced) if on
-            for m in members}
-    energized = {b: b in live for b in network.buses}
-
-    return OperationalState(
-        failed=failed,
-        lines_out=frozenset(lines_out),
-        gens_out=frozenset(gens_out),
-        substations_out=frozenset(subs_out),
-        energized=energized,
-        islands=tuple(islands),
-    )
+    _, labels, energized = grid.energized([failed])
+    return grid.state(failed, labels[0], energized[0])
 
 
 def _effective_q_ratio(p_load: float, q_load: float) -> float:
@@ -371,48 +463,59 @@ def shed_at(network: Network, failed_ids, t: int) -> FlowSolution:
 class PeakShed:
     """Peak-hour shed of failed sets on one network, for one study.
 
-    The peak hour's loads are read once. The shedding LP at fixed loads
-    reads only the energized part of the operating state: the energized
-    buses and the out-of-service lines, generators and substations that
-    touch them. Failed sets that differ only inside de-energized islands
-    have the same part, so each distinct part is solved once; identical
-    inputs give identical results, so reuse changes no output. Make one per
-    study: it does not see later edits to the network.
+    The peak hour's loads and the network's island index arrays are built
+    once, and each question takes a batch of failed sets, answered from one
+    island_labels pass. The shedding LP at fixed loads reads only the
+    energized part of the operating state: the energized buses and the
+    out-of-service lines, generators and substations that touch them.
+    Failed sets that differ only inside de-energized islands have the same
+    part, so each distinct part is solved once; identical inputs give
+    identical results, so reuse changes no output. Make one per study: it
+    does not see later edits to the network.
     """
 
     def __init__(self, network: Network):
         self.network = network
         self.p_load, self.q_load = network.loads_at(network.peak_hour())
         self.total_mw = sum(self.p_load.values())
+        self._grid = _Grid(network)
+        p = [self.p_load[b] for b in network.buses]
+        self._p = np.array(p, dtype=float)
+        self._whole = np.array([isinstance(x, int) for x in p], dtype=bool)
         self._shed = {}  # energized part -> MW shed
 
-    def de_energized(self, failed_ids) -> float:
-        """MW of peak load in islands with no operational source: a
-        scenario's connectivity loss, and with one failed id that
-        component's dispatch curtailment weight."""
-        state = energization_state(self.network, failed_ids)
-        return sum(self.p_load[b] for b in self.network.buses
-                   if not state.energized[b])
+    def de_energized(self, failed_sets) -> list:
+        """MW of peak load in islands with no operational source, one entry
+        per failed set: a scenario's connectivity loss, and for a
+        one-component set that component's dispatch curtailment weight.
 
-    def __call__(self, failed_ids) -> float:
-        """Minimum MW shed at the peak hour with failed_ids out."""
-        state = energization_state(self.network, failed_ids)
-        part = self._energized_part(state)
-        if part not in self._shed:
-            self._shed[part] = solve_shedding_lp(
-                self.network, state, self.p_load, self.q_load).total_shed_mw
-        return self._shed[part]
+        Each entry is sum() of the de-energized buses' loads in document
+        order, bit for bit and in type: a cumulative sum adds them in that
+        order (a live bus adds 0.0, which changes no partial sum), and the
+        entry is an int when every added load is one, as sum() gives; a
+        set that de-energizes nothing gives the int 0."""
+        _, _, energized = self._grid.energized(failed_sets)
+        dead = ~energized
+        terms = np.zeros((len(dead), len(self._p) + 1))  # column 0: the start
+        terms[:, 1:] = np.where(dead, self._p, 0.0)
+        totals = terms.cumsum(axis=1)[:, -1].tolist()
+        whole = (~(dead & ~self._whole).any(axis=1)).tolist()
+        return [int(t) if w else t for t, w in zip(totals, whole)]
 
-    def _energized_part(self, state: OperationalState) -> tuple:
-        net = self.network
-        on = frozenset(b for b, live in state.energized.items() if live)
-        return (on,
-                frozenset(lid for lid in state.lines_out
-                          if net.lines[lid].from_bus in on
-                          or net.lines[lid].to_bus in on),
-                frozenset(gid for gid in state.gens_out
-                          if net.generators[gid].bus in on),
-                state.substations_out & on)
+    def __call__(self, failed_sets) -> list:
+        """Minimum MW shed at the peak hour, one entry per failed set."""
+        failed_sets = [frozenset(ids) for ids in failed_sets]
+        grid = self._grid
+        up, labels, energized = grid.energized(failed_sets)
+        out = []
+        for i, part in enumerate(grid.energized_parts(up, energized)):
+            if part not in self._shed:
+                state = grid.state(failed_sets[i], labels[i], energized[i])
+                self._shed[part] = solve_shedding_lp(
+                    self.network, state, self.p_load,
+                    self.q_load).total_shed_mw
+            out.append(self._shed[part])
+        return out
 
 
 def ens_timeline(
@@ -425,8 +528,9 @@ def ens_timeline(
     repair completion. Loads are frozen at the peak hour so the curve
     isolates the effect of restoration, not demand swing. Failed
     components absent from completion_hours stay out for the whole horizon.
-    Each hour's shed comes from `peak_shed`, a fresh PeakShed when none is
-    given; timelines that share one solve each distinct energized part once.
+    Every hour's shed comes from one batch question to `peak_shed`, a fresh
+    PeakShed when none is given; timelines that share one solve each
+    distinct energized part once.
     """
     if peak_shed is None:
         peak_shed = PeakShed(network)
@@ -437,19 +541,17 @@ def ens_timeline(
         horizon = (max(steps) if steps else 0) + 1
     total = peak_shed.total_mw
 
-    hours, fracs, sheds = [], [], []
-    ens = 0.0
-    for t in range(horizon):
-        still_failed = {c for c in failed
+    sheds = peak_shed([{c for c in failed
                         if c in missing or math.ceil(completion_hours[c]) > t}
-        shed = peak_shed(still_failed)
-        hours.append(t)
-        sheds.append(shed)
+                       for t in range(horizon)])
+    fracs = []
+    ens = 0.0
+    for shed in sheds:
         fracs.append(1.0 if total <= 0 else (total - shed) / total)
         ens += shed * network.timestep_hours
 
     return RestorationTimeline(
-        hours=hours, served_fraction=fracs, shed_mw=sheds,
+        hours=list(range(horizon)), served_fraction=fracs, shed_mw=sheds,
         ens_mwh=ens, reference_load_mw=total,
     )
 

@@ -78,12 +78,13 @@ def generate_scenarios(
 ) -> ScenarioSet:
     """Monte Carlo damage sampling: n equally weighted scenarios.
 
-    Each scenario's unserved MW is taken at the peak hour from `peak_shed`
-    (a fresh PeakShed when none is given): the load in de-energized islands,
-    or with exact_ens=True the shedding LP's optimum, which also captures
-    curtailment within energized islands. The LP is solved once per
-    distinct energized part, so a study that passes the same PeakShed on to
-    its restoration timelines solves no part twice.
+    One sample_damage call draws all n failed sets, and one batch question
+    to `peak_shed` (a fresh PeakShed when none is given) gives each its
+    unserved MW at the peak hour: the load in de-energized islands
+    (`de_energized`), or with exact_ens=True the shedding LP's optimum,
+    which also captures curtailment within energized islands. The LP is
+    solved once per distinct energized part, so a study that passes the
+    same PeakShed on to its restoration timelines solves no part twice.
     """
     if n < 1:
         raise ConfigError("need at least one scenario")
@@ -94,13 +95,13 @@ def generate_scenarios(
         peak_shed = PeakShed(network)
     unserved = peak_shed if exact_ens else peak_shed.de_energized
     rng = np.random.default_rng(seed)
-    pga_field = compute_pga_field(network, event)
-    out = []
-    for i in range(n):
-        sc = sample_damage(network, pga_field, rng, scenario_id=i)
-        ens = unserved(sc.failed)
-        loss = system_loss(len(sc.failed), ens, w1, w2)
-        out.append(replace(sc, ens_mw=ens, loss=loss, weight=1.0 / n))
+    draws = sample_damage(network, compute_pga_field(network, event), rng,
+                          n=n)
+    ens = unserved([failed for failed, _ in draws])
+    out = [DamageScenario(id=i, failed=failed,
+                          loss=system_loss(len(failed), mw, w1, w2),
+                          ens_mw=mw, weight=1.0 / n, pga_g=pga)
+           for i, ((failed, pga), mw) in enumerate(zip(draws, ens))]
     sset = ScenarioSet(scenarios=out, magnitude=event.magnitude, seed=seed,
                        n_generated=n, w1=w1, w2=w2)
     sset.check_weights()

@@ -127,32 +127,36 @@ def component_failure_probabilities(
 
 def sample_damage(
     network: Network, pga_field: PgaField, rng: np.random.Generator,
-    scenario_id: int = 0,
+    scenario_id: int = 0, n: int | None = None,
 ):
-    """Draw one damage scenario: an independent residual per component
+    """Draw damage scenarios: an independent residual per component
     perturbs the median PGA, then an independent Bernoulli draw per
-    component decides failure. Returns a DamageScenario (loss fields
-    unset; the scenario engine fills them)."""
+    component decides failure (`failure_probability` of the perturbed PGA).
+
+    Without n, draws one scenario and returns it as a DamageScenario with
+    id scenario_id (loss fields unset; the scenario engine fills them).
+    With n, draws n scenarios in one call and returns their (failed ids in
+    document order, PGA per component id) pairs. Either way each scenario
+    takes one normal(size=components) then one random(components) from
+    rng, so n draws in one call equal n one-scenario calls bit for bit.
+    """
     from .scenarios import DamageScenario
 
-    event = pga_field.event
+    sigma = pga_field.event.sigma_eps
     ids = list(network.components)
-    eps = rng.normal(0.0, event.sigma_eps, size=len(ids)) if event.sigma_eps > 0 \
-        else np.zeros(len(ids))
-    unif = rng.random(len(ids))
-    failed = []
-    pga_drawn = {}
-    for i, cid in enumerate(ids):
-        pga = pga_field.pga_g[cid] * math.exp(eps[i])
-        pga_drawn[cid] = pga
-        p = failure_probability(pga, network.components[cid].fragility)
-        if unif[i] < p:
-            failed.append(cid)
-    return DamageScenario(
-        id=scenario_id,
-        failed=tuple(failed),
-        pga_g=pga_drawn,
-        loss=0.0,
-        ens_mw=0.0,
-        weight=0.0,
-    )
+    table = [(cid, pga_field.pga_g[cid], network.components[cid].fragility)
+             for cid in ids]
+    draws = []
+    for _ in range(1 if n is None else n):
+        eps = (rng.normal(0.0, sigma, size=len(ids)) if sigma > 0
+               else np.zeros(len(ids))).tolist()
+        unif = rng.random(len(ids)).tolist()
+        pga = [median * math.exp(e) for (_, median, _), e in zip(table, eps)]
+        failed = tuple(cid for (cid, _, curve), x, u in zip(table, pga, unif)
+                       if u < failure_probability(x, curve))
+        draws.append((failed, dict(zip(ids, pga))))
+    if n is not None:
+        return draws
+    failed, pga_drawn = draws[0]
+    return DamageScenario(id=scenario_id, failed=failed, pga_g=pga_drawn,
+                          loss=0.0, ens_mw=0.0, weight=0.0)

@@ -310,6 +310,16 @@ def test_exit_code_2_on_bad_inputs(tmp_path, network_path, capsys):
     capsys.readouterr()
 
 
+def test_exit_code_2_on_unknown_failed_id_in_dispatch(network_path,
+                                                      tmp_path, capsys):
+    out = tmp_path / "plan.json"
+    assert main(["dispatch", "exact", "--network", network_path,
+                 "--failed", "c_l1,c_zz", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "c_zz" in err and "c_l1" not in err
+    assert not out.exists()
+
+
 def test_exit_code_2_on_reduce_k_below_one(network_path, tmp_path, capsys):
     sc = str(tmp_path / "sc.json")
     assert main(["gen", "--network", network_path, "--magnitude", "7.5",

@@ -10,6 +10,7 @@ exact.
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +19,8 @@ from hypothesis import given, settings, strategies as st
 import gridquake.powerflow as powerflow
 from gridquake.errors import ConfigError, InternalError
 from gridquake.fixtures import builtin_feeder, random_radial_network
-from gridquake.model import load_network, network_to_document
+from gridquake.model import (Component, FragilityCurve, Line, LoadProfile,
+                             load_network, network_to_document)
 from gridquake.powerflow import (PeakShed, TripleProductLinearization,
                                  energization_state, ens_timeline,
                                  linearize_triple_product, shed_at,
@@ -224,16 +226,51 @@ def test_unknown_failed_id_raises():
         energization_state(net, ["nope"])
 
 
+def meshed_network(seed, n_buses):
+    """A random radial network built directly (the loader refuses cycles)
+    with extra lines that close cycles, a second substation, and int loads
+    (whole MW) on every other bus."""
+    net = random_radial_network(seed, n_buses=n_buses)
+    rng = np.random.default_rng(seed)
+    ids = list(net.buses)
+    lines, comps = dict(net.lines), dict(net.components)
+    for k in range(int(rng.integers(1, n_buses + 1))):
+        a, b = rng.choice(n_buses, size=2, replace=False)
+        ln = Line(id=f"m{k}", from_bus=ids[a], to_bus=ids[b],
+                  resistance=0.01, reactance=0.01, capacity_mva=1.0)
+        lines[ln.id] = ln
+        comps[f"c_{ln.id}"] = Component(
+            id=f"c_{ln.id}", kind="line", ref=ln.id,
+            fragility=FragilityCurve(0.3, 0.7), repair_hours=1.0)
+    buses, profiles = dict(net.buses), dict(net.profiles)
+    for b in ids[::2]:
+        profiles[f"w{b}"] = LoadProfile(id=f"w{b}",
+                                        p_mw=(int(rng.integers(0, 4)),))
+        buses[b] = replace(buses[b], load_profile=f"w{b}")
+    last = ids[-1]
+    buses[last] = replace(buses[last], is_substation=True)
+    comps["c_sub2"] = Component(id="c_sub2", kind="substation", ref=last,
+                                fragility=FragilityCurve(0.5, 0.5),
+                                repair_hours=2.0)
+    return replace(net, buses=buses, lines=lines, components=comps,
+                   profiles=profiles)
+
+
 @st.composite
-def failed_set(draw):
-    """The built-in feeder or a random radial one, and a random failed set."""
-    if draw(st.booleans()):
+def failed_sets(draw):
+    """The built-in feeder, a random radial one or a meshed one, and a
+    batch of failed sets: random ones (ids may repeat), the empty set,
+    every component, and the substation alone."""
+    kind = draw(st.sampled_from(("builtin", "radial", "meshed")))
+    if kind == "builtin":
         net = builtin_feeder()
     else:
-        net = random_radial_network(draw(st.integers(0, 10_000)),
-                                    n_buses=draw(st.integers(2, 12)))
-    return net, draw(st.lists(st.sampled_from(sorted(net.components)),
-                              unique=True))
+        build = random_radial_network if kind == "radial" else meshed_network
+        net = build(draw(st.integers(0, 10_000)),
+                    n_buses=draw(st.integers(2, 12)))
+    ids = sorted(net.components)
+    drawn = draw(st.lists(st.lists(st.sampled_from(ids)), max_size=6))
+    return net, drawn + [[], ids, ["c_sub"]]
 
 
 def bfs_islands(net, failed):
@@ -270,19 +307,26 @@ def bfs_islands(net, failed):
 
 
 @settings(max_examples=60, deadline=None)
-@given(failed_set())
+@given(failed_sets())
 def test_energization_matches_reachability_from_live_sources(case):
-    net, failed = case
-    state = energization_state(net, failed)
-    islands, live = bfs_islands(net, failed)
-    assert state.energized == {b: b in live for b in net.buses}
-    assert state.islands == islands
+    net, sets = case
+    peak_shed = PeakShed(net)
+    dead_load = peak_shed.de_energized(sets)
+    assert len(dead_load) == len(sets)
+    for failed, got in zip(sets, dead_load):
+        state = energization_state(net, failed)
+        islands, live = bfs_islands(net, failed)
+        assert state.energized == {b: b in live for b in net.buses}
+        assert state.islands == islands
+        want = sum(peak_shed.p_load[b] for b in net.buses if b not in live)
+        assert type(got) is type(want)
+        assert (got.hex() == want.hex() if isinstance(want, float)
+                else got == want)
 
 
 def test_de_energized_load_is_monotone_in_failures():
     peak_shed = PeakShed(builtin_feeder())
-    singles = peak_shed.de_energized(["c_l2"])
-    more = peak_shed.de_energized(["c_l2", "c_g1"])
+    singles, more = peak_shed.de_energized([["c_l2"], ["c_l2", "c_g1"]])
     assert more >= singles - 1e-12
 
 
@@ -506,12 +550,11 @@ def test_failures_inside_a_dead_island_cost_no_extra_lp(monkeypatch):
 
     monkeypatch.setattr(powerflow, "solve_shedding_lp", counting)
     peak_shed = PeakShed(net)
-    sheds = [peak_shed(failed) for failed in
-             (["c_l5"], ["c_l5", "c_l6"], ["c_l5", "c_l6", "c_l7"])]
+    sheds = peak_shed([["c_l5"], ["c_l5", "c_l6"], ["c_l5", "c_l6", "c_l7"]])
     assert solved == [frozenset({"c_l5"})]
     assert sheds == [expect] * 3
     # a failure on the energized side is a new part
-    peak_shed(["c_l5", "c_l9"])
+    peak_shed([["c_l5", "c_l9"]])
     assert len(solved) == 2
 
 

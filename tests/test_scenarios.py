@@ -16,6 +16,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gridquake.powerflow as powerflow
+import gridquake.scenarios as scenarios
 from gridquake.errors import ConfigError
 from gridquake.fixtures import builtin_feeder, default_event
 from gridquake.powerflow import PeakShed, shed_at
@@ -123,12 +125,40 @@ def test_generate_scenarios_loss_scales_with_magnitude():
     assert high.losses().mean() > low.losses().mean()
 
 
+@pytest.mark.parametrize("exact_ens", [False, True])
+def test_generate_scenarios_labels_islands_once_per_set(monkeypatch,
+                                                         exact_ens):
+    # the sampler draws the whole set in one call, and one island labelling
+    # pass answers every scenario's energization; no scenario asks
+    # energization_state on its own
+    calls = {"sample": 0, "label": 0, "state": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(scenarios, "sample_damage",
+                        counted("sample", scenarios.sample_damage))
+    monkeypatch.setattr(powerflow, "island_labels",
+                        counted("label", powerflow.island_labels))
+    monkeypatch.setattr(powerflow, "energization_state",
+                        counted("state", powerflow.energization_state))
+    net = builtin_feeder()
+    peak_shed = PeakShed(net)
+    sset = generate_scenarios(net, default_event(7.5), 300, seed=5,
+                              exact_ens=exact_ens, peak_shed=peak_shed)
+    assert len(sset.scenarios) == 300
+    assert calls == {"sample": 1, "label": 1, "state": 0}
+
+
 def test_scenario_ens_exact_at_least_connectivity():
     net = builtin_feeder()
     t = net.peak_hour()
     peak_shed = PeakShed(net)
-    for failed in (["c_l1"], ["c_l2", "c_g1"], ["c_sub"], ["c_l9", "c_l10"]):
-        approx = peak_shed.de_energized(failed)
+    sets = (["c_l1"], ["c_l2", "c_g1"], ["c_sub"], ["c_l9", "c_l10"])
+    for failed, approx in zip(sets, peak_shed.de_energized(sets)):
         exact = shed_at(net, failed, t).total_shed_mw
         assert exact >= approx - 1e-9
 

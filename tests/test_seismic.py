@@ -17,7 +17,8 @@ from gridquake.seismic import (DEFAULT_GMPE, SeismicEvent,
                                compute_pga_field, failure_probability,
                                ground_motion_pga, normal_cdf, sample_damage,
                                site_distance)
-from gridquake.fixtures import builtin_feeder, default_event
+from gridquake.fixtures import (builtin_feeder, default_event,
+                                random_radial_network)
 
 # (x, Phi(x)) from mpmath.ncdf at 40 decimal digits
 PHI_TABLE = [
@@ -168,3 +169,46 @@ def test_sample_damage_marginal_frequency():
     hits = sum(cid in sample_damage(net, field, rng).failed for _ in range(n))
     freq = hits / n
     assert abs(freq - p) < 4.0 * math.sqrt(p * (1 - p) / n)
+
+
+def reference_draws(net, field, rng, n):
+    """One scenario at a time, as a per-component loop: a normal residual
+    per component, then a uniform per component, the residual scaling the
+    median PGA through math.exp and the failure probability through
+    failure_probability."""
+    ids = list(net.components)
+    out = []
+    for _ in range(n):
+        sigma = field.event.sigma_eps
+        eps = (rng.normal(0.0, sigma, size=len(ids)) if sigma > 0
+               else np.zeros(len(ids)))
+        unif = rng.random(len(ids))
+        failed, pga = [], {}
+        for i, cid in enumerate(ids):
+            pga[cid] = field.pga_g[cid] * math.exp(eps[i])
+            if unif[i] < failure_probability(pga[cid],
+                                             net.components[cid].fragility):
+                failed.append(cid)
+        out.append((tuple(failed), pga))
+    return out
+
+
+@pytest.mark.parametrize("sigma_eps", [0.45, 0.0])
+@pytest.mark.parametrize("n_buses", [13, 30])
+def test_batched_sample_damage_matches_a_per_scenario_loop(sigma_eps, n_buses):
+    net = (builtin_feeder() if n_buses == 13
+           else random_radial_network(4, n_buses=n_buses))
+    field = compute_pga_field(net, default_event(7.5, sigma_eps=sigma_eps))
+    got = sample_damage(net, field, np.random.default_rng(21), n=60)
+    want = reference_draws(net, field, np.random.default_rng(21), 60)
+    assert [f for f, _ in got] == [f for f, _ in want]
+    assert len({f for f, _ in got}) > 1
+    for (_, pga), (_, ref) in zip(got, want):
+        assert list(pga) == list(net.components)
+        assert [x.hex() for x in pga.values()] == \
+            [ref[cid].hex() for cid in pga]
+    # one scenario per call draws the same scenarios from the same stream
+    rng = np.random.default_rng(21)
+    singles = [sample_damage(net, field, rng, scenario_id=i) for i in range(60)]
+    assert [s.failed for s in singles] == [f for f, _ in got]
+    assert [s.id for s in singles] == list(range(60))
