@@ -22,7 +22,7 @@ from .pipeline import (KNOWN_SOLVERS, PipelineConfig, load_pipeline_config,
                        plan_document, run_pipeline, solve, write_restoration)
 from .policy import (InstanceFamily, PolicyConfig, PolicyModel, PpoConfig,
                      ppo_train)
-from .powerflow import energization_state, shed_at
+from .powerflow import energization_state, solve_shedding_lp
 from .report import write_csv, write_json
 from .scenarios import (forward_reduce, generate_scenarios, load_scenario_set,
                         scenario_set_to_document, select_representatives)
@@ -101,7 +101,7 @@ def _cmd_eval(args) -> int:
     failed = _failed_set(args)
     hour = args.hour if args.hour is not None else net.peak_hour()
     state = energization_state(net, failed)
-    flow = shed_at(net, failed, hour)
+    flow = solve_shedding_lp(net, state, *net.loads_at(hour))
     doc = {
         "hour": hour,
         "failed": sorted(failed),

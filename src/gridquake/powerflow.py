@@ -123,12 +123,16 @@ class _Grid:
                        for cid, c in network.components.items()}
 
     def energized(self, failed_sets):
-        """(up, labels, energized) of the k failed sets: a (k, lines +
+        """(up, labels, energized) of k failed sets, each a collection of
+        component ids (a bare id is refused): a (k, lines +
         generators + buses) array of the equipment in service, and (k,
         n_buses) arrays of each bus's island label (see island_labels) and
         whether its island holds an operational substation or an available
         generator."""
         failed_sets = list(failed_sets)
+        if any(isinstance(ids, str) for ids in failed_sets):
+            raise ConfigError("expected a sequence of failed sets, got a "
+                              "component id where a set belongs")
         try:
             out = [self.column[cid] for ids in failed_sets for cid in ids]
         except KeyError:
@@ -479,9 +483,7 @@ class PeakShed:
         self.p_load, self.q_load = network.loads_at(network.peak_hour())
         self.total_mw = sum(self.p_load.values())
         self._grid = _Grid(network)
-        p = [self.p_load[b] for b in network.buses]
-        self._p = np.array(p, dtype=float)
-        self._whole = np.array([isinstance(x, int) for x in p], dtype=bool)
+        self._p = [self.p_load[b] for b in network.buses]
         self._shed = {}  # energized part -> MW shed
 
     def de_energized(self, failed_sets) -> list:
@@ -490,27 +492,21 @@ class PeakShed:
         one-component set that component's dispatch curtailment weight.
 
         Each entry is sum() of the de-energized buses' loads in document
-        order, bit for bit and in type: a cumulative sum adds them in that
-        order (a live bus adds 0.0, which changes no partial sum), and the
-        entry is an int when every added load is one, as sum() gives; a
-        set that de-energizes nothing gives the int 0."""
+        order, so a set that de-energizes nothing gives the int 0."""
         _, _, energized = self._grid.energized(failed_sets)
-        dead = ~energized
-        terms = np.zeros((len(dead), len(self._p) + 1))  # column 0: the start
-        terms[:, 1:] = np.where(dead, self._p, 0.0)
-        totals = terms.cumsum(axis=1)[:, -1].tolist()
-        whole = (~(dead & ~self._whole).any(axis=1)).tolist()
-        return [int(t) if w else t for t, w in zip(totals, whole)]
+        return [sum(p for p, on in zip(self._p, row) if not on)
+                for row in energized.tolist()]
 
     def __call__(self, failed_sets) -> list:
         """Minimum MW shed at the peak hour, one entry per failed set."""
-        failed_sets = [frozenset(ids) for ids in failed_sets]
+        failed_sets = list(failed_sets)
         grid = self._grid
         up, labels, energized = grid.energized(failed_sets)
         out = []
         for i, part in enumerate(grid.energized_parts(up, energized)):
             if part not in self._shed:
-                state = grid.state(failed_sets[i], labels[i], energized[i])
+                state = grid.state(frozenset(failed_sets[i]), labels[i],
+                                   energized[i])
                 self._shed[part] = solve_shedding_lp(
                     self.network, state, self.p_load,
                     self.q_load).total_shed_mw

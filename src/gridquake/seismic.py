@@ -127,18 +127,20 @@ def component_failure_probabilities(
 
 def sample_damage(
     network: Network, pga_field: PgaField, rng: np.random.Generator,
-    scenario_id: int = 0, n: int | None = None,
+    scenario_id: int = 0, *, n: int | None = None,
 ):
     """Draw damage scenarios: an independent residual per component
     perturbs the median PGA, then an independent Bernoulli draw per
     component decides failure (`failure_probability` of the perturbed PGA).
+    Each scenario takes one normal(size=components) then one
+    random(components) from rng, so a set drawn in one call equals the same
+    number of single draws bit for bit.
 
-    Without n, draws one scenario and returns it as a DamageScenario with
-    id scenario_id (loss fields unset; the scenario engine fills them).
-    With n, draws n scenarios in one call and returns their (failed ids in
-    document order, PGA per component id) pairs. Either way each scenario
-    takes one normal(size=components) then one random(components) from
-    rng, so n draws in one call equal n one-scenario calls bit for bit.
+    sample_damage(..., n=n) draws a scenario set in one call and returns n
+    (failed ids in document order, PGA per component id) pairs. The call
+    without n is the single draw kept for its existing callers: the n=1
+    pair as a DamageScenario with id scenario_id and loss fields unset (the
+    scenario engine fills them).
     """
     from .scenarios import DamageScenario
 

@@ -226,6 +226,15 @@ def test_unknown_failed_id_raises():
         energization_state(net, ["nope"])
 
 
+def test_peak_shed_refuses_a_bare_id_for_a_failed_set():
+    peak_shed = PeakShed(builtin_feeder())
+    for ask in (peak_shed, peak_shed.de_energized):
+        with pytest.raises(ConfigError, match="sequence of failed sets"):
+            ask({"c_l1"})
+        with pytest.raises(ConfigError, match="sequence of failed sets"):
+            ask("c_l1")
+
+
 def meshed_network(seed, n_buses):
     """A random radial network built directly (the loader refuses cycles)
     with extra lines that close cycles, a second substation, and int loads
