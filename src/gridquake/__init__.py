@@ -4,10 +4,9 @@ from .errors import ConfigError, GridQuakeError, InternalError, LimitError
 from .model import (Bus, Component, Depot, FragilityCurve, Generator, Line,
                     LoadProfile, Network, RadialityReport, load_network,
                     load_network_file, network_to_document, validate_radiality)
-from .seismic import (DEFAULT_GMPE, GmpeCoefficients, PgaField, SeismicEvent,
-                      component_failure_probabilities, compute_pga_field,
-                      failure_probability, ground_motion_pga, normal_cdf,
-                      sample_damage)
+from .seismic import (PgaField, SeismicEvent, component_failure_probabilities,
+                      compute_pga_field, failure_probability,
+                      ground_motion_pga, normal_cdf, sample_damage)
 from .simplex import INFEASIBLE, OPTIMAL, LpResult, solve_lp
 from .powerflow import (FlowSolution, OperationalState, PeakShed,
                         RestorationTimeline, TripleProductLinearization,
@@ -32,10 +31,10 @@ from .fixtures import builtin_feeder, default_event, random_radial_network
 __version__ = "0.1.0"
 
 __all__ = [
-    "Bus", "Component", "ConfigError", "DEFAULT_GMPE", "DamageScenario",
+    "Bus", "Component", "ConfigError", "DamageScenario",
     "Depot", "DispatchInstance", "DispatchPlan", "ExactResult",
     "FailedComponent", "FlowSolution", "FragilityCurve", "GaConfig",
-    "GaResult", "Generator", "GmpeCoefficients", "GridQuakeError",
+    "GaResult", "Generator", "GridQuakeError",
     "INFEASIBLE", "InstanceFamily", "InternalError", "Line", "LimitError",
     "LoadProfile", "LossDistribution", "LpResult", "Network",
     "OPTIMAL", "ObjectiveBreakdown", "OperationalState", "PeakShed",

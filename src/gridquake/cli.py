@@ -8,14 +8,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
 
 from .dispatch import ObjectiveBreakdown, instance_from_scenario
 from .errors import ConfigError, GridQuakeError, InternalError, LimitError
-from .fixtures import DEFAULT_EPICENTER, DEFAULT_FOCAL_DEPTH_KM, default_event
+from .fixtures import DEFAULT_EPICENTER, default_event
 from .ga import GaConfig
 from .model import load_network_file, read_json, read_value
 from .pipeline import (KNOWN_SOLVERS, PipelineConfig, load_pipeline_config,
@@ -154,15 +153,16 @@ def _cmd_train(args) -> int:
 
 def _load_plan_doc(path: str) -> dict:
     """A plan whose completion hours and objective, used by the reports,
-    have their types; every completion hour is finite and >= 0."""
+    have their types; every completion hour is finite (as every document
+    number is) and >= 0."""
     doc = read_json(path)
     if not isinstance(doc, dict) or "completion" not in doc:
         raise ConfigError(f"{path}: not a plan document")
     read_value(dict[str, float], doc["completion"], f"{path}: completion")
     for cid, hour in doc["completion"].items():
-        if not 0.0 <= hour < math.inf:
-            raise ConfigError(f"{path}: completion.{cid}: must be finite and "
-                              f">= 0, got {hour!r}")
+        if hour < 0:
+            raise ConfigError(f"{path}: completion.{cid}: must be >= 0, got "
+                              f"{hour!r}")
     read_value(ObjectiveBreakdown | None, doc.get("objective"),
                f"{path}: objective")
     return doc
@@ -233,12 +233,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--magnitude", type=float, required=True)
     p.add_argument("--epicenter", default="%g,%g" % DEFAULT_EPICENTER,
                    help="x,y in km")
-    p.add_argument("--depth", type=float, default=DEFAULT_FOCAL_DEPTH_KM,
+    p.add_argument("--depth", type=float,
+                   default=PipelineConfig.focal_depth_km,
                    help="focal depth km")
     p.add_argument("--n", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--w1", type=float, default=1.0)
-    p.add_argument("--w2", type=float, default=1.0)
+    p.add_argument("--w1", type=float, default=PipelineConfig.w1)
+    p.add_argument("--w2", type=float, default=PipelineConfig.w2)
     p.add_argument("--exact-ens", action="store_true",
                    help="score scenarios with the shedding LP instead of "
                         "connectivity")

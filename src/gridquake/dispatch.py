@@ -27,6 +27,10 @@ from .errors import ConfigError, LimitError
 from .model import Depot, Network
 from .powerflow import PeakShed
 
+# exact_dispatch's default size limits per depot cluster
+MAX_COMPONENTS_PER_DEPOT = 9
+MAX_CREWS_PER_DEPOT = 3
+
 
 @dataclass(frozen=True)
 class FailedComponent:
@@ -41,7 +45,7 @@ class FailedComponent:
 class DispatchInstance:
     components: tuple  # FailedComponent, document order
     depots: tuple  # Depot
-    travel_speed_kmh: float = 40.0
+    travel_speed_kmh: float = Network.travel_speed_kmh
     gamma: float = 0.5
 
     def __post_init__(self):
@@ -138,7 +142,7 @@ class _Compiled:
 
 
 def instance_from_scenario(
-    network: Network, failed_ids, gamma: float = 0.5,
+    network: Network, failed_ids, gamma: float = DispatchInstance.gamma,
     travel_speed_kmh: float | None = None, peak_shed: PeakShed | None = None,
 ) -> DispatchInstance:
     """Build a dispatch instance for a damage scenario's failed set.
@@ -269,8 +273,8 @@ def subtour_violations(plan: DispatchPlan) -> list:
 
 def exact_dispatch(
     instance: DispatchInstance,
-    max_components_per_depot: int = 9,
-    max_crews_per_depot: int = 3,
+    max_components_per_depot: int = MAX_COMPONENTS_PER_DEPOT,
+    max_crews_per_depot: int = MAX_CREWS_PER_DEPOT,
     time_limit_s: float | None = None,
 ) -> ExactResult:
     """Optimal dispatch by per-depot enumeration with admissible pruning.

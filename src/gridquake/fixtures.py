@@ -17,7 +17,11 @@ from .model import Network, load_network
 from .seismic import SeismicEvent
 
 DEFAULT_EPICENTER = (20.0, 15.0)  # km, relative to the feeder origin
-DEFAULT_FOCAL_DEPTH_KM = 10.0
+
+# random_radial_network's load lattice (MW) and the chance that a non-root
+# bus carries a generator
+LOAD_STEP = 0.1
+GEN_PROBABILITY = 0.4
 
 
 def builtin_feeder() -> Network:
@@ -27,25 +31,22 @@ def builtin_feeder() -> Network:
 
 
 def default_event(magnitude: float,
-                  epicenter: tuple | None = None,
-                  focal_depth_km: float | None = None,
+                  epicenter: tuple = DEFAULT_EPICENTER,
+                  focal_depth_km: float = SeismicEvent.focal_depth_km,
                   **kwargs) -> SeismicEvent:
     """Event with the study defaults: offshore-ish epicenter 25 km out."""
-    ex, ey = epicenter if epicenter is not None else DEFAULT_EPICENTER
-    depth = DEFAULT_FOCAL_DEPTH_KM if focal_depth_km is None else focal_depth_km
+    ex, ey = epicenter
     return SeismicEvent(magnitude=magnitude, epicenter_x=ex, epicenter_y=ey,
-                        focal_depth_km=depth, **kwargs)
+                        focal_depth_km=focal_depth_km, **kwargs)
 
 
 def random_radial_network(
-    seed: int, n_buses: int = 6,
-    load_step: float = 0.1, max_load_steps: int = 10,
+    seed: int, n_buses: int = 6, max_load_steps: int = 10,
     power_factor_angle: float = 0.0,
     v_band: float = 0.5, resistance_max: float = 0.01,
-    gen_probability: float = 0.4,
 ) -> Network:
     """Random radial test network: one substation root, random tree,
-    lattice loads (multiples of load_step), optional small generators with
+    lattice loads (multiples of LOAD_STEP), optional small generators with
     p_min = 0.
 
     With the default unity power factor and wide voltage band the shedding
@@ -71,7 +72,7 @@ def random_radial_network(
         if steps == 0:
             continue
         pid = f"p{i + 1}"
-        profiles.append({"id": pid, "p_mw": [round(steps * load_step, 10)]})
+        profiles.append({"id": pid, "p_mw": [round(steps * LOAD_STEP, 10)]})
         buses[i]["load_profile"] = pid
 
     lines = []
@@ -84,20 +85,20 @@ def random_radial_network(
             "to_bus": f"b{i + 1}",
             "resistance": float(rng.uniform(0, resistance_max)),
             "reactance": float(rng.uniform(0, resistance_max)),
-            "capacity_mva": round(cap_steps * load_step, 10),
+            "capacity_mva": round(cap_steps * LOAD_STEP, 10),
         })
 
     generators = []
     for i in range(1, n_buses):
-        if rng.random() < gen_probability:
+        if rng.random() < GEN_PROBABILITY:
             p_max_steps = int(rng.integers(1, max_load_steps))
             generators.append({
                 "id": f"g{i + 1}",
                 "bus": f"b{i + 1}",
                 "p_min": 0.0,
-                "p_max": round(p_max_steps * load_step, 10),
-                "q_min": -round(p_max_steps * load_step, 10),
-                "q_max": round(p_max_steps * load_step, 10),
+                "p_max": round(p_max_steps * LOAD_STEP, 10),
+                "q_min": -round(p_max_steps * LOAD_STEP, 10),
+                "q_max": round(p_max_steps * LOAD_STEP, 10),
             })
 
     components = [{"id": "c_sub", "kind": "substation", "ref": "b1"}]

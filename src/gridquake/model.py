@@ -275,11 +275,15 @@ def _join(path: str, name: str) -> str:
 
 
 def _scalar(kinds: tuple, what: str):
-    """Reader of a JSON scalar of the types `kinds`; a bool is no number."""
+    """Reader of a JSON scalar of the types `kinds`; a bool is no number,
+    and NaN and the infinities, which Python's json reads, are no float."""
     def read(value, path):
         if not isinstance(value, kinds) or (isinstance(value, bool)
                                             and bool not in kinds):
             raise ConfigError(f"{path}: expected {what}, got {value!r}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{path}: expected a finite number, got "
+                              f"{value!r}")
         return value
     return read
 

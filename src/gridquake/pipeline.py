@@ -15,18 +15,22 @@ import time
 import zlib
 from dataclasses import dataclass, asdict
 
-from .dispatch import exact_dispatch, instance_from_scenario
+from .dispatch import (MAX_COMPONENTS_PER_DEPOT, MAX_CREWS_PER_DEPOT,
+                       DispatchInstance, exact_dispatch,
+                       instance_from_scenario)
 from .errors import ConfigError, InternalError, LimitError
-from .fixtures import DEFAULT_EPICENTER, DEFAULT_FOCAL_DEPTH_KM, default_event
+from .fixtures import DEFAULT_EPICENTER, default_event
 from .ga import GaConfig, ga_dispatch
 from .model import Network, read_json, read_record, record_document
 from .powerflow import PeakShed, ens_timeline
 from .report import (ComparisonRow, fill_gaps, plot_lines_svg,
                      resilience_curves_ok, write_comparison_csv, write_csv,
                      write_json, write_resilience_csv)
-from .scenarios import (LossDistribution, forward_reduce, generate_scenarios,
-                        reduction_distance, return_period_loss,
-                        scenario_set_to_document, select_representatives)
+from .scenarios import (LossDistribution, ScenarioSet, forward_reduce,
+                        generate_scenarios, reduction_distance,
+                        return_period_loss, scenario_set_to_document,
+                        select_representatives)
+from .seismic import SeismicEvent
 
 KNOWN_SOLVERS = ("exact", "ga", "policy")
 
@@ -37,20 +41,20 @@ class PipelineConfig:
     n_scenarios: int = 400
     reduce_to: int = 20
     return_periods: tuple[float, ...] = (2.0, 10.0, 50.0, 100.0)
-    w1: float = 1.0
-    w2: float = 1.0
-    gamma: float = 0.5
+    w1: float = ScenarioSet.w1
+    w2: float = ScenarioSet.w2
+    gamma: float = DispatchInstance.gamma
     seed: int = 0
     exact_ens: bool = False
     epicenter: tuple[float, float] = DEFAULT_EPICENTER
-    focal_depth_km: float = DEFAULT_FOCAL_DEPTH_KM
+    focal_depth_km: float = SeismicEvent.focal_depth_km
     solvers: tuple[str, ...] = ("exact", "ga")
     ga_population: int = 60
     ga_generations: int = 120
     policy_model: str | None = None
     policy_samples: int = 16
-    exact_max_components: int = 9
-    exact_max_crews: int = 3
+    exact_max_components: int = MAX_COMPONENTS_PER_DEPOT
+    exact_max_crews: int = MAX_CREWS_PER_DEPOT
     exact_time_limit_s: float = 60.0
 
     def __post_init__(self):

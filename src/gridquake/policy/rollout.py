@@ -101,22 +101,23 @@ def draw(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
 
 def run_batch(model: PolicyModel, encs: list, rng: np.random.Generator,
-              gamma: float, greedy_first: bool = False) -> BatchRollout:
+              greedy_first: bool = False) -> BatchRollout:
     """Rollout of B same-size instances in lockstep. Every row samples its
     action from the policy, except row 0 when `greedy_first`, which takes
     the argmax and draws nothing from `rng`.
 
-    Rewards implement the shaped objective: each step pays
-    -(1-gamma) * cl_j * completion_j, and the final step additionally pays
-    -gamma * makespan, so episode return equals minus the dispatch
-    objective.
+    Rewards implement the shaped objective with the instances' shared
+    gamma: each step pays -(1-gamma) * cl_j * completion_j, and the final
+    step additionally pays -gamma * makespan, so episode return equals
+    minus the dispatch objective.
     """
     B = len(encs)
-    sizes = {(len(e.comp_ids), len(e.crew_ids), len(e.instance.depots))
-             for e in encs}
-    if len(sizes) != 1:
-        raise ValueError("batch must be homogeneous in n, crews and depots")
-    (n, m, _), = sizes
+    shapes = {(len(e.comp_ids), len(e.crew_ids), len(e.instance.depots),
+               e.instance.gamma) for e in encs}
+    if len(shapes) != 1:
+        raise ValueError("batch must be homogeneous in n, crews, depots and "
+                         "gamma")
+    (n, m, _, gamma), = shapes
 
     comp_feats = np.stack([e.comp_feats for e in encs])  # (B, n, F)
     # nothing is differentiated here, so run on constants: no graph
@@ -208,7 +209,7 @@ class PolicyResult:
 
 def policy_dispatch(
     model: PolicyModel, instance: DispatchInstance,
-    samples: int = 16, seed: int = 0,
+    samples: int, seed: int = 0,
 ) -> PolicyResult:
     """Best plan over one greedy decode plus `samples` stochastic decodes,
     run as one batch. Ties keep the earlier row, so the greedy plan wins
@@ -221,8 +222,7 @@ def policy_dispatch(
                             decodes=0)
     enc = encode_instance(instance)
     roll = run_batch(model, [enc] * (samples + 1),
-                     np.random.default_rng(seed), instance.gamma,
-                     greedy_first=True)
+                     np.random.default_rng(seed), greedy_first=True)
 
     n = len(enc.comp_ids)
     best = None

@@ -27,12 +27,11 @@ from .nn import PolicyModel
 from .rollout import encode_instance, run_batch
 
 
-# the sampled instances' service area (a square), repair hours, curtailed
-# load range and crew speed
+# the sampled instances' service area (a square), repair hours and
+# curtailed load range; crew speed and gamma are DispatchInstance's defaults
 AREA_KM = 30.0
 REPAIR_CHOICES = (1.0, 2.0)
 CURTAILED_MIN, CURTAILED_MAX = 0.5, 5.0
-TRAVEL_SPEED_KMH = 40.0
 
 # PPO's fixed settings (Schulman et al., arXiv:1707.06347): epochs per
 # rollout, the ratio clip, and the value and entropy weights of the loss
@@ -54,15 +53,13 @@ class InstanceFamily:
     n_max: int = 8
     depot_count: int = 2
     crews_per_depot: int = 1
-    gamma: float = 0.5
 
     def __post_init__(self):
         for name, ok, rule in (
                 ("n_min", self.n_min >= 1, ">= 1"),
                 ("n_max", self.n_max >= self.n_min, ">= n_min"),
                 ("depot_count", self.depot_count >= 1, ">= 1"),
-                ("crews_per_depot", self.crews_per_depot >= 1, ">= 1"),
-                ("gamma", 0.0 <= self.gamma <= 1.0, "in [0, 1]")):
+                ("crews_per_depot", self.crews_per_depot >= 1, ">= 1")):
             if not ok:
                 raise ConfigError(f"{name} must be {rule}, got "
                                   f"{getattr(self, name)!r}")
@@ -87,9 +84,7 @@ class InstanceFamily:
                 curtailed_mw=float(rng.uniform(CURTAILED_MIN, CURTAILED_MAX)),
             )
             for k in range(n))
-        return DispatchInstance(components=comps, depots=depots,
-                                travel_speed_kmh=TRAVEL_SPEED_KMH,
-                                gamma=self.gamma)
+        return DispatchInstance(components=comps, depots=depots)
 
 
 @dataclass(frozen=True)
@@ -168,7 +163,7 @@ def ppo_train(model: PolicyModel, family: InstanceFamily,
         n = int(rng.integers(family.n_min, family.n_max + 1))
         encs = [encode_instance(family.sample_instance(rng, n))
                 for _ in range(config.batch_size)]
-        roll = run_batch(model, encs, rng, family.gamma)
+        roll = run_batch(model, encs, rng)
 
         returns = np.cumsum(roll.rewards[::-1], axis=0)[::-1]  # (T, B)
         adv = returns - roll.values

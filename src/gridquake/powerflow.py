@@ -515,26 +515,22 @@ class PeakShed:
 
 
 def ens_timeline(
-    network: Network, failed_ids, completion_hours: dict,
-    horizon: int | None = None, peak_shed: PeakShed | None = None,
+    network: Network, failed_ids, completion_hours: dict, horizon: int,
+    peak_shed: PeakShed,
 ) -> RestorationTimeline:
-    """Hourly shed trajectory while repairs complete.
+    """Hourly shed trajectory over hours 0 .. horizon-1 while repairs
+    complete.
 
     A component is back in service from the first whole hour at or after its
     repair completion. Loads are frozen at the peak hour so the curve
     isolates the effect of restoration, not demand swing. Failed
     components absent from completion_hours stay out for the whole horizon.
-    Every hour's shed comes from one batch question to `peak_shed`, a fresh
-    PeakShed when none is given; timelines that share one solve each
-    distinct energized part once.
+    Every hour's shed comes from one batch question to `peak_shed`, so
+    timelines that share one solve each distinct energized part once.
+    `pipeline.write_restoration` picks the horizon.
     """
-    if peak_shed is None:
-        peak_shed = PeakShed(network)
     failed = set(failed_ids)
     missing = failed - set(completion_hours)
-    if horizon is None:
-        steps = [math.ceil(completion_hours[c]) for c in failed & set(completion_hours)]
-        horizon = (max(steps) if steps else 0) + 1
     total = peak_shed.total_mw
 
     sheds = peak_shed([{c for c in failed
@@ -592,18 +588,15 @@ class TripleProductLinearization:
         return lhs <= rhs + tol if sense == "<=" else lhs >= rhs - tol
 
 
-def linearize_triple_product(
-    u1: str = "u1", u2: str = "u2", u3: str = "u3",
-    z12: str = "z12", z: str = "z",
-) -> TripleProductLinearization:
+def linearize_triple_product() -> TripleProductLinearization:
     """Standard pairwise construction: z12 = u1 AND u2, z = z12 AND u3."""
     cons = (
-        ({z12: 1.0, u1: -1.0}, "<=", 0.0),
-        ({z12: 1.0, u2: -1.0}, "<=", 0.0),
-        ({z12: 1.0, u1: -1.0, u2: -1.0}, ">=", -1.0),
-        ({z: 1.0, z12: -1.0}, "<=", 0.0),
-        ({z: 1.0, u3: -1.0}, "<=", 0.0),
-        ({z: 1.0, z12: -1.0, u3: -1.0}, ">=", -1.0),
+        ({"z12": 1.0, "u1": -1.0}, "<=", 0.0),
+        ({"z12": 1.0, "u2": -1.0}, "<=", 0.0),
+        ({"z12": 1.0, "u1": -1.0, "u2": -1.0}, ">=", -1.0),
+        ({"z": 1.0, "z12": -1.0}, "<=", 0.0),
+        ({"z": 1.0, "u3": -1.0}, "<=", 0.0),
+        ({"z": 1.0, "z12": -1.0, "u3": -1.0}, ">=", -1.0),
     )
-    return TripleProductLinearization(u1=u1, u2=u2, u3=u3, z12=z12, z=z,
-                                      constraints=cons)
+    return TripleProductLinearization(u1="u1", u2="u2", u3="u3", z12="z12",
+                                      z="z", constraints=cons)

@@ -72,7 +72,7 @@ def system_loss(n_failed: int, ens_mw: float, w1: float, w2: float) -> float:
 
 def generate_scenarios(
     network: Network, event: SeismicEvent, n: int,
-    w1: float = 1.0, w2: float = 1.0,
+    w1: float = ScenarioSet.w1, w2: float = ScenarioSet.w2,
     seed: int | None = None, exact_ens: bool = False,
     peak_shed: PeakShed | None = None,
 ) -> ScenarioSet:
@@ -95,8 +95,7 @@ def generate_scenarios(
         peak_shed = PeakShed(network)
     unserved = peak_shed if exact_ens else peak_shed.de_energized
     rng = np.random.default_rng(seed)
-    draws = sample_damage(network, compute_pga_field(network, event), rng,
-                          n=n)
+    draws = sample_damage(network, compute_pga_field(network, event), rng, n)
     ens = unserved([failed for failed, _ in draws])
     out = [DamageScenario(id=i, failed=failed,
                           loss=system_loss(len(failed), mw, w1, w2),

@@ -1,16 +1,16 @@
 """Seismic hazard: point-source ground motion attenuation and lognormal
 component fragility.
 
-PGA at a site follows ln(pga) = a + b1*M - b2*ln(max(R, r_floor)) + site
-+ eps, with R the hypocentral distance in km and eps an optional normal
-residual. Component failure is Bernoulli with probability
-Phi(ln(pga/median)/beta).
+Median PGA at a site follows ln(pga) = A + B1*M - B2*ln(max(R, R_FLOOR_KM))
++ SITE_TERMS[site class], with R the hypocentral distance in km; a sampled
+scenario scales it by exp(eps), eps normal with std sigma_eps. Component
+failure is Bernoulli with probability Phi(ln(pga/median)/beta).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,33 +18,20 @@ from .errors import ConfigError
 from .model import FragilityCurve, Network
 
 __all__ = [
-    "GmpeCoefficients", "SeismicEvent", "PgaField", "FragilityCurve",
+    "SeismicEvent", "PgaField", "FragilityCurve",
     "normal_cdf", "site_distance", "ground_motion_pga",
     "failure_probability", "compute_pga_field", "sample_damage",
-    "component_failure_probabilities", "DEFAULT_GMPE",
+    "component_failure_probabilities",
 ]
 
-
-@dataclass(frozen=True)
-class GmpeCoefficients:
-    """Attenuation coefficients. The bundled defaults are illustrative
-    placeholders shaped to give plausible urban-feeder failure rates for
-    M 6.5-8.5 events at 5-30 km; they are not calibrated to any region."""
-
-    a: float = -3.512
-    b1: float = 0.904
-    b2: float = 1.328
-    site_terms: dict = field(default_factory=lambda: {"rock": 0.0, "soil": 0.2})
-    r_floor_km: float = 1.0  # near-field saturation floor
-
-    def __post_init__(self):
-        if self.b2 < 0:
-            raise ConfigError("gmpe b2 must be >= 0 (attenuation)")
-        if not self.r_floor_km > 0:
-            raise ConfigError("gmpe r_floor_km must be > 0")
-
-
-DEFAULT_GMPE = GmpeCoefficients()
+# Attenuation coefficients. They are illustrative placeholders shaped to
+# give plausible urban-feeder failure rates for M 6.5-8.5 events at 5-30 km;
+# they are not calibrated to any region.
+A = -3.512
+B1 = 0.904
+B2 = 1.328
+SITE_TERMS = {"rock": 0.0, "soil": 0.2}
+R_FLOOR_KM = 1.0  # near-field saturation floor
 
 
 @dataclass(frozen=True)
@@ -53,16 +40,20 @@ class SeismicEvent:
     epicenter_x: float
     epicenter_y: float
     focal_depth_km: float = 10.0
-    gmpe: GmpeCoefficients = DEFAULT_GMPE
     sigma_eps: float = 0.45  # std of the lognormal residual
 
     def __post_init__(self):
         if not 4.0 <= self.magnitude <= 10.0:
             raise ConfigError(f"magnitude {self.magnitude} outside [4, 10]")
-        if self.focal_depth_km < 0:
-            raise ConfigError("focal_depth_km must be >= 0")
-        if self.sigma_eps < 0:
-            raise ConfigError("sigma_eps must be >= 0")
+        for name, ok, rule in (
+                ("epicenter_x", math.isfinite(self.epicenter_x), "finite"),
+                ("epicenter_y", math.isfinite(self.epicenter_y), "finite"),
+                ("focal_depth_km", 0 <= self.focal_depth_km < math.inf,
+                 ">= 0 and finite"),
+                ("sigma_eps", self.sigma_eps >= 0, ">= 0")):
+            if not ok:
+                raise ConfigError(f"{name} must be {rule}, got "
+                                  f"{getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -85,16 +76,14 @@ def site_distance(event: SeismicEvent, x: float, y: float) -> float:
 
 
 def ground_motion_pga(
-    event: SeismicEvent, x: float, y: float,
-    site_class: str = "rock", eps: float = 0.0,
+    event: SeismicEvent, x: float, y: float, site_class: str = "rock",
 ) -> float:
-    """PGA in g at a site, with optional residual eps (already scaled)."""
-    g = event.gmpe
-    if site_class not in g.site_terms:
+    """Median PGA in g at a site; `sample_damage` applies the residual."""
+    if site_class not in SITE_TERMS:
         raise ConfigError(f"no site term for site_class {site_class!r}")
-    r = max(site_distance(event, x, y), g.r_floor_km)
-    ln_pga = (g.a + g.b1 * event.magnitude - g.b2 * math.log(r)
-              + g.site_terms[site_class] + eps)
+    r = max(site_distance(event, x, y), R_FLOOR_KM)
+    ln_pga = (A + B1 * event.magnitude - B2 * math.log(r)
+              + SITE_TERMS[site_class])
     return math.exp(ln_pga)
 
 
@@ -126,30 +115,23 @@ def component_failure_probabilities(
 
 
 def sample_damage(
-    network: Network, pga_field: PgaField, rng: np.random.Generator,
-    scenario_id: int = 0, *, n: int | None = None,
-):
-    """Draw damage scenarios: an independent residual per component
-    perturbs the median PGA, then an independent Bernoulli draw per
-    component decides failure (`failure_probability` of the perturbed PGA).
-    Each scenario takes one normal(size=components) then one
-    random(components) from rng, so a set drawn in one call equals the same
-    number of single draws bit for bit.
+    network: Network, pga_field: PgaField, rng: np.random.Generator, n: int,
+) -> list:
+    """Draw n damage scenarios; returns n (failed ids in document order,
+    PGA per component id) pairs.
 
-    sample_damage(..., n=n) draws a scenario set in one call and returns n
-    (failed ids in document order, PGA per component id) pairs. The call
-    without n is the single draw kept for its existing callers: the n=1
-    pair as a DamageScenario with id scenario_id and loss fields unset (the
-    scenario engine fills them).
+    In each scenario an independent residual per component perturbs the
+    median PGA, then an independent Bernoulli draw per component decides
+    failure (`failure_probability` of the perturbed PGA). Each scenario
+    takes one normal(size=components) then one random(components) from
+    rng, so n draws in one call equal n calls with n=1 bit for bit.
     """
-    from .scenarios import DamageScenario
-
     sigma = pga_field.event.sigma_eps
     ids = list(network.components)
     table = [(cid, pga_field.pga_g[cid], network.components[cid].fragility)
              for cid in ids]
     draws = []
-    for _ in range(1 if n is None else n):
+    for _ in range(n):
         eps = (rng.normal(0.0, sigma, size=len(ids)) if sigma > 0
                else np.zeros(len(ids))).tolist()
         unif = rng.random(len(ids)).tolist()
@@ -157,8 +139,4 @@ def sample_damage(
         failed = tuple(cid for (cid, _, curve), x, u in zip(table, pga, unif)
                        if u < failure_probability(x, curve))
         draws.append((failed, dict(zip(ids, pga))))
-    if n is not None:
-        return draws
-    failed, pga_drawn = draws[0]
-    return DamageScenario(id=scenario_id, failed=failed, pga_g=pga_drawn,
-                          loss=0.0, ens_mw=0.0, weight=0.0)
+    return draws

@@ -107,9 +107,8 @@ def test_criterion_02_monte_carlo_soundness():
             field = gq.compute_pga_field(net, ev)
             probs = gq.component_failure_probabilities(net, field)
             assert probs["c1"] == pytest.approx(p_true, abs=1e-12)
-            rng = np.random.default_rng(7)
-            hits = sum(bool(gq.sample_damage(net, field, rng).failed)
-                       for _ in range(n))
+            draws = gq.sample_damage(net, field, np.random.default_rng(7), n)
+            hits = sum(bool(failed) for failed, _ in draws)
             bound = 3.0 * math.sqrt(p_true * (1 - p_true) / n)
             assert abs(hits / n - p_true) <= bound, p_true
 

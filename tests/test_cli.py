@@ -1,6 +1,7 @@
 """CLI behavior: exit codes, round trips between subcommands, artifacts."""
 
 import json
+import math
 import os
 from dataclasses import fields
 
@@ -8,12 +9,13 @@ import numpy as np
 import pytest
 
 from gridquake.cli import build_parser, main
-from gridquake.fixtures import (DEFAULT_EPICENTER, DEFAULT_FOCAL_DEPTH_KM,
-                                builtin_feeder, default_event)
+from gridquake.fixtures import (DEFAULT_EPICENTER, builtin_feeder,
+                                default_event)
 from gridquake.model import network_to_document
 from gridquake.pipeline import PipelineConfig
 from gridquake.policy.nn import PolicyConfig, PolicyModel
 from gridquake.scenarios import generate_scenarios, scenario_set_to_document
+from gridquake.seismic import SeismicEvent
 
 
 @pytest.fixture()
@@ -97,7 +99,7 @@ def test_dispatch_without_failures_gives_empty_plan(network_path, tmp_path,
 def test_parser_defaults_are_the_dataclass_defaults():
     defaults = {f.name: f.default for f in fields(PipelineConfig)}
     assert defaults["epicenter"] == DEFAULT_EPICENTER
-    assert defaults["focal_depth_km"] == DEFAULT_FOCAL_DEPTH_KM
+    assert defaults["focal_depth_km"] == SeismicEvent.focal_depth_km
     parser = build_parser()
     dispatch = parser.parse_args(["dispatch", "exact", "--network", "n"])
     assert dispatch.gamma == defaults["gamma"]
@@ -107,6 +109,7 @@ def test_parser_defaults_are_the_dataclass_defaults():
     gen = parser.parse_args(["gen", "--network", "n", "--magnitude", "7"])
     assert tuple(map(float, gen.epicenter.split(","))) == defaults["epicenter"]
     assert gen.depth == defaults["focal_depth_km"]
+    assert (gen.w1, gen.w2) == (defaults["w1"], defaults["w2"])
 
 
 def test_exit_code_2_on_negative_samples(network_path, model_path, capsys):
@@ -141,8 +144,11 @@ def test_exit_code_2_on_checkpoint_with_bad_score_clip(
     np.savez(path, **arrays)
     assert main(["dispatch", "policy", "--network", network_path,
                  "--failed", "c_l1", "--model", path]) == 2
-    assert ("__config__.score_clip must be finite and > 0"
-            in capsys.readouterr().err)
+    # the document reader refuses NaN and inf before PolicyConfig's rule
+    rule = ("__config__.score_clip: expected a finite number"
+            if not math.isfinite(score_clip)
+            else "__config__.score_clip must be finite and > 0")
+    assert rule in capsys.readouterr().err
 
 
 def test_report_subcommands(network_path, tmp_path, capsys):
@@ -349,6 +355,21 @@ def test_exit_code_2_on_bad_magnitude(network_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("flags,rule", [
+    (["--epicenter", "nan,0"], "epicenter_x must be finite"),
+    (["--epicenter", "0,inf"], "epicenter_y must be finite"),
+    (["--depth", "nan"], "focal_depth_km must be >= 0 and finite"),
+    (["--depth", "inf"], "focal_depth_km must be >= 0 and finite")])
+def test_exit_code_2_on_non_finite_event(flags, rule, network_path, tmp_path,
+                                         capsys):
+    # a NaN epicenter or depth made every PGA NaN, so nothing failed
+    out = tmp_path / "out.json"
+    assert main(["gen", "--network", network_path, "--magnitude", "7.5",
+                 "--n", "5", "--out", str(out)] + flags) == 2
+    assert rule in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_exit_code_3_on_solver_limits(network_path, tmp_path, capsys):
     # 15 failed components funneled to one depot area exceed the default cap
     net = builtin_feeder()
@@ -471,6 +492,34 @@ def test_exit_code_2_on_malformed_documents(kind, edit, where, tmp_path,
         assert where in capsys.readouterr().err, argv
         assert not any(p.name.startswith("out")
                        for p in tmp_path.iterdir()), argv
+
+
+@pytest.mark.parametrize("section,rid,field,value", [
+    (None, None, "substation_import_mva", math.inf),
+    ("components", "c_l1", "repair_hours", math.inf),
+    ("buses", "b2", "x", math.nan),
+    ("lines", "l1", "capacity_mva", math.inf),
+    ("components", "c_l1", "fragility", {"median_g": math.nan, "beta": 0.5})])
+def test_exit_code_2_on_non_finite_network_numbers(
+        section, rid, field, value, tmp_path, capsys):
+    doc = network_to_document(builtin_feeder())
+    if section is None:
+        doc[field] = value
+        where = field
+    else:
+        i = [rec["id"] for rec in doc[section]].index(rid)
+        doc[section][i][field] = value
+        where = f"{section}[{i}].{field}"
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(doc))  # NaN, Infinity: json reads them back
+    out = tmp_path / "out.json"
+    for argv in (["eval"], ["dispatch", "exact"],
+                 ["dispatch", "ga", "--pop", "4", "--gens", "1"]):
+        assert main(argv + ["--network", str(path), "--failed", "c_l1",
+                            "--out", str(out)]) == 2, argv
+        err = capsys.readouterr().err
+        assert where in err and "expected a finite number" in err, argv
+        assert not out.exists(), argv
 
 
 @pytest.mark.parametrize("hour", [float("nan"), float("inf"), -5.0])

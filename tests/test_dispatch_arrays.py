@@ -8,6 +8,7 @@ plan_objective, and every GA operator must return valid genomes and follow
 its reference definition."""
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -268,8 +269,8 @@ def golden_instance(k):
     gamma = (0.5, 0.2, 0.9)[k % 3]
     if k < 7:
         fam = InstanceFamily(n_min=6, n_max=9, depot_count=1 + k % 3,
-                             crews_per_depot=1 + k // 3, gamma=gamma)
-        return fam.sample_instance(rng)
+                             crews_per_depot=1 + k // 3)
+        return replace(fam.sample_instance(rng), gamma=gamma)
     net = builtin_feeder()
     failed = rng.choice(sorted(net.components), size=8 + 3 * (k - 7),
                         replace=False)
@@ -301,8 +302,8 @@ def sequence_golden_instance(k):
     rng = np.random.default_rng(2000 + k)
     n = 8 + k % 2
     fam = InstanceFamily(n_min=n, n_max=n, depot_count=1,
-                         crews_per_depot=1 + k // 2, gamma=(0.5, 0.2, 0.9)[k % 3])
-    return fam.sample_instance(rng)
+                         crews_per_depot=1 + k // 2)
+    return replace(fam.sample_instance(rng), gamma=(0.5, 0.2, 0.9)[k % 3])
 
 
 @pytest.mark.parametrize("k", range(6))

@@ -188,7 +188,7 @@ def test_rollout_builds_no_graph_and_leaves_grads_alone(monkeypatch):
 
     monkeypatch.setattr(PolicyModel, "step", recording_step)
     run_batch(model, [encode_instance(inst)] * 3, np.random.default_rng(0),
-              inst.gamma, greedy_first=True)
+              greedy_first=True)
     assert len(outputs) == 5
     for ctx, (logp, value) in outputs:
         for t in (logp, value, ctx.ptr_keys, ctx.pooled,
@@ -204,9 +204,9 @@ def test_greedy_episode_is_deterministic_and_valid():
     inst = make_instance(seed=5, n=5, crews=2)
     enc = encode_instance(inst)
     # the greedy row ignores the generator and the sampled rows beside it
-    a = run_batch(model, [enc], np.random.default_rng(0), inst.gamma,
+    a = run_batch(model, [enc], np.random.default_rng(0),
                   greedy_first=True)
-    b = run_batch(model, [enc] * 3, np.random.default_rng(1), inst.gamma,
+    b = run_batch(model, [enc] * 3, np.random.default_rng(1),
                   greedy_first=True)
     np.testing.assert_array_equal(a.actions[:, 0], b.actions[:, 0])
     plan = schedule_plan(inst, routes_of(enc, a.actions[:, 0]))
@@ -263,7 +263,7 @@ def test_rollout_leg_is_travel_hours_bit_for_bit():
                                     curtailed_mw=1.0),),
         depots=(Depot(id="d", x=0.0, y=0.0),), travel_speed_kmh=1.0)
     roll = run_batch(PolicyModel.init(TINY, seed=0), [encode_instance(inst)],
-                     np.random.default_rng(0), inst.gamma, greedy_first=True)
+                     np.random.default_rng(0), greedy_first=True)
     want = travel_hours((0.0, 0.0), (dx, dy), 1.0)
     assert roll.makespan[0] == schedule_plan(inst, {"d:1": ["c"]}) \
         .makespan_hours == want
@@ -273,7 +273,7 @@ def test_sampled_episodes_only_pick_feasible_pairs():
     model = PolicyModel.init(TINY, seed=6)
     inst = make_instance(seed=7, n=6, crews=1)
     enc = encode_instance(inst)
-    roll = run_batch(model, [enc] * 10, np.random.default_rng(3), inst.gamma)
+    roll = run_batch(model, [enc] * 10, np.random.default_rng(3))
     T, B = roll.actions.shape
     assert (T, B) == (6, 10)
     # every action was allowed by the mask of its step
@@ -328,7 +328,7 @@ def test_policy_dispatch_keeps_the_greedy_plan_on_a_tie():
                             depots=(Depot(id="d", x=0.0, y=0.0),))
     model = PolicyModel.init(TINY, seed=0)
     enc = encode_instance(inst)
-    roll = run_batch(model, [enc] * 9, np.random.default_rng(0), inst.gamma,
+    roll = run_batch(model, [enc] * 9, np.random.default_rng(0),
                      greedy_first=True)
     routes = [routes_of(enc, roll.actions[:, b]) for b in range(9)]
     values = {plan_objective(inst, schedule_plan(inst, r)).value
@@ -403,7 +403,7 @@ def test_every_batched_row_is_a_plan_and_best_of_beats_greedy(
     inst = fam.sample_instance(np.random.default_rng(seed))
     enc = encode_instance(inst)
     roll = run_batch(model, [enc] * (samples + 1), np.random.default_rng(seed),
-                     inst.gamma, greedy_first=True)
+                     greedy_first=True)
     # schedule_plan raises unless each row routes every component once,
     # from its nearest depot; the rollout's clock is schedule_plan's exactly
     plans = [schedule_plan(inst, routes_of(enc, roll.actions[:, b]))
@@ -545,15 +545,25 @@ def test_saved_config_blob_is_sorted_json_of_every_field(tmp_path):
                               sort_keys=True).encode()
 
 
+@pytest.mark.parametrize("other", [dict(n=5), dict(gamma=0.2)])
+def test_run_batch_refuses_a_mixed_batch(other):
+    # one gamma shapes every row's rewards, so the rows must share it
+    inst = make_instance(seed=3)
+    odd = make_instance(seed=3, n=other.get("n", 4))
+    odd = dataclasses.replace(odd, gamma=other.get("gamma", odd.gamma))
+    with pytest.raises(ValueError, match="homogeneous"):
+        run_batch(PolicyModel.init(TINY, seed=0),
+                  [encode_instance(inst), encode_instance(odd)],
+                  np.random.default_rng(0))
+
+
 def test_batch_rewards_telescope_to_objective():
     model = PolicyModel.init(TINY, seed=12)
-    gamma = 0.5
-    fam = InstanceFamily(n_min=4, n_max=4, depot_count=2, crews_per_depot=1,
-                         gamma=gamma)
+    fam = InstanceFamily(n_min=4, n_max=4, depot_count=2, crews_per_depot=1)
     rng = np.random.default_rng(4)
     instances = [fam.sample_instance(rng) for _ in range(3)]
     encs = [encode_instance(i) for i in instances]
-    batch = run_batch(model, encs, np.random.default_rng(5), gamma=gamma)
+    batch = run_batch(model, encs, np.random.default_rng(5))
     assert batch.rewards.shape == (4, 3)
     returns = batch.rewards.sum(axis=0)
     for b, enc in enumerate(encs):
@@ -629,7 +639,7 @@ def test_ppo_loss_graph_matches_per_step_reference():
     fam = InstanceFamily(n_min=5, n_max=5, depot_count=2, crews_per_depot=2)
     rng = np.random.default_rng(8)
     encs = [encode_instance(fam.sample_instance(rng)) for _ in range(4)]
-    roll = run_batch(PolicyModel.init(TINY, seed=15), encs, rng, fam.gamma)
+    roll = run_batch(PolicyModel.init(TINY, seed=15), encs, rng)
     returns = np.cumsum(roll.rewards[::-1], axis=0)[::-1]
     adv = returns - roll.values
     adv = (adv - adv.mean()) / adv.std()
