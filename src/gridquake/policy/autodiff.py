@@ -11,6 +11,13 @@ iterative topological sweep accumulating grads into leaves. An op whose
 inputs are all constants (no requires_grad) records no parents and no
 backward closure, so a forward pass over constant Tensors builds no graph
 at all.
+
+backward() releases the graph as it walks it: once a node's own backward
+has run, the node drops its parents, its backward closure (and with it
+the activations the closure captured) and its gradient. Only leaves, the
+Tensors built with requires_grad=True and no parents, keep `.grad`. A
+second backward() through a released node, from the same output or from
+another output that shares part of the graph, raises InternalError.
 """
 
 from __future__ import annotations
@@ -18,6 +25,11 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import InternalError
+
+
+def _released(g):
+    raise InternalError("backward() through a graph that an earlier "
+                        "backward() has already released")
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -58,6 +70,11 @@ class Tensor:
     # --- graph mechanics ---
 
     def backward(self):
+        """Accumulate d(self)/d(leaf) into every leaf's `.grad`, releasing
+        the graph on the way: after backward() returns, interior nodes
+        hold no gradient, parents or closure, so the activations of the
+        forward pass are freed with it. A graph is walked once; walking a
+        released node again raises InternalError."""
         if self.data.size != 1:
             raise InternalError("backward() needs a scalar output")
         topo, seen = [], set()
@@ -78,6 +95,10 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None:
                 node._backward(node.grad)
+            if node._parents:
+                node._parents = ()
+                node._backward = _released
+                node.grad = None
 
     def _accumulate(self, g: np.ndarray):
         # the first gradient is copied in: g may be a view of, or the very

@@ -554,16 +554,11 @@ def ens_timeline(
 class TripleProductLinearization:
     """Exact MILP encoding of z = u1*u2*u3 over binaries.
 
-    Variables are named; constraints are (coeffs, sense, rhs) with sense in
-    {'<=', '>='} and coeffs a name->float map. The pairwise auxiliary z12
-    carries u1*u2.
+    The variables are named `u1`, `u2`, `u3`, `z12` and `z`; constraints
+    are (coeffs, sense, rhs) with sense in {'<=', '>='} and coeffs a
+    name->float map. The pairwise auxiliary z12 carries u1*u2.
     """
 
-    u1: str
-    u2: str
-    u3: str
-    z12: str
-    z: str
     constraints: tuple
 
     def evaluate(self, u1: int, u2: int, u3: int) -> tuple[int, int]:
@@ -571,8 +566,7 @@ class TripleProductLinearization:
         feasible = []
         for z12 in (0, 1):
             for z in (0, 1):
-                point = {self.u1: u1, self.u2: u2, self.u3: u3,
-                         self.z12: z12, self.z: z}
+                point = {"u1": u1, "u2": u2, "u3": u3, "z12": z12, "z": z}
                 if all(self._holds(con, point) for con in self.constraints):
                     feasible.append((z12, z))
         if len(feasible) != 1:
@@ -598,5 +592,4 @@ def linearize_triple_product() -> TripleProductLinearization:
         ({"z": 1.0, "u3": -1.0}, "<=", 0.0),
         ({"z": 1.0, "z12": -1.0, "u3": -1.0}, ">=", -1.0),
     )
-    return TripleProductLinearization(u1="u1", u2="u2", u3="u3", z12="z12",
-                                      z="z", constraints=cons)
+    return TripleProductLinearization(constraints=cons)

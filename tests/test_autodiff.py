@@ -101,7 +101,8 @@ def test_weight_gradient_matches_einsum(batch, m, k, n, seed):
 
 def test_first_gradient_is_a_copy_not_an_alias():
     # add hands the same upstream array to both operands, and reshape
-    # hands on a view of it; each leaf must own its gradient
+    # hands on a view of it; each leaf must own its gradient, and the
+    # interior gradients are released by backward
     rng = np.random.default_rng(12)
     a = ad.Tensor(rng.normal(size=(2, 3)), requires_grad=True)
     b = ad.Tensor(rng.normal(size=(2, 3)), requires_grad=True)
@@ -109,11 +110,63 @@ def test_first_gradient_is_a_copy_not_an_alias():
     flat = mid.reshape((6,))
     (flat * np.arange(6.0)).sum().backward()
     assert not np.shares_memory(a.grad, b.grad)
-    assert not np.shares_memory(a.grad, mid.grad)
-    assert not np.shares_memory(mid.grad, flat.grad)
+    assert mid.grad is None and flat.grad is None
     a.grad += 1.0
     np.testing.assert_array_equal(b.grad, np.arange(6.0).reshape(2, 3))
-    np.testing.assert_array_equal(mid.grad, np.arange(6.0).reshape(2, 3))
+
+
+def test_backward_twice_from_one_output_raises():
+    t = ad.Tensor(np.array([1.5, -0.5]), requires_grad=True)
+    y = (t * t).tanh().sum()
+    y.backward()
+    first = t.grad.copy()
+    with pytest.raises(InternalError):
+        y.backward()
+    np.testing.assert_array_equal(t.grad, first)
+
+
+def test_backward_through_a_released_shared_subgraph_raises():
+    t = ad.Tensor(np.array([0.3, 2.0]), requires_grad=True)
+    h = (t * 2.0).tanh()
+    y1 = h.sum()
+    y2 = (h * h).sum()
+    y1.backward()
+    with pytest.raises(InternalError):
+        y2.backward()
+
+
+def test_backward_releases_interior_nodes_and_keeps_leaf_gradients():
+    """After backward every interior node has dropped its gradient and its
+    parents, and each leaf's gradient is the central-difference one; h
+    feeds three ops, so the release must wait for all of them."""
+    rng = np.random.default_rng(17)
+    leaves0 = (rng.normal(size=(2, 3, 4)), rng.normal(size=(4, 4)),
+               rng.normal(size=4), rng.normal(size=4))
+    mask = rng.random((2, 3, 4)) < 0.7
+    mask[..., 0] = True
+
+    def build(x, w, g, b):
+        xw = x @ w
+        t = xw.tanh()
+        h = ad.layer_norm(t, g, b)
+        p = ad.softmax(h, mask)
+        ph = p * h + h
+        out = ph.sum()
+        return out, (xw, t, h, p, ph, out)
+
+    leaves = [ad.Tensor(a.copy(), requires_grad=True) for a in leaves0]
+    out, interior = build(*leaves)
+    out.backward()
+    for node in interior:
+        assert node.grad is None and node._parents == ()
+    for i, leaf in enumerate(leaves):
+        def scalar(v, i=i):
+            args = [ad.Tensor(a) for a in leaves0]
+            args[i] = ad.Tensor(v.copy())
+            return build(*args)[0].item()
+        np.testing.assert_allclose(leaf.grad, fd_grad(scalar,
+                                                      leaves0[i].copy()),
+                                   rtol=1e-6, atol=1e-8)
 
 
 def test_constant_inputs_record_no_graph():

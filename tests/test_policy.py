@@ -1,12 +1,14 @@
 """Policy network and rollout tests: encoder symmetries, decision masking,
 plan validity, checkpoint round trips and validation, reward bookkeeping,
 the batched draw against `Generator.choice`, an op-count guard on the
-decoding step, and golden plans for the batched decoder."""
+decoding step, a memory guard on the PPO update, and golden plans for the
+batched decoder."""
 
 import collections
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -680,6 +682,32 @@ def test_ppo_short_run_trains_and_reports():
     changed = any(not np.array_equal(before[k], t.data)
                   for k, t in model.params.items())
     assert changed
+
+
+def test_ppo_update_peak_memory_stays_near_the_live_set(monkeypatch):
+    """One PPO iteration on the benchmark's policy config (default model,
+    size-7 instances, batch 16, seed 5) under tracemalloc. Backward
+    releases the graph as it walks it, so the traced peak stays within
+    1.3x of the bytes live when the first backward starts; a graph kept
+    alive until the next epoch's loss replaces it peaks at 2.76x."""
+    model = PolicyModel.init(PolicyConfig(), seed=5)
+    live = []
+    backward = ad.Tensor.backward
+
+    def recording_backward(self):
+        if not live:
+            live.append(tracemalloc.get_traced_memory()[0])
+        backward(self)
+
+    monkeypatch.setattr(ad.Tensor, "backward", recording_backward)
+    tracemalloc.start()
+    try:
+        ppo_train(model, InstanceFamily(n_min=7, n_max=7),
+                  PpoConfig(iterations=1, batch_size=16, seed=5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.3 * live[0], (peak, live[0])
 
 
 def test_instance_family_sampling_deterministic():

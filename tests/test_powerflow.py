@@ -582,7 +582,6 @@ def test_triple_product_linearization_exact_on_all_combos():
 def test_triple_product_loose_construction_detected():
     lin = linearize_triple_product()
     loose = TripleProductLinearization(
-        u1=lin.u1, u2=lin.u2, u3=lin.u3, z12=lin.z12, z=lin.z,
         constraints=lin.constraints[:-1])  # drop the z lower bound
     with pytest.raises(InternalError):
         loose.evaluate(1, 1, 1)

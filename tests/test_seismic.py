@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from gridquake.errors import ConfigError
-from gridquake.model import FragilityCurve
-from gridquake.seismic import (SeismicEvent,
+from gridquake.model import SITE_CLASSES, FragilityCurve
+from gridquake.seismic import (SITE_TERMS, SeismicEvent,
                                component_failure_probabilities,
                                compute_pga_field, failure_probability,
                                ground_motion_pga, normal_cdf, sample_damage,
@@ -81,6 +81,15 @@ def test_ground_motion_increases_with_magnitude():
         pgas = [ground_motion_pga(default_event(m), x, y)
                 for m in (5.0, 6.0, 7.0, 8.0)]
         assert all(a < b for a, b in zip(pgas, pgas[1:]))
+
+
+def test_every_site_class_has_a_site_term():
+    # a network document may name only SITE_CLASSES, and the attenuation
+    # needs a term for each; a class added to one list alone fails here
+    assert set(SITE_CLASSES) == set(SITE_TERMS)
+    ev = SeismicEvent(magnitude=7.0, epicenter_x=0.0, epicenter_y=0.0)
+    with pytest.raises(ConfigError):
+        ground_motion_pga(ev, 1.0, 1.0, site_class="bedrock")
 
 
 def test_magnitude_range_enforced():
