@@ -11,7 +11,7 @@ from .simplex import INFEASIBLE, OPTIMAL, LpResult, solve_lp
 from .powerflow import (FlowSolution, OperationalState, PeakShed,
                         RestorationTimeline, TripleProductLinearization,
                         energization_state, ens_timeline,
-                        linearize_triple_product, shed_at, solve_shedding_lp)
+                        linearize_triple_product, shed_at)
 from .scenarios import (DamageScenario, LossDistribution, ScenarioSet,
                         forward_reduce, generate_scenarios, load_scenario_set,
                         reduction_distance, return_period_loss,
@@ -52,7 +52,7 @@ __all__ = [
     "random_radial_network", "reduction_distance", "return_period_loss",
     "run_pipeline", "sample_damage", "scenario_set_from_document",
     "scenario_set_to_document", "schedule_plan", "select_representatives",
-    "shed_at", "solve_lp", "solve_shedding_lp", "subtour_violations",
+    "shed_at", "solve_lp", "subtour_violations",
     "system_loss", "travel_hours", "validate_radiality", "wasserstein1",
     "__version__",
 ]

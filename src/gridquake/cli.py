@@ -18,10 +18,11 @@ from .fixtures import DEFAULT_EPICENTER, default_event
 from .ga import GaConfig
 from .model import load_network_file, read_json, read_value
 from .pipeline import (KNOWN_SOLVERS, PipelineConfig, load_pipeline_config,
-                       plan_document, run_pipeline, solve, write_restoration)
+                       plan_document, run_pipeline, servable_peak_shed, solve,
+                       write_restoration)
 from .policy import (InstanceFamily, PolicyConfig, PolicyModel, PpoConfig,
                      ppo_train)
-from .powerflow import energization_state, solve_shedding_lp
+from .powerflow import shed_at
 from .report import write_csv, write_json
 from .scenarios import (forward_reduce, generate_scenarios, load_scenario_set,
                         scenario_set_to_document, select_representatives)
@@ -99,12 +100,11 @@ def _cmd_eval(args) -> int:
     net = load_network_file(args.network)
     failed = _failed_set(args)
     hour = args.hour if args.hour is not None else net.peak_hour()
-    state = energization_state(net, failed)
-    flow = solve_shedding_lp(net, state, *net.loads_at(hour))
+    flow = shed_at(net, failed, hour)
     doc = {
         "hour": hour,
         "failed": sorted(failed),
-        "energized": {b: state.energized[b] for b in sorted(state.energized)},
+        "energized": {b: flow.energized[b] for b in sorted(flow.energized)},
         "served_mw": flow.served_mw,
         "shed_mw": flow.total_shed_mw,
         "shed_by_bus": {b: flow.p_shed[b] for b in sorted(flow.p_shed)
@@ -202,7 +202,8 @@ def _cmd_report_resilience(args) -> int:
                               f"curve is keyed by its plan's solver")
         plans[name] = (list(doc["completion"]), doc["completion"])
     timelines = write_restoration(net, plans, args.out, title="Restoration",
-                                  horizon=args.horizon)
+                                  horizon=args.horizon,
+                                  peak_shed=servable_peak_shed(net))
     for name, timeline in timelines.items():
         print(f"{name}: ens {timeline.ens_mwh:.4f} MWh over "
               f"{len(timeline.hours)} h")

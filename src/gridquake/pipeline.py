@@ -166,6 +166,20 @@ def solve(solver, instance, *, seed, model, samples, max_components,
     raise ConfigError(f"unknown solver {solver!r}")
 
 
+def servable_peak_shed(network: Network) -> PeakShed:
+    """A study's PeakShed, once the intact feeder serves its whole peak
+    load: one that sheds with nothing failed could never end a restoration
+    curve at full service, so it is refused with a ConfigError before any
+    output is written."""
+    peak_shed = PeakShed(network)
+    shed, = peak_shed([[]])
+    if shed > 0:
+        raise ConfigError(f"the feeder sheds {shed:g} MW of its peak load "
+                          f"with nothing failed, so no repair plan can "
+                          f"restore it in full")
+    return peak_shed
+
+
 def write_restoration(network, plans, prefix, title, horizon=None,
                       peak_shed=None) -> dict:
     """Restoration curves of several plans over one shared horizon, written
@@ -213,15 +227,15 @@ def run_pipeline(network: Network, config: PipelineConfig, out_dir: str,
     if "policy" in config.solvers:
         from .policy import PolicyModel
         model = PolicyModel.load(config.policy_model)
+    # one per study: scenario losses, curtailment weights and every
+    # timeline read the same peak-hour operating states
+    peak_shed = servable_peak_shed(network)
     os.makedirs(out_dir, exist_ok=True)
     for sub in ("scenarios", "plans", "resilience", "losses"):
         os.makedirs(os.path.join(out_dir, sub), exist_ok=True)
 
     # stage 1: hazard and scenario sets
     t0 = time.monotonic()
-    # one per study: scenario losses, curtailment weights and every
-    # timeline read the same peak-hour operating states
-    peak_shed = PeakShed(network)
     sets = {}
     summaries = {}
     for mag in config.magnitudes:

@@ -1,14 +1,18 @@
 """Post-event operating state: island energization, linearized load-shedding
 dispatch, and restoration timelines.
 
-The shedding problem is one LinDistFlow LP over all energized buses, in
-which each energized island is a separate block: nodal P/Q balance, linear
-voltage drop along lines, box limits on flows, generation, voltages, and
-shed. De-energized islands shed everything by construction. Islands come
+The shedding problem is a LinDistFlow LP over the energized buses: nodal
+P/Q balance, linear voltage drop along lines, box limits on flows,
+generation, voltages, and shed. Energized islands share no row and no
+column, so each is an LP of its own, cut from arrays of the whole
+network's; one whose all-served point passes the simplex's crash-start
+test takes one linear solve, and only an island that must shed reaches the
+simplex. De-energized islands shed everything by construction. Islands come
 from `island_labels`, which labels the islands of many failed sets in one
 array pass. A study's peak-hour questions (scenario losses, dispatch
 curtailment weights, restoration timelines) all go through one `PeakShed`,
-which answers a whole batch of failed sets' de-energized load at once.
+which answers a whole batch of failed sets at once and solves each distinct
+energized island once.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ class FlowSolution:
     q_gen: dict
     p_import: dict  # substation bus -> MW drawn from the grid
     q_import: dict
+    energized: dict  # bus -> bool
     total_shed_mw: float = 0.0
     served_mw: float = 0.0
 
@@ -153,15 +158,23 @@ class _Grid:
         fed[rows, labels[rows, self.gen_bus[gens]]] = True
         return up, labels, fed[np.arange(k)[:, None], labels]
 
-    def energized_parts(self, up, energized) -> list:
-        """Each failed set's energized part as a hashable key: its energized
-        buses, and its out-of-service lines, generators and substations
-        that touch them."""
-        touched = np.hstack([energized[:, self.ends[:, 0]]
-                             | energized[:, self.ends[:, 1]],
-                             energized[:, self.gen_bus], energized])
-        return [row.tobytes()
-                for row in np.hstack([energized, touched & ~up])]
+    def islands(self, up, labels, energized) -> list:
+        """Each failed set's energized islands, listed by their first bus,
+        as (key, member) pairs: `member` marks the island's buses, and
+        `key` is a hashable form of everything the island's shedding LP
+        reads at fixed loads, its buses and the out-of-service lines,
+        generators and substations that touch them."""
+        sets, roots = np.nonzero(energized
+                                 & (labels == np.arange(len(self.buses))))
+        member = labels[sets] == roots[:, None]
+        touched = np.hstack([member[:, self.ends[:, 0]]
+                             | member[:, self.ends[:, 1]],
+                             member[:, self.gen_bus], member])
+        keys = np.hstack([member, touched & ~up[sets]])
+        out = [[] for _ in range(len(up))]
+        for i, key, row in zip(sets.tolist(), keys, member):
+            out[i].append((key.tobytes(), row))
+        return out
 
     def state(self, failed: frozenset, labels, energized) -> OperationalState:
         """The OperationalState of one failed set from its rows of
@@ -199,283 +212,293 @@ def energization_state(network: Network, failed_ids) -> OperationalState:
     return grid.state(failed, labels[0], energized[0])
 
 
-def _effective_q_ratio(p_load: float, q_load: float) -> float:
-    # shed is curtailed at the bus power factor: q_shed tracks p_shed
-    return q_load / p_load if p_load > 0 else 0.0
+class _SheddingLp:
+    """The shedding LP of a whole network at fixed loads, as arrays built
+    from `grid`'s: every bus, line and source has its columns and rows as
+    if energized and in service, and an island's LP is the part it keeps,
+    in the same relative order (the simplex's lowest-index tie rule depends
+    on it). Columns: v by bus, pl and ql by line, pg and qg by generator, ps
+    and qs by substation bus, then shed (P load > 0) or qshed (Q load only)
+    by loaded bus. Rows: P balance by bus (gen + import + inflow - outflow
+    + shed = load), Q balance by bus (q shed rides on p shed at the load's
+    Q/P ratio), then one voltage drop by line (v_from - v_to = r*p + x*q)."""
+
+    def __init__(self, grid: _Grid, p_load, q_load):
+        net, self.grid = grid.network, grid
+        n, m, g = len(grid.buses), len(grid.ends), len(grid.gen_bus)
+        r, x, cap = np.array([(ln.resistance, ln.reactance, ln.capacity_mva)
+                              for ln in net.lines.values()]).reshape(-1, 3).T
+        box = np.array([(gen.p_min, gen.p_max, gen.q_min, gen.q_max)
+                        for gen in net.generators.values()]).reshape(-1, 4)
+        v_band = np.array([(b.v_min, b.v_max) for b in net.buses.values()])
+        lim = float(net.import_limit_mva())
+        subs = np.flatnonzero(grid.substation)
+        s = len(subs)
+        p, q = np.asarray(p_load, dtype=float), np.asarray(q_load, dtype=float)
+        load = np.flatnonzero((p > 0) | (q != 0))
+        shed = p[load] > 0  # a shed column, else a qshed one
+        self.starts = np.cumsum([0, n, m, m, g, g, s, s, len(load)])
+        _, pl, ql, pg, qg, ps, qs, ld = (
+            np.arange(a, z) for a, z in zip(self.starts, self.starts[1:]))
+        self.shed_bus, self.shed_col = load[shed], ld[shed]
+        self.qshed_bus, self.qshed_col = load[~shed], ld[~shed]
+        self.ratio = q[self.shed_bus] / p[self.shed_bus]
+        fr, to = grid.ends[:, 0], grid.ends[:, 1]
+        # a column or row is kept if its bus is in the island and, for a
+        # line or a source, that equipment is in service (its `up` entry)
+        self.col_bus = np.concatenate([np.arange(n), fr, fr, grid.gen_bus,
+                                       grid.gen_bus, subs, subs, load])
+        self.col_up = np.concatenate([np.arange(m), np.arange(m),
+                                      m + np.arange(g), m + np.arange(g),
+                                      m + g + subs, m + g + subs])
+        self.row_bus = np.concatenate([np.arange(n), np.arange(n), fr])
+        shed_lo = np.where(shed, 0.0, np.minimum(0.0, q[load]))
+        shed_hi = np.where(shed, p[load], np.maximum(0.0, q[load]))
+        self.lo = np.concatenate([v_band[:, 0], -cap, -cap, box[:, 0],
+                                  box[:, 2], np.zeros(s), np.full(s, -lim),
+                                  shed_lo])
+        self.hi = np.concatenate([v_band[:, 1], cap, cap, box[:, 1], box[:, 3],
+                                  np.full(2 * s, lim), shed_hi])
+        self.c = np.zeros(len(self.lo))
+        self.c[self.shed_col] = 1.0
+        self.b = np.concatenate([p, q, np.zeros(m)])
+        # each (row, col) pair once, since a line's two ends differ
+        drop, one = 2 * n + np.arange(m), np.ones
+        self.nz_row = np.concatenate([
+            to, fr, n + to, n + fr, drop, drop, drop, drop, grid.gen_bus,
+            n + grid.gen_bus, subs, n + subs, self.shed_bus,
+            n + self.shed_bus, n + self.qshed_bus])
+        self.nz_col = np.concatenate([pl, pl, ql, ql, fr, to, pl, ql, pg, qg,
+                                      ps, qs, self.shed_col, self.shed_col,
+                                      self.qshed_col])
+        self.nz_val = np.concatenate([
+            one(m), -one(m), one(m), -one(m), one(m), -one(m), 0.0 - r,
+            0.0 - x, one(2 * g + 2 * s + len(self.shed_bus)), 0.0 + self.ratio,
+            one(len(self.qshed_bus))])
+        # nonbasic start values: v at v_max, pg at p_min and ps at 0 (their
+        # lower bounds), reactive sources at their bound nearest 0 (the
+        # lower on a tie); shed and qshed at the bound that serves (nearest
+        # 0) or at the one that sheds the whole load
+        nearest_zero = np.abs(self.hi) < np.abs(self.lo)
+        self.served_upper = np.zeros(len(self.lo), dtype=bool)
+        self.served_upper[:n] = True
+        for cols in (qg, qs, ld):
+            self.served_upper[cols] = nearest_zero[cols]
+        self.shed_upper = self.served_upper.copy()
+        self.shed_upper[ld] = ~nearest_zero[ld]
+        self.sources = np.concatenate([pg, ps])  # hi is each one's P limit
+        # the crash walk's tables: each bus's (line, other end) pairs in line
+        # order, and the lines' reactance, the buses' v_max and the sources'
+        # buses and reactive boxes
+        self.adj = [[] for _ in range(n)]
+        for k, (a, z) in enumerate(grid.ends.tolist()):
+            self.adj[a].append((k, z))
+            self.adj[z].append((k, a))
+        self.reactive, self.v_max = (x > 0).tolist(), v_band[:, 1].tolist()
+        self.gen_at, self.sub_at = grid.gen_bus.tolist(), subs.tolist()
+        self.q_range = (box[:, 3] - box[:, 2]).tolist()
+        self.gen_idles = ((box[:, 2] <= 0.0) & (0.0 <= box[:, 3])).tolist()
+
+    def p_shed(self, x) -> np.ndarray:
+        """Each bus's MW shed at the point x over this LP's columns."""
+        shed = np.zeros(len(self.v_max))
+        shed[self.shed_bus] = x[self.shed_col]
+        return shed
 
 
-def solve_shedding_lp(
-    network: Network, state: OperationalState,
-    p_load: dict, q_load: dict,
-) -> FlowSolution:
-    """Minimum total MW shed subject to LinDistFlow physics.
+def solve_shedding_lp(lp: _SheddingLp, up, member) -> np.ndarray:
+    """Minimum MW shed of one energized island, whose buses `member` marks,
+    under LinDistFlow physics; `up` is the failed set's row of equipment in
+    service from `_Grid.energized`. Returns the optimal point over all of
+    `lp`'s columns, 0 in every column the island does not keep.
 
-    One LP over all energized buses (islands decouple through the block
-    structure). De-energized buses are excluded: their load is shed in full,
-    incident flows are zero, and the voltage is reported as 1.0.
-
-    The all-shed point (every generator at p_min = 0, zero flows, flat
-    voltage) is feasible for any network whose generators can idle, so a
-    well-formed instance cannot be infeasible; if the solver still reports
-    infeasible, InternalError is raised. The simplex starts each energized
-    island at its all-served point if that point is feasible, and at the
-    all-shed point otherwise (see _crash_basis), so it needs no phase 1,
-    and an island that can serve its whole load takes no pivot.
+    If the island's all-served point (see _crash_basis) passes the
+    crash-start test of simplex.solve_lp, it is optimal: every basic column
+    there costs 0, so every reduced cost is its cost, >= 0. Such an island
+    takes one linear solve and sheds exactly 0; one whose sources cannot
+    supply its P load skips the test, which it would fail. Any other island
+    goes to simplex.solve_lp from its all-shed point, feasible whenever its
+    generators can idle (InternalError if the solver says otherwise).
     """
-    sol = FlowSolution(v={}, p_shed={}, q_shed={}, p_line={}, q_line={},
-                       p_gen={}, q_gen={}, p_import={}, q_import={})
+    n, m = len(member), len(lp.grid.ends)
+    keep = member[lp.col_bus]
+    keep[n:lp.starts[7]] &= up[lp.col_up]
+    rows = member[lp.row_bus]
+    rows[2 * n:] &= up[:m]
+    at = np.cumsum(keep) - 1  # each kept column's place in the island
+    row_at = np.cumsum(rows) - 1
+    nz = keep[lp.nz_col] & rows[lp.nz_row]
+    A = np.zeros((row_at[-1] + 1, at[-1] + 1))
+    A[row_at[lp.nz_row[nz]], at[lp.nz_col[nz]]] = lp.nz_val[nz]
+    c, lo, hi, b = lp.c[keep], lp.lo[keep], lp.hi[keep], lp.b[rows]
 
-    for ln in network.lines.values():
-        sol.p_line[ln.id] = 0.0
-        sol.q_line[ln.id] = 0.0
-    for g in network.generators.values():
-        sol.p_gen[g.id] = 0.0
-        sol.q_gen[g.id] = 0.0
-
-    on_buses = [b for b in network.buses if state.energized[b]]
-    for b in network.buses:
-        if b not in on_buses:
-            sol.v[b] = 1.0
-            sol.p_shed[b] = p_load[b]
-            sol.q_shed[b] = q_load[b]
-
-    if not on_buses:
-        sol.total_shed_mw = sum(p_load.values())
-        sol.served_mw = 0.0
-        return sol
-
-    on_set = set(on_buses)
-    live_lines = [ln for ln in network.lines.values()
-                  if ln.id not in state.lines_out and ln.from_bus in on_set]
-    live_gens = [g for g in network.generators.values()
-                 if g.id not in state.gens_out and g.bus in on_set]
-    live_subs = [b for b in network.substation_buses()
-                 if b not in state.substations_out and b in on_set]
-    import_lim = network.import_limit_mva()
-
-    # column layout
-    cols = []  # (name, kind, key, lo, hi, cost)
-
-    def add(kind, key, lo, hi, cost=0.0):
-        cols.append((kind, key, float(lo), float(hi), float(cost)))
-        return len(cols) - 1
-
-    ix_v = {b: add("v", b, network.buses[b].v_min, network.buses[b].v_max)
-            for b in on_buses}
-    ix_pl = {ln.id: add("pl", ln.id, -ln.capacity_mva, ln.capacity_mva)
-             for ln in live_lines}
-    ix_ql = {ln.id: add("ql", ln.id, -ln.capacity_mva, ln.capacity_mva)
-             for ln in live_lines}
-    ix_pg = {g.id: add("pg", g.id, g.p_min, g.p_max) for g in live_gens}
-    ix_qg = {g.id: add("qg", g.id, g.q_min, g.q_max) for g in live_gens}
-    ix_ps = {b: add("ps", b, 0.0, import_lim) for b in live_subs}
-    ix_qs = {b: add("qs", b, -import_lim, import_lim) for b in live_subs}
-
-    ix_shed = {}
-    ix_qshed = {}
-    q_ratio = {}
-    for b in on_buses:
-        if p_load[b] > 0:
-            ix_shed[b] = add("shed", b, 0.0, p_load[b], cost=1.0)
-            q_ratio[b] = _effective_q_ratio(p_load[b], q_load[b])
-        elif q_load[b] != 0:
-            lo, hi = min(0.0, q_load[b]), max(0.0, q_load[b])
-            ix_qshed[b] = add("qshed", b, lo, hi)
-
-    ncol = len(cols)
-    nb = len(on_buses)
-    row_of = {b: i for i, b in enumerate(on_buses)}
-    # rows: real power balance per bus (gen + import + inflow - outflow +
-    # shed = load), reactive balance per bus (q shed rides on p shed at the
-    # load's Q/P ratio), then one voltage drop per live line
-    # (v_from - v_to = r*p + x*q)
-    A = np.zeros((2 * nb + len(live_lines), ncol))
-    for k, ln in enumerate(live_lines):
-        i, j, r = row_of[ln.from_bus], row_of[ln.to_bus], 2 * nb + k
-        A[j, ix_pl[ln.id]] += 1.0
-        A[i, ix_pl[ln.id]] -= 1.0
-        A[nb + j, ix_ql[ln.id]] += 1.0
-        A[nb + i, ix_ql[ln.id]] -= 1.0
-        A[r, ix_v[ln.from_bus]] += 1.0
-        A[r, ix_v[ln.to_bus]] -= 1.0
-        A[r, ix_pl[ln.id]] -= ln.resistance
-        A[r, ix_ql[ln.id]] -= ln.reactance
-    for g in live_gens:
-        A[row_of[g.bus], ix_pg[g.id]] += 1.0
-        A[nb + row_of[g.bus], ix_qg[g.id]] += 1.0
-    for b in live_subs:
-        A[row_of[b], ix_ps[b]] += 1.0
-        A[nb + row_of[b], ix_qs[b]] += 1.0
-    for b, j in ix_shed.items():
-        A[row_of[b], j] += 1.0
-        A[nb + row_of[b], j] += q_ratio[b]
-    for b, j in ix_qshed.items():
-        A[nb + row_of[b], j] += 1.0
-
-    b_vec = np.array([p_load[b] for b in on_buses]
-                     + [q_load[b] for b in on_buses] + [0.0] * len(live_lines))
-    c = np.array([col[4] for col in cols])
-    lo = np.array([col[2] for col in cols])
-    hi = np.array([col[3] for col in cols])
-
-    # a bus's sources: (is substation, reactive range, P column, Q column)
-    sources = {}
-    for b in live_subs:
-        sources.setdefault(b, []).append(
-            (True, 2.0 * import_lim, ix_ps[b], ix_qs[b]))
-    for g in live_gens:
-        sources.setdefault(g.bus, []).append(
-            (False, g.q_max - g.q_min, ix_pg[g.id], ix_qg[g.id]))
-    start = _crash_basis(network, state, cols, A, b_vec, lo, hi, row_of,
-                         live_lines, sources, ix_v, ix_pl, ix_ql)
-    res = simplex.solve_lp(c, A, b_vec, lo, hi, start=start)
-    if res.status != simplex.OPTIMAL:
-        raise InternalError(
-            f"shedding LP reported {res.status}; the all-shed anchor should "
-            f"make this impossible ({A.shape[0]} rows, {ncol} cols)"
-        )
-    x = res.x
-
-    for b, j in ix_v.items():
-        sol.v[b] = float(x[j])
-    for lid, j in ix_pl.items():
-        sol.p_line[lid] = float(x[j])
-    for lid, j in ix_ql.items():
-        sol.q_line[lid] = float(x[j])
-    for gid, j in ix_pg.items():
-        sol.p_gen[gid] = float(x[j])
-    for gid, j in ix_qg.items():
-        sol.q_gen[gid] = float(x[j])
-    for bid, j in ix_ps.items():
-        sol.p_import[bid] = float(x[j])
-    for bid, j in ix_qs.items():
-        sol.q_import[bid] = float(x[j])
-    for b in on_buses:
-        shed = float(x[ix_shed[b]]) if b in ix_shed else 0.0
-        sol.p_shed[b] = shed
-        if b in ix_shed:
-            sol.q_shed[b] = shed * q_ratio[b]
-        elif b in ix_qshed:
-            sol.q_shed[b] = float(x[ix_qshed[b]])
-        else:
-            sol.q_shed[b] = 0.0
-
-    total_load = sum(p_load.values())
-    sol.total_shed_mw = float(sum(sol.p_shed.values()))
-    sol.served_mw = total_load - sol.total_shed_mw
-    return sol
+    crash = _crash_basis(lp, up, keep, len(b))
+    x = None
+    if crash is not None:
+        crash_rows, served_at, basis_at = (np.array(a) for a in crash)
+        crash_rows = row_at[crash_rows]
+        served, basis = np.empty((2, len(b)), dtype=np.intp)
+        served[crash_rows], basis[crash_rows] = at[served_at], at[basis_at]
+        # serving every load puts the root source at the island's P load
+        # less the other sources' minimum, beyond its box if the load
+        # exceeds all its sources' maxima; the margin dwarfs the rounding
+        load = b[:row_at[n - 1] + 1].sum()
+        supply = lp.hi[lp.sources][keep[lp.sources]].sum()
+        if load <= supply + 1e-6 * max(1.0, load):
+            x = _served_point(A, b, lo, hi, served, lp.served_upper[keep])
+    if x is None:
+        res = simplex.solve_lp(
+            c, A, b, lo, hi,
+            start=None if crash is None else (basis, lp.shed_upper[keep]))
+        if res.status != simplex.OPTIMAL:
+            raise InternalError(
+                f"shedding LP reported {res.status}; the all-shed anchor "
+                f"should make this impossible ({A.shape[0]} rows, "
+                f"{A.shape[1]} cols)")
+        x = res.x
+    point = np.zeros(len(keep))
+    point[keep] = x
+    return point
 
 
-def _crash_basis(network, state, cols, A, b, lo, hi, row_of, live_lines,
-                 sources, ix_v, ix_pl, ix_ql):
-    """A crash basis for the shedding LP's columns and rows, as (basis,
-    at_upper) for simplex.solve_lp: each energized island starts at its
-    all-served point if the LP's rows hold there, and at its all-shed point
-    otherwise. The islands' blocks share no row, so each picks on its own.
-
-    Each energized island is walked as a tree from its source with the
-    widest reactive range, a live substation first; its P and Q rows take
-    that source's columns, and every other bus's balance rows take its
-    parent line's pl and ql. Nonbasic generation sits at p_min, reactive
-    sources at their bound nearest 0 (the lower on a tie), and voltages at
-    v_max.
-
-    - All served: every shed and qshed column sits at its bound nearest 0,
-      and each line's drop row takes its child bus's v. The basis is solved
-      once against A; an island keeps it if every basic value of its rows
-      lies within its box (within the simplex's own tolerance).
-    - All shed, for every other island: shed and qshed sit at the bound that
-      sheds the whole load. A bus with a reactive source whose box holds 0
-      idles it at 0 instead: that column takes the bus's Q row, the parent
-      line's ql its drop row, and the bus's v stays at v_max, which must
-      then equal the root's. That pins the bus to the root's voltage, which
-      is why the all-served start does not idle.
-
-    None if a row is left without a column, as in a meshed island (which
-    the loader refuses).
-    """
-    kinds = np.array([col[0] for col in cols])
-    sheds = np.isin(kinds, ("shed", "qshed"))
-    nearest_zero = np.abs(hi) < np.abs(lo)
-    # v at v_max, pg at p_min and ps at 0 (their lower bounds)
-    at_upper = np.where(np.isin(kinds, ("qg", "qs")), nearest_zero,
-                        kinds == "v")
-    at_upper[sheds] = ~nearest_zero[sheds]  # shed the whole load
-
-    nb = len(row_of)
-    served = np.full(len(b), -1)
-    basis = np.full(len(b), -1)  # all shed until an island is served
-    adj = {bus: [] for bus in row_of}
-    for k, ln in enumerate(live_lines):
-        adj[ln.from_bus].append((k, ln, ln.to_bus))
-        adj[ln.to_bus].append((k, ln, ln.from_bus))
-
-    blocks = []  # (rows, buses) of each energized island
-    for island in state.islands:
-        if not state.energized[island[0]]:
-            continue
-        (_, _, p_col, q_col), root = max(
-            ((src, bus) for bus in island for src in sources.get(bus, ())),
-            key=lambda pair: pair[0][:2])
-        rows = [row_of[root], nb + row_of[root]]
-        served[rows] = basis[rows] = (p_col, q_col)
-        v_root = network.buses[root].v_max
-        order, seen = [root], {root}
-        for u in order:
-            for k, ln, w in adj[u]:
-                if w in seen:
-                    continue
-                seen.add(w)
-                order.append(w)
-                r, drop = row_of[w], 2 * nb + k
-                rows += [r, nb + r, drop]
-                served[r] = basis[r] = ix_pl[ln.id]
-                served[nb + r], served[drop] = ix_ql[ln.id], ix_v[w]
-                idle = next((q for _, _, _, q in sources.get(w, ())
-                             if lo[q] <= 0.0 <= hi[q]), None)
-                if (idle is not None and ln.reactance > 0
-                        and network.buses[w].v_max == v_root):
-                    basis[nb + r], basis[drop] = idle, ix_ql[ln.id]
-                else:
-                    basis[nb + r], basis[drop] = ix_ql[ln.id], ix_v[w]
-        blocks.append((rows, island))
-    if basis.min() < 0:
-        return None
-
-    x = np.where(np.where(sheds, nearest_zero, at_upper), hi, lo)
+def _served_point(A, b, lo, hi, served, at_upper):
+    """The point of the crash basis `served` with the nonbasic columns at
+    their upper bound where `at_upper`, else at their lower: one linear
+    solve. None unless it passes the crash-start test of simplex.solve_lp."""
+    x = np.where(at_upper, hi, lo)
     x[served] = 0.0
-    xb = np.linalg.solve(A[:, served], b - A @ x)
-    inside = ((xb >= lo[served] - simplex._TOL)
-              & (xb <= hi[served] + simplex._TOL))
-    served_buses = set()
-    for rows, island in blocks:
-        if inside[rows].all():
-            basis[rows] = served[rows]
-            served_buses.update(island)
-    keep = sheds & np.array([key in served_buses for _, key, *_ in cols])
-    at_upper[keep] = nearest_zero[keep]
-    return basis, at_upper
+    B = A[:, served]
+    rhs = b - A @ x
+    try:
+        xb = np.linalg.solve(B, rhs)
+    except np.linalg.LinAlgError:
+        return None
+    if not simplex.feasible_start(B, xb, rhs, lo[served], hi[served]):
+        return None
+    x[served] = xb
+    return x
+
+
+def _crash_basis(lp: _SheddingLp, up, keep, n_rows):
+    """Two crash bases for one island's shedding LP, as (rows, served,
+    all_shed): `lp`'s index of each of the island's rows and of its basic
+    column at the all-served and at the all-shed point; None if a row is
+    left without a column, as in a meshed island (the loader refuses one).
+
+    The island is walked as a tree from its source with the widest
+    reactive range, a live substation first (ties go to the first in bus
+    order); its P and Q rows take that source's columns, and every other
+    bus's balance rows its parent line's pl and ql. All served, each
+    line's drop row takes its child bus's v. All shed, a bus with a
+    reactive source whose box holds 0 idles it there instead: that column
+    takes the bus's Q row and the parent line's ql its drop row, which pins
+    the bus's v (at v_max) to the root's, so only a bus whose v_max equals
+    the root's idles.
+    """
+    n, m = len(lp.v_max), len(lp.reactive)
+    _, pl, ql, pg, qg, ps, qs, _, _ = lp.starts.tolist()
+    subs = np.flatnonzero(keep[ps:qs]).tolist()
+    gens = np.flatnonzero(keep[pg:qg]).tolist()
+    if subs:
+        root, p_root, q_root = lp.sub_at[subs[0]], ps + subs[0], qs + subs[0]
+    else:
+        j = min(gens, key=lambda j: (-lp.q_range[j], lp.gen_at[j], j))
+        root, p_root, q_root = lp.gen_at[j], pg + j, qg + j
+    idle = {}
+    for j in gens:
+        if lp.gen_idles[j]:
+            idle.setdefault(lp.gen_at[j], qg + j)
+    for t in subs:
+        idle[lp.sub_at[t]] = qs + t
+
+    live = up[:m].tolist()
+    rows, served, basis = [root, n + root], [p_root, q_root], [p_root, q_root]
+    v_root = lp.v_max[root]
+    order, seen = [root], {root}
+    for u in order:
+        for k, w in lp.adj[u]:
+            if not live[k] or w in seen:
+                continue
+            seen.add(w)
+            order.append(w)
+            rows += [w, n + w, 2 * n + k]
+            served += [pl + k, ql + k, w]
+            q = idle.get(w)
+            if q is not None and lp.reactive[k] and lp.v_max[w] == v_root:
+                basis += [pl + k, q, ql + k]
+            else:
+                basis += [pl + k, ql + k, w]
+    if len(rows) < n_rows:
+        return None
+    return rows, served, basis
+
+
+def _total_shed(p_load: list, shed, energized):
+    """A failed set's MW shed: the de-energized buses' whole load, then each
+    energized bus's shed, each in document order, summed with Python's
+    sum(). A float whenever any bus is energized; with none, the plain sum
+    of the loads."""
+    on = energized.tolist()
+    total = sum([p for p, live in zip(p_load, on) if not live]
+                + shed[energized].tolist())
+    return float(total) if any(on) else total
 
 
 def shed_at(network: Network, failed_ids, t: int) -> FlowSolution:
-    """Convenience wrapper: energization + LP at hour t's loads."""
-    state = energization_state(network, failed_ids)
-    p, q = network.loads_at(t)
-    return solve_shedding_lp(network, state, p, q)
+    """Energization and the minimum-shed operating point at hour t's loads,
+    from one _Grid and one shedding LP per energized island. De-energized
+    buses shed their whole load, their incident flows are zero, and their
+    voltage is reported as 1.0."""
+    grid = _Grid(network)
+    p_load, q_load = network.loads_at(t)
+    up, labels, energized = grid.energized([frozenset(failed_ids)])
+    lp = _SheddingLp(grid, list(p_load.values()), list(q_load.values()))
+    # the islands' points are 0 outside their own columns
+    x = sum((solve_shedding_lp(lp, up[0], member)
+             for _, member in grid.islands(up, labels, energized)[0]),
+            np.zeros(len(lp.c)))
+    n, m, g = len(grid.buses), len(grid.ends), len(grid.gen_bus)
+    on, names = energized[0], grid.buses
+    p_shed, q_shed = lp.p_shed(x), np.zeros(n)
+    q_shed[lp.shed_bus] = x[lp.shed_col] * lp.ratio
+    q_shed[lp.qshed_bus] = x[lp.qshed_col]
+    pl, ql, pg, qg, ps, qs, _ = (x[a:z].tolist() for a, z
+                                 in zip(lp.starts[1:], lp.starts[2:]))
+    imports = [i for i, t in enumerate(lp.sub_at)
+               if on[t] and up[0, m + g + t]]
+    dead, live = np.flatnonzero(~on).tolist(), np.flatnonzero(on).tolist()
+    total = _total_shed(list(p_load.values()), p_shed, on)
+
+    def by_bus(dead_value, values):  # the de-energized buses first
+        return ({names[i]: dead_value(names[i]) for i in dead}
+                | {names[i]: float(values[i]) for i in live})
+    return FlowSolution(
+        v=by_bus(lambda b: 1.0, x), p_shed=by_bus(p_load.get, p_shed),
+        q_shed=by_bus(q_load.get, q_shed),
+        p_line=dict(zip(network.lines, pl)),
+        q_line=dict(zip(network.lines, ql)),
+        p_gen=dict(zip(network.generators, pg)),
+        q_gen=dict(zip(network.generators, qg)),
+        p_import={names[lp.sub_at[i]]: ps[i] for i in imports},
+        q_import={names[lp.sub_at[i]]: qs[i] for i in imports},
+        energized=dict(zip(names, on.tolist())),
+        total_shed_mw=total,
+        served_mw=float(sum(p_load.values()) - total),
+    )
 
 
 class PeakShed:
     """Peak-hour shed of failed sets on one network, for one study.
 
-    The peak hour's loads and the network's island index arrays are built
-    once, and each question takes a batch of failed sets, answered from one
-    island_labels pass. The shedding LP at fixed loads reads only the
-    energized part of the operating state: the energized buses and the
-    out-of-service lines, generators and substations that touch them.
-    Failed sets that differ only inside de-energized islands have the same
-    part, so each distinct part is solved once; identical inputs give
-    identical results, so reuse changes no output. Make one per study: it
-    does not see later edits to the network.
+    The peak hour's loads and the network's arrays are built once, and each
+    question takes a batch of failed sets, answered from one island_labels
+    pass. Each energized island is solved alone (see solve_shedding_lp),
+    and its per-bus shed cached by its key: its buses and the
+    out-of-service lines, generators and substations that touch them, all
+    its LP reads. A repair that re-energizes one subtree re-solves only the
+    island it changed, and failures inside a de-energized island cost no
+    LP. A set's total is summed as shed_at sums it, so the two agree bit
+    for bit. Make one per study: it does not see later edits to the network.
     """
 
     def __init__(self, network: Network):
@@ -484,7 +507,9 @@ class PeakShed:
         self.total_mw = sum(self.p_load.values())
         self._grid = _Grid(network)
         self._p = [self.p_load[b] for b in network.buses]
-        self._shed = {}  # energized part -> MW shed
+        self._lp = _SheddingLp(self._grid, self._p,
+                               [self.q_load[b] for b in network.buses])
+        self._shed = {}  # island key -> MW shed of each of its buses
 
     def de_energized(self, failed_sets) -> list:
         """MW of peak load in islands with no operational source, one entry
@@ -499,18 +524,18 @@ class PeakShed:
 
     def __call__(self, failed_sets) -> list:
         """Minimum MW shed at the peak hour, one entry per failed set."""
-        failed_sets = list(failed_sets)
         grid = self._grid
         up, labels, energized = grid.energized(failed_sets)
         out = []
-        for i, part in enumerate(grid.energized_parts(up, energized)):
-            if part not in self._shed:
-                state = grid.state(frozenset(failed_sets[i]), labels[i],
-                                   energized[i])
-                self._shed[part] = solve_shedding_lp(
-                    self.network, state, self.p_load,
-                    self.q_load).total_shed_mw
-            out.append(self._shed[part])
+        for row, on, islands in zip(up, energized,
+                                    grid.islands(up, labels, energized)):
+            shed = np.zeros(len(self._p))
+            for key, member in islands:
+                if key not in self._shed:
+                    self._shed[key] = self._lp.p_shed(solve_shedding_lp(
+                        self._lp, row, member))[member]
+                shed[member] = self._shed[key]
+            out.append(_total_shed(self._p, shed, on))
         return out
 
 
@@ -526,7 +551,7 @@ def ens_timeline(
     isolates the effect of restoration, not demand swing. Failed
     components absent from completion_hours stay out for the whole horizon.
     Every hour's shed comes from one batch question to `peak_shed`, so
-    timelines that share one solve each distinct energized part once.
+    timelines that share one solve each distinct energized island once.
     `pipeline.write_restoration` picks the horizon.
     """
     failed = set(failed_ids)

@@ -83,8 +83,8 @@ def generate_scenarios(
     unserved MW at the peak hour: the load in de-energized islands
     (`de_energized`), or with exact_ens=True the shedding LP's optimum,
     which also captures curtailment within energized islands. The LP is
-    solved once per distinct energized part, so a study that passes the
-    same PeakShed on to its restoration timelines solves no part twice.
+    solved once per distinct energized island, so a study that passes the
+    same PeakShed on to its restoration timelines solves no island twice.
     """
     if n < 1:
         raise ConfigError("need at least one scenario")

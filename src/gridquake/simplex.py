@@ -4,9 +4,10 @@ Solves   min c.x   s.t.  A x = b,  lower <= x <= upper.
 
 A caller that knows a feasible basis passes it as a crash start (Bixby,
 "Implementing the simplex method: the initial basis", 1992): the shedding
-LP passes a basis that starts each energized island at its all-served point
-where the LP's rows hold there, and at its all-shed point elsewhere. If the
-start is nonsingular and primal feasible, phase 2 runs from it directly.
+LP is solved one energized island at a time, and an island that must shed
+passes the basis of its all-shed point (an island whose all-served point
+passes `feasible_start` is optimal there and never gets here). If the start
+is nonsingular and primal feasible, phase 2 runs from it directly.
 Otherwise, and for every LP without a start, phase 1 first finds a feasible
 basis from one artificial per row.
 
@@ -167,16 +168,22 @@ def _crash_start(A, b, lo, hi, start):
     except np.linalg.LinAlgError:
         return basis, status, None
     rhs = b - A @ x
-    xb = Binv @ rhs
-    # a numerically singular B inverts without error, but its inverse
-    # does not reproduce the right-hand side
-    scale = max(1.0, float(np.abs(rhs).max(initial=0.0)))
-    if not (np.all(np.isfinite(xb))
-            and np.all(np.abs(B @ xb - rhs) <= _TOL * scale)
-            and np.all(xb >= lo[basis] - _TOL)
-            and np.all(xb <= hi[basis] + _TOL)):
+    if not feasible_start(B, Binv @ rhs, rhs, lo[basis], hi[basis]):
         return basis, status, None
     return basis, status, Binv
+
+
+def feasible_start(B, xb, rhs, lo, hi) -> bool:
+    """Whether the basic values `xb`, solved from B xb = rhs, are a start
+    that phase 2 may run from: finite, reproducing rhs to within _TOL of
+    its scale, and inside [lo, hi] to within _TOL. A numerically singular
+    B solves or inverts without error, but its xb does not reproduce the
+    right-hand side."""
+    scale = max(1.0, float(np.abs(rhs).max(initial=0.0)))
+    return bool(np.all(np.isfinite(xb))
+                and np.all(np.abs(B @ xb - rhs) <= _TOL * scale)
+                and np.all(xb >= lo - _TOL)
+                and np.all(xb <= hi + _TOL))
 
 
 def _optimal(c, A, b, lo, hi, basis, status, n, iterations, stats):
@@ -221,11 +228,18 @@ def _simplex_core(c, A, b, lo, hi, basis, status, max_iter, allowed, stats,
         Binv = _invert_basis(A, basis, 0)
         stats["refactorizations"] += 1
     changes = 0
+    # kept with `status`: each column's value, basic ones at 0, and its
+    # reduced cost d's sign that makes it eligible when sign * d < -_TOL
+    # (+1 at a lower bound, -1 at an upper one, 0 if basic or not allowed)
+    x_nb = np.where(status == _AT_UPPER, hi, lo)
+    x_nb[basis] = 0.0
+    sign = np.where(status == _AT_LOWER, 1.0,
+                    np.where(status == _AT_UPPER, -1.0, 0.0))
+    sign[allowed:] = 0.0
 
     for it in range(max_iter):
-        x = np.where(status == _AT_UPPER, hi, lo)
-        x[basis] = 0.0
-        xb = Binv @ (b - A @ x)
+        xb = Binv @ (b - A @ x_nb)
+        x = x_nb.copy()
         x[basis] = xb
 
         obj = float(c @ x)
@@ -240,18 +254,14 @@ def _simplex_core(c, A, b, lo, hi, basis, status, max_iter, allowed, stats,
         y = c[basis] @ Binv
         d = c - y @ A  # reduced costs
 
-        eligible_lo = (status == _AT_LOWER) & (d < -_TOL)
-        eligible_hi = (status == _AT_UPPER) & (d > _TOL)
-        eligible = eligible_lo | eligible_hi
-        eligible[allowed:] = False
-        idx = np.nonzero(eligible)[0]
+        idx = np.flatnonzero(sign * d < -_TOL)
         if idx.size == 0:
             return it, obj
 
         # Dantzig takes the largest |d|, and of those within _TOL of it the
         # lowest index: reduced costs that tie in exact arithmetic are
         # ordered by how y @ A rounded, which the BLAS's threading decides
-        if bland:
+        if bland or idx.size == 1:
             j = int(idx[0])
         else:
             size = np.abs(d[idx])
@@ -289,11 +299,17 @@ def _simplex_core(c, A, b, lo, hi, basis, status, max_iter, allowed, stats,
         if leave < 0:
             # entering variable runs to its opposite bound
             status[j] = _AT_UPPER if status[j] == _AT_LOWER else _AT_LOWER
+            x_nb[j] = hi[j] if status[j] == _AT_UPPER else lo[j]
+            sign[j] = -sign[j]
             continue
 
         status[leave_var] = leave_to
+        x_nb[leave_var] = (hi if leave_to == _AT_UPPER else lo)[leave_var]
+        if leave_var < allowed:
+            sign[leave_var] = 1.0 if leave_to == _AT_LOWER else -1.0
         basis[leave] = j
         status[j] = _BASIC
+        x_nb[j] = sign[j] = 0.0
         changes += 1
         if changes % _REFACTOR_EVERY == 0:
             Binv = _invert_basis(A, basis, it)

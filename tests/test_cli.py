@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 
 from gridquake.cli import build_parser, main
 from gridquake.fixtures import (DEFAULT_EPICENTER, builtin_feeder,
-                                default_event)
+                                default_event, random_radial_network)
 from gridquake.model import network_to_document
 from gridquake.pipeline import PipelineConfig
 from gridquake.policy.nn import PolicyConfig, PolicyModel
@@ -301,6 +302,30 @@ def test_exit_code_2_on_resilience_horizon_before_last_repair(
                  "--out", str(tmp_path / "r")]) == 2
     assert "ends before the last repair" in capsys.readouterr().err
     assert not os.path.exists(str(tmp_path / "r.csv"))
+
+
+def test_exit_code_2_on_a_feeder_that_sheds_with_nothing_failed(tmp_path,
+                                                                capsys):
+    # a plain random radial feeder's lines cannot carry its peak load
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(network_to_document(
+        random_radial_network(0, n_buses=30))))
+    out = tmp_path / "run"
+    assert main(["pipeline", "--network", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert re.search(r"sheds [0-9.]+ MW of its peak load with nothing "
+                     r"failed", err)
+    assert not out.exists()
+
+    plan = str(tmp_path / "plan.json")
+    assert main(["dispatch", "exact", "--network", str(path),
+                 "--failed", "c_l1", "--out", plan]) == 0
+    prefix = str(tmp_path / "r")
+    assert main(["report", "resilience", "--network", str(path),
+                 "--plans", plan, "--out", prefix]) == 2
+    assert "with nothing failed" in capsys.readouterr().err
+    assert not os.path.exists(prefix + ".csv")
+    assert not os.path.exists(prefix + ".svg")
 
 
 def test_exit_code_2_on_bad_inputs(tmp_path, network_path, capsys):

@@ -8,7 +8,6 @@ import re
 import pytest
 
 import gridquake.pipeline as pipeline
-import gridquake.powerflow as powerflow
 from gridquake.cli import main
 from gridquake.dispatch import _Compiled
 from gridquake.errors import ConfigError
@@ -17,6 +16,7 @@ from gridquake.model import Network, load_network, network_to_document
 from gridquake.pipeline import (PipelineConfig, config_from_document,
                                 run_pipeline)
 from gridquake.policy import PolicyConfig, PolicyModel
+from test_powerflow import spy_island_solves
 
 SMALL = PipelineConfig(magnitudes=(7.5,), n_scenarios=40, reduce_to=6,
                        return_periods=(2.0, 10.0), seed=5,
@@ -230,30 +230,17 @@ def test_pipeline_compiles_each_instance_once_for_all_solvers(tmp_path,
 def test_pipeline_solves_each_energized_part_once_per_study(tmp_path,
                                                            monkeypatch):
     """Scenario losses (exact_ens) and every restoration timeline share one
-    peak-hour cache, which lives for one run_pipeline call only."""
+    peak-hour cache of energized islands, which lives for one run_pipeline
+    call only."""
     net = builtin_feeder()
-    solve = powerflow.solve_shedding_lp
-    parts = []
-
-    def spying(network, state, p_load, q_load):
-        on = frozenset(b for b, live in state.energized.items() if live)
-        parts.append((
-            on,
-            frozenset(l for l in state.lines_out
-                      if {net.lines[l].from_bus, net.lines[l].to_bus} & on),
-            frozenset(g for g in state.gens_out
-                      if net.generators[g].bus in on),
-            state.substations_out & on))
-        return solve(network, state, p_load, q_load)
-
-    monkeypatch.setattr(powerflow, "solve_shedding_lp", spying)
+    solved = spy_island_solves(monkeypatch)
     cfg = dataclasses.replace(SMALL, exact_ens=True)
     first = run_pipeline(net, cfg, str(tmp_path / "a"))
-    per_study = len(parts)
-    assert len(set(parts)) == per_study > 0
+    per_study = len(solved)
+    assert len(set(solved)) == per_study > 0
     second = run_pipeline(net, cfg, str(tmp_path / "b"))
-    assert len(parts) == 2 * per_study
-    assert parts[per_study:] == parts[:per_study]
+    assert len(solved) == 2 * per_study
+    assert solved[per_study:] == solved[:per_study]
     assert first == second
 
 

@@ -11,21 +11,23 @@ exact.
 import itertools
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import gridquake.powerflow as powerflow
+import gridquake.simplex as simplex
 from gridquake.errors import ConfigError, InternalError
 from gridquake.fixtures import builtin_feeder, random_radial_network
 from gridquake.model import (Component, FragilityCurve, Line, LoadProfile,
                              load_network, network_to_document)
 from gridquake.powerflow import (PeakShed, TripleProductLinearization,
                                  energization_state, ens_timeline,
-                                 linearize_triple_product, shed_at,
-                                 solve_shedding_lp)
-from test_simplex import assert_matches_highs, shedding_lps
+                                 linearize_triple_product, shed_at)
+from test_simplex import (assert_matches_highs, reference, shedding_lps,
+                          whole_shedding_lp)
 
 
 def brute_force_min_shed(net, t=0, step=0.1):
@@ -390,6 +392,45 @@ def test_ens_timeline_terminates_at_full_service():
     assert np.all(diffs >= -1e-9)
 
 
+def touches(net, cid, island):
+    """Whether component `cid`'s equipment touches the set of buses
+    `island`."""
+    c = net.components[cid]
+    if c.kind == "line":
+        ln = net.lines[c.ref]
+        return bool({ln.from_bus, ln.to_bus} & island)
+    if c.kind == "generator":
+        return net.generators[c.ref].bus in island
+    return c.ref in island
+
+
+def energized_islands(net, failed):
+    """Each energized island of a failed set as (its bus ids in document
+    order, the failed components that touch it), from energization_state."""
+    state = energization_state(net, failed)
+    return [(island, frozenset(c for c in failed
+                               if touches(net, c, set(island))))
+            for island in state.islands if state.energized[island[0]]]
+
+
+def spy_island_solves(monkeypatch):
+    """The islands that solve_shedding_lp is asked to solve, in call order,
+    each keyed as energized_islands keys it."""
+    solved = []
+    solve = powerflow.solve_shedding_lp
+
+    def spying(lp, up, member):
+        grid = lp.grid
+        island = tuple(b for b, on in zip(grid.buses, member) if on)
+        out = {cid for cid, col in grid.column.items() if not up[col]}
+        solved.append((island, frozenset(
+            c for c in out if touches(grid.network, c, set(island)))))
+        return solve(lp, up, member)
+
+    monkeypatch.setattr(powerflow, "solve_shedding_lp", spying)
+    return solved
+
+
 def test_ens_timeline_solves_once_per_distinct_consecutive_state(monkeypatch):
     net = builtin_feeder()
     hours = {"c_l1": 2.2, "c_g1": 5.0, "c_l3": 5.0, "c_l5": 0.5}
@@ -397,37 +438,19 @@ def test_ens_timeline_solves_once_per_distinct_consecutive_state(monkeypatch):
     horizon = 9
 
     # the reference: energization and an LP on every hour
-    expect_shed = []
-    states = []
+    expect = oracle_timeline(net, failed, hours, horizon)
+    islands = []
     for t in range(horizon):
         still = {c for c in failed
                  if c not in hours or math.ceil(hours[c]) > t}
-        states.append(still)
-        flow = solve_shedding_lp(net, energization_state(net, still),
-                                 *net.loads_at(net.peak_hour()))
-        expect_shed.append(flow.total_shed_mw)
-    distinct = [frozenset(s) for t, s in enumerate(states)
-                if t == 0 or s != states[t - 1]]
-    assert len(distinct) < horizon  # the case must repeat a state
+        islands += [key for key in energized_islands(net, still)
+                    if key not in islands]
+    assert len(islands) < 2 * horizon  # the case must repeat an island
 
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(args[1].failed)
-        return solve_shedding_lp(*args, **kwargs)
-
-    monkeypatch.setattr(powerflow, "solve_shedding_lp", counting)
+    solved = spy_island_solves(monkeypatch)
     tl = ens_timeline(net, failed, hours, horizon=horizon,
                       peak_shed=PeakShed(net))
-    assert calls == distinct
-    total = sum(net.loads_at(net.peak_hour())[0].values())
-    expect = powerflow.RestorationTimeline(
-        hours=list(range(horizon)),
-        served_fraction=[(total - s) / total for s in expect_shed],
-        shed_mw=expect_shed,
-        ens_mwh=sum(s * net.timestep_hours for s in expect_shed),
-        reference_load_mw=total,
-    )
+    assert solved == islands
     assert tl == expect
 
 
@@ -444,35 +467,79 @@ def restorable_radial(seed, n_buses):
     restorable_radial(seed, 30) for seed in range(5)],
     ids=["builtin"] + [f"radial30-seed{seed}" for seed in range(5)])
 def test_servable_feeder_starts_at_its_optimum(net):
-    # every island can serve its whole load, so the crash start is already
-    # optimal: no pivot, and no shed but exact zeros
-    (_, _, res), = shedding_lps(net, [])
-    assert res.stats["start"] == "crash"
-    assert res.iterations == 0
+    # every island can serve its whole load from its crash start, so it
+    # exits there: no simplex call, and no shed but exact zeros
+    assert shedding_lps(net, []) == []
     flow = shed_at(net, [], 0)
     assert all(flow.p_shed[b] == 0.0 for b in net.buses)
 
 
+def island_solves(net, failed):
+    """shed_at's FlowSolution at hour 0, and each island it solves as (its
+    bus ids, [(args, kwargs, result) of each solve_lp call made for it])."""
+    solves = []
+    solve_island, solve_lp = powerflow.solve_shedding_lp, simplex.solve_lp
+
+    def island(lp, up, member):
+        solves.append((tuple(b for b, on in zip(lp.grid.buses, member)
+                             if on), []))
+        return solve_island(lp, up, member)
+
+    def lp(*args, **kwargs):
+        res = solve_lp(*args, **kwargs)
+        solves[-1][1].append((args, kwargs, res))
+        return res
+
+    with mock.patch.object(powerflow, "solve_shedding_lp", island), \
+            mock.patch.object(simplex, "solve_lp", lp):
+        flow = shed_at(net, failed, 0)
+    return flow, solves
+
+
 @settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 10_000), n_buses=st.integers(2, 30),
-       fail_fraction=st.floats(0.0, 0.6))
+@given(seed=st.integers(0, 10_000), n_buses=st.integers(2, 60),
+       fail_fractions=st.lists(st.floats(0.0, 0.6), min_size=1, max_size=3))
 def test_mixed_served_and_shed_islands_match_highs(seed, n_buses,
-                                                   fail_fraction):
+                                                   fail_fractions):
     # failures cut generator islands off the substation; those whose
-    # generators cannot carry their load start all shed, the rest all served
+    # generators cannot carry their load start all shed, the rest exit at
+    # their all-served start
     net = restorable_radial(seed, n_buses)
+    assume(net.generators)
     ids = sorted(net.components)
     rng = np.random.default_rng(seed)
-    failed = list(rng.choice(ids, size=int(fail_fraction * len(ids)),
-                             replace=False))
-    for args, _, res in shedding_lps(net, failed):
-        assert res.stats["start"] == "crash"
-        assert_matches_highs(*args, res)
+    sets = [list(rng.choice(ids, size=int(f * len(ids)), replace=False))
+            for f in fail_fractions]
+    peak_shed = PeakShed(net)  # hour 0 is the peak of a flat profile
+    assert net.peak_hour() == 0
+    for failed, cached in zip(sets, peak_shed(sets)):
+        flow, solves = island_solves(net, failed)
+        assert cached.hex() == flow.total_shed_mw.hex()
+        # one summation order: the de-energized buses' loads, then the
+        # energized buses' shed, each in document order
+        dead = [b for b in net.buses if not flow.energized[b]]
+        assert list(flow.p_shed) == dead + [b for b in net.buses
+                                            if flow.energized[b]]
+        assert flow.total_shed_mw == float(sum(flow.p_shed.values()))
+        whole, dead = whole_shedding_lp(net, failed)
+        want = dead + (reference(*whole).fun if whole is not None else 0.0)
+        assert flow.total_shed_mw == pytest.approx(want, rel=0, abs=1e-9)
+        assert [island for island, _ in solves] == [
+            island for island, _ in energized_islands(net, failed)]
+        for island, lps in solves:
+            if not lps:  # served: one linear solve and exact zeros
+                assert all(flow.p_shed[b] == 0.0 for b in island)
+            for args, kwargs, res in lps:
+                c = args[0]
+                _, at_upper = kwargs["start"]
+                assert at_upper[c > 0].all()  # only all-shed starts
+                assert res.stats["start"] == "crash"
+                assert_matches_highs(*args, res)
 
 
 def test_island_whose_generator_cannot_carry_its_load_starts_all_shed():
-    # l2 out: b1-b2 is served from the substation, and b3's 1 MW generator
-    # cannot carry its 3 MW load
+    # l2 out: b1-b2 is served from the substation and takes no simplex
+    # call, and b3's 1 MW generator cannot carry its 3 MW load
     doc = {
         "buses": [
             {"id": "b1", "x": 0, "y": 0, "is_substation": True},
@@ -490,14 +557,16 @@ def test_island_whose_generator_cannot_carry_its_load_starts_all_shed():
         "profiles": [{"id": "p2", "p_mw": [1.0]}, {"id": "p3", "p_mw": [3.0]}],
     }
     net = load_network(doc)
-    (args, kwargs, res), = shedding_lps(net, ["c_l2"])
+    flow, solves = island_solves(net, ["c_l2"])
+    assert [(island, len(lps)) for island, lps in solves] == [
+        (("b1", "b2"), 0), (("b3",), 1)]
+    (args, kwargs, res), = solves[1][1]
     c = args[0]
     _, at_upper = kwargs["start"]
-    # the shed columns, b2's then b3's, are the only ones with a cost
-    assert at_upper[c > 0].tolist() == [False, True]
+    # b3's shed column is the only one with a cost
+    assert at_upper[c > 0].tolist() == [True]
     assert res.stats["start"] == "crash"
     assert_matches_highs(*args, res)
-    flow = shed_at(net, ["c_l2"], 0)
     assert flow.p_shed["b2"] == 0.0
     assert flow.p_shed["b3"] == pytest.approx(2.0, abs=1e-9)
 
@@ -555,20 +624,35 @@ def test_failures_inside_a_dead_island_cost_no_extra_lp(monkeypatch):
     # l6 and l7 fail inside a de-energized island
     net = builtin_feeder()
     expect = shed_at(net, ["c_l5", "c_l6"], net.peak_hour()).total_shed_mw
-    solved = []
-
-    def counting(*args, **kwargs):
-        solved.append(args[1].failed)
-        return solve_shedding_lp(*args, **kwargs)
-
-    monkeypatch.setattr(powerflow, "solve_shedding_lp", counting)
+    solved = spy_island_solves(monkeypatch)
     peak_shed = PeakShed(net)
     sheds = peak_shed([["c_l5"], ["c_l5", "c_l6"], ["c_l5", "c_l6", "c_l7"]])
-    assert solved == [frozenset({"c_l5"})]
+    assert solved == energized_islands(net, ["c_l5"])
     assert sheds == [expect] * 3
-    # a failure on the energized side is a new part
+    # a failure on the energized side splits off b10's generator island:
+    # two new islands
     peak_shed([["c_l5", "c_l9"]])
-    assert len(solved) == 2
+    assert len(solved) == 3
+    assert solved[1:] == energized_islands(net, ["c_l5", "c_l9"])
+
+
+def test_cut_off_generator_island_is_solved_once_while_the_main_grows(
+        monkeypatch):
+    # l2 stays out, so b3-b5 is g1's island all day; the main island
+    # regains b6, then b7-b8, then b11, then b12 as repairs finish
+    net = builtin_feeder()
+    hours = {"c_l5": 0.5, "c_l6": 1.5, "c_l10": 2.5, "c_l11": 3.5}
+    failed = ["c_l2"] + sorted(hours)
+    horizon = 6
+    generator_island = (("b3", "b4", "b5"), frozenset({"c_l2"}))
+    solved = spy_island_solves(monkeypatch)
+    tl = ens_timeline(net, failed, hours, horizon=horizon,
+                      peak_shed=PeakShed(net))
+    assert solved.count(generator_island) == 1
+    mains = [island for island, _ in solved if "b1" in island]
+    assert [len(island) for island in mains] == [5, 6, 8, 9, 10]
+    assert len(solved) == 6
+    assert tl == oracle_timeline(net, failed, hours, horizon)
 
 
 def test_triple_product_linearization_exact_on_all_combos():

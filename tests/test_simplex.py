@@ -17,7 +17,7 @@ from scipy.optimize import linprog
 import gridquake.simplex as simplex
 from gridquake.errors import InternalError, LimitError
 from gridquake.fixtures import random_radial_network
-from gridquake.powerflow import energization_state, solve_shedding_lp
+from gridquake.powerflow import energization_state, shed_at
 from gridquake.simplex import INFEASIBLE, OPTIMAL, solve_lp
 
 
@@ -162,7 +162,9 @@ HIGHS_STATUS = {0: OPTIMAL, 2: INFEASIBLE}
 
 
 def shedding_lps(net, failed):
-    """(args, kwargs, result) of every solve_lp call one shedding LP makes."""
+    """(args, kwargs, result) of every solve_lp call that shed_at makes at
+    hour 0: one per energized island that does not exit at its all-served
+    start, in order of the island's first bus."""
     seen = []
 
     def recording(*args, **kwargs):
@@ -170,11 +172,84 @@ def shedding_lps(net, failed):
         seen.append((args, kwargs, res))
         return res
 
-    state = energization_state(net, failed)
-    p, q = net.loads_at(0)
     with mock.patch.object(simplex, "solve_lp", recording):
-        solve_shedding_lp(net, state, p, q)
+        shed_at(net, failed, 0)
     return seen
+
+
+def whole_shedding_lp(net, failed, t=0):
+    """The shedding LP of every energized bus at hour t as one block LP,
+    built entry by entry from the network's records: ((c, A, b, lower,
+    upper), de-energized load), with None for the LP when no bus is
+    energized. Columns are v by bus, pl and ql by line, pg and qg by
+    generator, ps and qs by substation, then shed or qshed by bus, each
+    over all islands at once; rows are P balance and Q balance by bus, then
+    one voltage drop by line. An oracle independent of the per-island
+    index arrays that gridquake builds."""
+    state = energization_state(net, failed)
+    p_load, q_load = net.loads_at(t)
+    dead = sum(p_load[b] for b in net.buses if not state.energized[b])
+    on_buses = [b for b in net.buses if state.energized[b]]
+    if not on_buses:
+        return None, dead
+    on_set = set(on_buses)
+    live_lines = [ln for ln in net.lines.values()
+                  if ln.id not in state.lines_out and ln.from_bus in on_set]
+    live_gens = [g for g in net.generators.values()
+                 if g.id not in state.gens_out and g.bus in on_set]
+    live_subs = [b for b in net.substation_buses()
+                 if b not in state.substations_out and b in on_set]
+    lim = net.import_limit_mva()
+    cols = []  # (lo, hi, cost)
+
+    def add(lo, hi, cost=0.0):
+        cols.append((float(lo), float(hi), float(cost)))
+        return len(cols) - 1
+
+    ix_v = {b: add(net.buses[b].v_min, net.buses[b].v_max) for b in on_buses}
+    ix_pl = {ln.id: add(-ln.capacity_mva, ln.capacity_mva)
+             for ln in live_lines}
+    ix_ql = {ln.id: add(-ln.capacity_mva, ln.capacity_mva)
+             for ln in live_lines}
+    ix_pg = {g.id: add(g.p_min, g.p_max) for g in live_gens}
+    ix_qg = {g.id: add(g.q_min, g.q_max) for g in live_gens}
+    ix_ps = {b: add(0.0, lim) for b in live_subs}
+    ix_qs = {b: add(-lim, lim) for b in live_subs}
+    ix_shed, ix_qshed = {}, {}
+    for b in on_buses:
+        if p_load[b] > 0:
+            ix_shed[b] = add(0.0, p_load[b], cost=1.0)
+        elif q_load[b] != 0:
+            ix_qshed[b] = add(min(0.0, q_load[b]), max(0.0, q_load[b]))
+
+    nb = len(on_buses)
+    row = {b: i for i, b in enumerate(on_buses)}
+    A = np.zeros((2 * nb + len(live_lines), len(cols)))
+    for k, ln in enumerate(live_lines):
+        i, j, r = row[ln.from_bus], row[ln.to_bus], 2 * nb + k
+        A[j, ix_pl[ln.id]] += 1.0
+        A[i, ix_pl[ln.id]] -= 1.0
+        A[nb + j, ix_ql[ln.id]] += 1.0
+        A[nb + i, ix_ql[ln.id]] -= 1.0
+        A[r, ix_v[ln.from_bus]] += 1.0
+        A[r, ix_v[ln.to_bus]] -= 1.0
+        A[r, ix_pl[ln.id]] -= ln.resistance
+        A[r, ix_ql[ln.id]] -= ln.reactance
+    for g in live_gens:
+        A[row[g.bus], ix_pg[g.id]] += 1.0
+        A[nb + row[g.bus], ix_qg[g.id]] += 1.0
+    for b in live_subs:
+        A[row[b], ix_ps[b]] += 1.0
+        A[nb + row[b], ix_qs[b]] += 1.0
+    for b, j in ix_shed.items():
+        A[row[b], j] += 1.0
+        A[nb + row[b], j] += q_load[b] / p_load[b]
+    for b, j in ix_qshed.items():
+        A[nb + row[b], j] += 1.0
+    b_vec = np.array([p_load[b] for b in on_buses]
+                     + [q_load[b] for b in on_buses] + [0.0] * len(live_lines))
+    lo, hi, c = (np.array(col) for col in zip(*cols))
+    return (c, A, b_vec, lo, hi), dead
 
 
 def assert_matches_highs(c, A, b, lower, upper, res):
@@ -207,14 +282,23 @@ def test_shedding_lp_matches_highs(seed, n_buses, fail_fraction, angle,
 
 
 def test_seeded_120_bus_shedding_lp_matches_highs():
-    # with and without failures; from the crash start even the cold LP
-    # takes under 200 pivots
+    # with and without failures; every island's LP alone matches HiGHS, and
+    # from the crash start even the cold feeder takes under 200 pivots in
+    # all, with more than _REFACTOR_EVERY in its largest island
     net = random_radial_network(3, n_buses=120)
-    for failed in (["c_l7", "c_l40", "c_g11"], []):
-        (args, _, res), = shedding_lps(net, failed)
-        assert res.stats["start"] == "crash"
-        assert simplex._REFACTOR_EVERY < res.iterations < 200
-        assert_matches_highs(*args, res)
+    for failed, islands in ((["c_l7", "c_l40", "c_g11"], 3), ([], 1)):
+        lps = shedding_lps(net, failed)
+        assert len(lps) == islands
+        for args, _, res in lps:
+            assert res.stats["start"] == "crash"
+            assert_matches_highs(*args, res)
+        pivots = [res.iterations for _, _, res in lps]
+        assert simplex._REFACTOR_EVERY < max(pivots) <= sum(pivots) < 200
+        # the islands' total against HiGHS on the whole block LP
+        whole, dead = whole_shedding_lp(net, failed)
+        ref = reference(*whole)
+        assert shed_at(net, failed, 0).total_shed_mw == pytest.approx(
+            dead + ref.fun, rel=0, abs=1e-9)
 
 
 VERTEX_PROBE = """
@@ -298,9 +382,10 @@ def test_infeasible_start_falls_back_to_phase_one():
 
 
 def test_repeated_solve_is_bit_identical():
-    (args, kwargs, first), = shedding_lps(random_radial_network(5, n_buses=60),
-                                          ["c_l3", "c_l20"])
-    again = solve_lp(*args, **kwargs)
-    assert first.x.tobytes() == again.x.tobytes()
-    assert first.objective == again.objective
-    assert first.stats == again.stats
+    lps = shedding_lps(random_radial_network(5, n_buses=60), ["c_l3", "c_l20"])
+    assert len(lps) == 2
+    for args, kwargs, first in lps:
+        again = solve_lp(*args, **kwargs)
+        assert first.x.tobytes() == again.x.tobytes()
+        assert first.objective == again.objective
+        assert first.stats == again.stats
