@@ -20,7 +20,7 @@ from .scenarios import (DamageScenario, LossDistribution, ScenarioSet,
 from .dispatch import (DispatchInstance, DispatchPlan, ExactResult,
                        FailedComponent, ObjectiveBreakdown, cluster_to_depots,
                        exact_dispatch, instance_from_scenario, plan_objective,
-                       schedule_plan, subtour_violations, travel_hours)
+                       schedule_plan, travel_hours)
 from .ga import GaConfig, GaResult, ga_dispatch
 from .policy import (InstanceFamily, PolicyConfig, PolicyModel, PpoConfig,
                      TrainTrace, encode_instance, policy_dispatch, ppo_train)
@@ -52,7 +52,7 @@ __all__ = [
     "random_radial_network", "reduction_distance", "return_period_loss",
     "run_pipeline", "sample_damage", "scenario_set_from_document",
     "scenario_set_to_document", "schedule_plan", "select_representatives",
-    "shed_at", "solve_lp", "subtour_violations",
+    "shed_at", "solve_lp",
     "system_loss", "travel_hours", "validate_radiality", "wasserstein1",
     "__version__",
 ]

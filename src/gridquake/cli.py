@@ -201,9 +201,8 @@ def _cmd_report_resilience(args) -> int:
             raise ConfigError(f"{path}: a second plan named {name!r}; each "
                               f"curve is keyed by its plan's solver")
         plans[name] = (list(doc["completion"]), doc["completion"])
-    timelines = write_restoration(net, plans, args.out, title="Restoration",
-                                  horizon=args.horizon,
-                                  peak_shed=servable_peak_shed(net))
+    timelines = write_restoration(servable_peak_shed(net), plans, args.out,
+                                  title="Restoration", horizon=args.horizon)
     for name, timeline in timelines.items():
         print(f"{name}: ens {timeline.ens_mwh:.4f} MWh over "
               f"{len(timeline.hours)} h")

@@ -251,24 +251,6 @@ def plan_objective(instance: DispatchInstance, plan: DispatchPlan) -> ObjectiveB
     )
 
 
-def subtour_violations(plan: DispatchPlan) -> list:
-    """Position-potential check that each route is one open chain from the
-    depot: potentials must strictly increase along the route and no
-    component may appear twice anywhere. Returns human-readable violations
-    (empty for every plan built by schedule_plan)."""
-    problems = []
-    potential = {}
-    for crew_id, seq in plan.routes.items():
-        for pos, cid in enumerate(seq, start=1):
-            if cid in potential:
-                problems.append(f"{cid} visited twice")
-            potential[cid] = pos
-        for a, b in zip(seq, seq[1:]):
-            if potential[b] <= potential[a]:
-                problems.append(f"{crew_id}: potential does not increase {a}->{b}")
-    return problems
-
-
 # --- exact solver -----------------------------------------------------------
 
 def exact_dispatch(

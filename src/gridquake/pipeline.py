@@ -22,10 +22,11 @@ from .errors import ConfigError, InternalError, LimitError
 from .fixtures import DEFAULT_EPICENTER, default_event
 from .ga import GaConfig, ga_dispatch
 from .model import Network, read_json, read_record, record_document
+from .policy import PolicyModel, policy_dispatch
 from .powerflow import PeakShed, ens_timeline
-from .report import (ComparisonRow, fill_gaps, plot_lines_svg,
-                     resilience_curves_ok, write_comparison_csv, write_csv,
-                     write_json, write_resilience_csv)
+from .report import (plot_lines_svg, resilience_curves_ok,
+                     write_comparison_csv, write_csv, write_json,
+                     write_resilience_csv)
 from .scenarios import (LossDistribution, ScenarioSet, forward_reduce,
                         generate_scenarios, reduction_distance,
                         return_period_loss, scenario_set_to_document,
@@ -160,7 +161,6 @@ def solve(solver, instance, *, seed, model, samples, max_components,
     if solver == "policy":
         if model is None:
             raise ConfigError("solver 'policy' needs a policy checkpoint")
-        from .policy import policy_dispatch
         res = policy_dispatch(model, instance, samples=samples, seed=seed)
         return res.plan, res.objective, False
     raise ConfigError(f"unknown solver {solver!r}")
@@ -180,16 +180,16 @@ def servable_peak_shed(network: Network) -> PeakShed:
     return peak_shed
 
 
-def write_restoration(network, plans, prefix, title, horizon=None,
-                      peak_shed=None) -> dict:
-    """Restoration curves of several plans over one shared horizon, written
-    to `prefix`.csv and `prefix`.svg; returns each plan's timeline.
+def write_restoration(peak_shed, plans, prefix, title, horizon=None) -> dict:
+    """Restoration curves of several plans on `peak_shed`'s network over one
+    shared horizon, written to `prefix`.csv and `prefix`.svg; returns each
+    plan's timeline.
 
     `plans` maps a curve name to (failed ids, completion hours). The
     horizon defaults to, and must reach, one hour past the last completion
     of any plan, so that every curve ends fully restored. Every timeline
-    takes its shed from `peak_shed` (a fresh PeakShed when none is given),
-    so an operating state the plans share is solved once."""
+    takes its shed from the study's `peak_shed`, so an operating state the
+    plans share is solved once."""
     need = max([1] + [math.ceil(max(completion.values())) + 1
                       for _, completion in plans.values() if completion])
     if horizon is None:
@@ -197,9 +197,7 @@ def write_restoration(network, plans, prefix, title, horizon=None,
     elif horizon < need:
         raise ConfigError(f"horizon {horizon} ends before the last repair; "
                           f"it must be >= {need}")
-    if peak_shed is None:
-        peak_shed = PeakShed(network)
-    timelines = {name: ens_timeline(network, failed, completion,
+    timelines = {name: ens_timeline(peak_shed.network, failed, completion,
                                     horizon=horizon, peak_shed=peak_shed)
                  for name, (failed, completion) in sorted(plans.items())}
     curves = {name: (t.hours, t.served_fraction)
@@ -209,8 +207,8 @@ def write_restoration(network, plans, prefix, title, horizon=None,
         raise InternalError("; ".join(problems))
     write_resilience_csv(curves, prefix + ".csv")
     plot_lines_svg(curves, prefix + ".svg", title=title,
-                   xlabel="hours after event", ylabel="fraction of load served",
-                   ylim=(0.0, 1.05))
+                   xlabel="hours after event",
+                   ylabel="fraction of load served")
     return timelines
 
 
@@ -225,7 +223,6 @@ def run_pipeline(network: Network, config: PipelineConfig, out_dir: str,
     timings = {}
     model = None
     if "policy" in config.solvers:
-        from .policy import PolicyModel
         model = PolicyModel.load(config.policy_model)
     # one per study: scenario losses, curtailment weights and every
     # timeline read the same peak-hour operating states
@@ -281,8 +278,7 @@ def run_pipeline(network: Network, config: PipelineConfig, out_dir: str,
         plot_lines_svg({"exceedance": (exc_xs, exc_ys)},
                        os.path.join(out_dir, "losses", f"{tag}_exceedance.svg"),
                        title=f"Loss exceedance, M{mag:g}",
-                       xlabel="loss", ylabel="Pr[L >= l]",
-                       ylim=(0.0, 1.05), step=True)
+                       xlabel="loss", ylabel="Pr[L >= l]", step=True)
     timings["scenarios_s"] = round(time.monotonic() - t0, 3)
 
     # stage 2: dispatch every solver on each representative scenario
@@ -317,7 +313,7 @@ def run_pipeline(network: Network, config: PipelineConfig, out_dir: str,
 
     # stage 3: timelines and artifacts, written in deterministic order
     t0 = time.monotonic()
-    rows = []
+    docs = []
     for (mag, sid) in sorted(by_scenario):
         solvers = by_scenario[(mag, sid)]
         name = f"{_mag_tag(mag)}_s{sid:04d}"
@@ -325,9 +321,8 @@ def run_pipeline(network: Network, config: PipelineConfig, out_dir: str,
                  for solver, (_, result, scenario) in solvers.items()
                  if result is not None}
         timelines = write_restoration(
-            network, plans, os.path.join(out_dir, "resilience", name),
-            title=f"Restoration, M{mag:g} scenario {sid}",
-            peak_shed=peak_shed) if plans else {}
+            peak_shed, plans, os.path.join(out_dir, "resilience", name),
+            title=f"Restoration, M{mag:g} scenario {sid}") if plans else {}
         for solver, (status, result, _) in sorted(solvers.items()):
             doc = plan_document(solver, status, result, magnitude=mag,
                                 scenario_id=sid)
@@ -335,16 +330,8 @@ def run_pipeline(network: Network, config: PipelineConfig, out_dir: str,
                 doc["ens_mwh"] = timelines[solver].ens_mwh
             write_json(doc, os.path.join(out_dir, "plans",
                                          f"{name}_{solver}.json"))
-            obj = doc.get("objective", {})
-            rows.append(ComparisonRow(
-                magnitude=mag, scenario_id=sid, solver=solver, status=status,
-                objective=obj.get("value"),
-                makespan_hours=obj.get("makespan_hours"),
-                weighted_completion=obj.get("weighted_completion"),
-                ens_mwh=doc.get("ens_mwh")))
-
-    rows = fill_gaps(rows)
-    write_comparison_csv(rows, os.path.join(out_dir, "comparison.csv"))
+            docs.append(doc)
+    write_comparison_csv(docs, os.path.join(out_dir, "comparison.csv"))
 
     summary = {
         "config": record_document(config),

@@ -7,10 +7,12 @@ broadcast_to; where_const; masked softmax and log-softmax; a fused layer
 norm; and gather along the last axis; plus the Adam optimizer. Softmax
 and layer norm are single ops with analytic backward passes, not graphs
 of the elementwise ops. Tensors form a DAG; backward() runs a single
-iterative topological sweep accumulating grads into leaves. An op whose
-inputs are all constants (no requires_grad) records no parents and no
-backward closure, so a forward pass over constant Tensors builds no graph
-at all.
+iterative topological sweep accumulating grads into leaves. Each op
+hands its value, inputs and backward closure to the Tensor constructor,
+which alone decides whether the op records: one whose inputs are all
+constants (no requires_grad) keeps no parents and no backward closure, so
+a forward pass over constant Tensors builds no graph at all, and the
+closure of a one-input op runs only when that input requires grad.
 
 backward() releases the graph as it walks it: once a node's own backward
 has run, the node drops its parents, its backward closure (and with it
@@ -112,29 +114,27 @@ class Tensor:
 
     def __add__(self, other):
         other = as_tensor(other)
-        out = Tensor(self.data + other.data, parents=(self, other))
 
         def back(g):
             if self.requires_grad:
                 self._accumulate(_unbroadcast(g, self.data.shape))
             if other.requires_grad:
                 other._accumulate(_unbroadcast(g, other.data.shape))
-        out._backward = back if out.requires_grad else None
-        return out
+        return Tensor(self.data + other.data, parents=(self, other),
+                      backward=back)
 
     __radd__ = __add__
 
     def __mul__(self, other):
         other = as_tensor(other)
-        out = Tensor(self.data * other.data, parents=(self, other))
 
         def back(g):
             if self.requires_grad:
                 self._accumulate(_unbroadcast(g * other.data, self.data.shape))
             if other.requires_grad:
                 other._accumulate(_unbroadcast(g * self.data, other.data.shape))
-        out._backward = back if out.requires_grad else None
-        return out
+        return Tensor(self.data * other.data, parents=(self, other),
+                      backward=back)
 
     __rmul__ = __mul__
 
@@ -147,17 +147,13 @@ class Tensor:
     def __pow__(self, exponent: float):
         if not np.isscalar(exponent):
             raise InternalError("only scalar exponents are supported")
-        out = Tensor(self.data ** exponent, parents=(self,))
 
         def back(g):
-            if self.requires_grad:
-                self._accumulate(g * exponent * self.data ** (exponent - 1.0))
-        out._backward = back if out.requires_grad else None
-        return out
+            self._accumulate(g * exponent * self.data ** (exponent - 1.0))
+        return Tensor(self.data ** exponent, parents=(self,), backward=back)
 
     def __matmul__(self, other):
         other = as_tensor(other)
-        out = Tensor(np.matmul(self.data, other.data), parents=(self, other))
 
         def back(g):
             if other.data.ndim == 2:
@@ -177,51 +173,37 @@ class Tensor:
             if other.requires_grad:
                 gb = np.matmul(np.swapaxes(self.data, -1, -2), g)
                 other._accumulate(_unbroadcast(gb, other.data.shape))
-        out._backward = back if out.requires_grad else None
-        return out
+        return Tensor(np.matmul(self.data, other.data), parents=(self, other),
+                      backward=back)
 
     # --- shape ---
 
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        out = Tensor(self.data.reshape(shape), parents=(self,))
 
         def back(g):
-            if self.requires_grad:
-                self._accumulate(g.reshape(self.data.shape))
-        out._backward = back if out.requires_grad else None
-        return out
+            self._accumulate(g.reshape(self.data.shape))
+        return Tensor(self.data.reshape(shape), parents=(self,), backward=back)
 
     def swapaxes(self, axis1: int, axis2: int):
         """Swap two axes. The result is a C-contiguous copy, not a strided
         view: np.matmul ran the attention scores about 3.5x slower on the
         keys' double-swapped view than on a copy."""
-        out = Tensor(np.ascontiguousarray(np.swapaxes(self.data, axis1, axis2)),
-                     parents=(self,))
-
         def back(g):
-            if self.requires_grad:
-                self._accumulate(np.swapaxes(g, axis1, axis2))
-        out._backward = back if out.requires_grad else None
-        return out
+            self._accumulate(np.swapaxes(g, axis1, axis2))
+        return Tensor(np.ascontiguousarray(np.swapaxes(self.data, axis1, axis2)),
+                      parents=(self,), backward=back)
 
     # --- reductions and elementwise ---
 
     def sum(self, axis=None, keepdims: bool = False):
-        out = Tensor(self.data.sum(axis=axis, keepdims=keepdims), parents=(self,))
-
         def back(g):
-            if not self.requires_grad:
-                return
-            if axis is None:
-                self._accumulate(np.broadcast_to(g, self.data.shape).copy())
-                return
-            if not keepdims:
+            if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
             self._accumulate(np.broadcast_to(g, self.data.shape).copy())
-        out._backward = back if out.requires_grad else None
-        return out
+        return Tensor(self.data.sum(axis=axis, keepdims=keepdims),
+                      parents=(self,), backward=back)
 
     def mean(self, axis=None, keepdims: bool = False):
         if axis is None:
@@ -232,23 +214,17 @@ class Tensor:
 
     def tanh(self):
         t = np.tanh(self.data)
-        out = Tensor(t, parents=(self,))
 
         def back(g):
-            if self.requires_grad:
-                self._accumulate(g * (1.0 - t * t))
-        out._backward = back if out.requires_grad else None
-        return out
+            self._accumulate(g * (1.0 - t * t))
+        return Tensor(t, parents=(self,), backward=back)
 
     def exp(self):
         e = np.exp(self.data)
-        out = Tensor(e, parents=(self,))
 
         def back(g):
-            if self.requires_grad:
-                self._accumulate(g * e)
-        out._backward = back if out.requires_grad else None
-        return out
+            self._accumulate(g * e)
+        return Tensor(e, parents=(self,), backward=back)
 
 
 def as_tensor(x) -> Tensor:
@@ -258,8 +234,6 @@ def as_tensor(x) -> Tensor:
 
 def concat(tensors, axis: int = -1) -> Tensor:
     tensors = [as_tensor(t) for t in tensors]
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis),
-                 parents=tuple(tensors))
     sizes = [t.data.shape[axis] for t in tensors]
 
     def back(g):
@@ -269,8 +243,8 @@ def concat(tensors, axis: int = -1) -> Tensor:
                 sl = [slice(None)] * g.ndim
                 sl[axis] = slice(lo, hi)
                 t._accumulate(g[tuple(sl)])
-    out._backward = back if out.requires_grad else None
-    return out
+    return Tensor(np.concatenate([t.data for t in tensors], axis=axis),
+                  parents=tuple(tensors), backward=back)
 
 
 def _shifted(x: np.ndarray, mask) -> np.ndarray:
@@ -314,14 +288,12 @@ def softmax(scores: Tensor, mask: np.ndarray | None = None) -> Tensor:
         mask = np.asarray(mask, dtype=bool)
     ez = np.exp(_shifted(scores.data, mask))
     soft = ez / ez.sum(axis=-1, keepdims=True)
-    out = Tensor(soft, parents=(scores,))
 
     def back(g):
         # soft is 0.0 on masked entries, so they receive exactly 0.0
         gs = g * soft
         scores._accumulate(gs - soft * gs.sum(axis=-1, keepdims=True))
-    out._backward = back if out.requires_grad else None
-    return out
+    return Tensor(soft, parents=(scores,), backward=back)
 
 
 def layer_norm(x: Tensor, g: Tensor, b: Tensor) -> Tensor:
@@ -335,7 +307,6 @@ def layer_norm(x: Tensor, g: Tensor, b: Tensor) -> Tensor:
     xc = xd - xd.sum(axis=-1, keepdims=True) * scale
     inv = ((xc * xc).sum(axis=-1, keepdims=True) * scale + 1e-5) ** -0.5
     xhat = xc * inv
-    out = Tensor(xhat * g.data + b.data, parents=(x, g, b))
 
     def back(gout):
         if g.requires_grad:
@@ -347,19 +318,14 @@ def layer_norm(x: Tensor, g: Tensor, b: Tensor) -> Tensor:
             x._accumulate(inv * (
                 dxhat - dxhat.sum(axis=-1, keepdims=True) * scale
                 - xhat * (dxhat * xhat).sum(axis=-1, keepdims=True) * scale))
-    out._backward = back if out.requires_grad else None
-    return out
+    return Tensor(xhat * g.data + b.data, parents=(x, g, b), backward=back)
 
 
 def broadcast_to(x: Tensor, shape: tuple) -> Tensor:
     """x broadcast to `shape`; the gradient is summed back to x's shape."""
-    out = Tensor(np.broadcast_to(x.data, shape), parents=(x,))
-
     def back(g):
-        if x.requires_grad:
-            x._accumulate(_unbroadcast(g, x.data.shape))
-    out._backward = back if out.requires_grad else None
-    return out
+        x._accumulate(_unbroadcast(g, x.data.shape))
+    return Tensor(np.broadcast_to(x.data, shape), parents=(x,), backward=back)
 
 
 def where_const(mask: np.ndarray, x: Tensor, fill: float) -> Tensor:
@@ -367,28 +333,23 @@ def where_const(mask: np.ndarray, x: Tensor, fill: float) -> Tensor:
     Useful to neutralize -inf entries before arithmetic that would produce
     NaNs (e.g. 0 * -inf in entropy sums)."""
     mask = np.asarray(mask, dtype=bool)
-    out = Tensor(np.where(mask, x.data, fill), parents=(x,))
 
     def back(g):
-        if x.requires_grad:
-            x._accumulate(np.where(mask, g, 0.0))
-    out._backward = back if out.requires_grad else None
-    return out
+        x._accumulate(np.where(mask, g, 0.0))
+    return Tensor(np.where(mask, x.data, fill), parents=(x,), backward=back)
 
 
 def take_along_last(x: Tensor, idx: np.ndarray) -> Tensor:
     """Gather along the last axis; idx is a constant integer array with the
     same leading shape as x."""
     idx = np.asarray(idx, dtype=np.int64)
-    out = Tensor(np.take_along_axis(x.data, idx, axis=-1), parents=(x,))
 
     def back(g):
-        if x.requires_grad:
-            full = np.zeros_like(x.data)
-            np.add.at(full, (*np.indices(idx.shape)[:-1], idx), g)
-            x._accumulate(full)
-    out._backward = back if out.requires_grad else None
-    return out
+        full = np.zeros_like(x.data)
+        np.add.at(full, (*np.indices(idx.shape)[:-1], idx), g)
+        x._accumulate(full)
+    return Tensor(np.take_along_axis(x.data, idx, axis=-1), parents=(x,),
+                  backward=back)
 
 
 # Adam's moment decays and denominator guard (Kingma & Ba, arXiv:1412.6980)

@@ -45,11 +45,6 @@ class FlowSolution:
     p_shed: dict  # bus -> MW shed
     q_shed: dict
     p_line: dict  # line -> MW, positive from -> to
-    q_line: dict
-    p_gen: dict  # generator -> MW
-    q_gen: dict
-    p_import: dict  # substation bus -> MW drawn from the grid
-    q_import: dict
     energized: dict  # bus -> bool
     total_shed_mw: float = 0.0
     served_mw: float = 0.0
@@ -433,15 +428,13 @@ def _crash_basis(lp: _SheddingLp, up, keep, n_rows):
     return rows, served, basis
 
 
-def _total_shed(p_load: list, shed, energized):
+def _total_shed(p_load: list, shed, energized) -> float:
     """A failed set's MW shed: the de-energized buses' whole load, then each
     energized bus's shed, each in document order, summed with Python's
-    sum(). A float whenever any bus is energized; with none, the plain sum
-    of the loads."""
+    sum()."""
     on = energized.tolist()
-    total = sum([p for p, live in zip(p_load, on) if not live]
-                + shed[energized].tolist())
-    return float(total) if any(on) else total
+    return float(sum([p for p, live in zip(p_load, on) if not live]
+                     + shed[energized].tolist()))
 
 
 def shed_at(network: Network, failed_ids, t: int) -> FlowSolution:
@@ -457,15 +450,11 @@ def shed_at(network: Network, failed_ids, t: int) -> FlowSolution:
     x = sum((solve_shedding_lp(lp, up[0], member)
              for _, member in grid.islands(up, labels, energized)[0]),
             np.zeros(len(lp.c)))
-    n, m, g = len(grid.buses), len(grid.ends), len(grid.gen_bus)
     on, names = energized[0], grid.buses
-    p_shed, q_shed = lp.p_shed(x), np.zeros(n)
+    p_shed, q_shed = lp.p_shed(x), np.zeros(len(names))
     q_shed[lp.shed_bus] = x[lp.shed_col] * lp.ratio
     q_shed[lp.qshed_bus] = x[lp.qshed_col]
-    pl, ql, pg, qg, ps, qs, _ = (x[a:z].tolist() for a, z
-                                 in zip(lp.starts[1:], lp.starts[2:]))
-    imports = [i for i, t in enumerate(lp.sub_at)
-               if on[t] and up[0, m + g + t]]
+    pl = x[lp.starts[1]:lp.starts[2]].tolist()
     dead, live = np.flatnonzero(~on).tolist(), np.flatnonzero(on).tolist()
     total = _total_shed(list(p_load.values()), p_shed, on)
 
@@ -476,11 +465,6 @@ def shed_at(network: Network, failed_ids, t: int) -> FlowSolution:
         v=by_bus(lambda b: 1.0, x), p_shed=by_bus(p_load.get, p_shed),
         q_shed=by_bus(q_load.get, q_shed),
         p_line=dict(zip(network.lines, pl)),
-        q_line=dict(zip(network.lines, ql)),
-        p_gen=dict(zip(network.generators, pg)),
-        q_gen=dict(zip(network.generators, qg)),
-        p_import={names[lp.sub_at[i]]: ps[i] for i in imports},
-        q_import={names[lp.sub_at[i]]: qs[i] for i in imports},
         energized=dict(zip(names, on.tolist())),
         total_shed_mw=total,
         served_mw=float(sum(p_load.values()) - total),
@@ -516,10 +500,10 @@ class PeakShed:
         per failed set: a scenario's connectivity loss, and for a
         one-component set that component's dispatch curtailment weight.
 
-        Each entry is sum() of the de-energized buses' loads in document
-        order, so a set that de-energizes nothing gives the int 0."""
+        Each entry is the float sum() of the de-energized buses' loads in
+        document order."""
         _, _, energized = self._grid.energized(failed_sets)
-        return [sum(p for p, on in zip(self._p, row) if not on)
+        return [float(sum(p for p, on in zip(self._p, row) if not on))
                 for row in energized.tolist()]
 
     def __call__(self, failed_sets) -> list:

@@ -9,7 +9,6 @@ are hand-rolled SVG polylines with fixed formatting. No timestamps.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from .errors import ConfigError
 
@@ -50,49 +49,30 @@ def write_csv(path: str, header: list, rows: list):
             fh.write(",".join(cells) + "\n")
 
 
-@dataclass
-class ComparisonRow:
-    magnitude: float
-    scenario_id: int
-    solver: str
-    status: str  # 'ok' | 'limit' | 'error'
-    objective: float | None
-    makespan_hours: float | None
-    weighted_completion: float | None
-    ens_mwh: float | None
-    gap_vs_exact: float | None = None
-
-
 COMPARISON_HEADER = [
     "magnitude", "scenario_id", "solver", "status", "objective",
     "makespan_hours", "weighted_completion", "ens_mwh", "gap_vs_exact",
 ]
 
 
-def fill_gaps(rows: list) -> list:
-    """Compute each row's relative objective gap against the exact solver's
-    row for the same (magnitude, scenario)."""
-    exact = {}
-    for r in rows:
-        if r.solver == "exact" and r.status == "ok" and r.objective is not None:
-            exact[(r.magnitude, r.scenario_id)] = r.objective
-    out = []
-    for r in rows:
-        ref = exact.get((r.magnitude, r.scenario_id))
+def write_comparison_csv(plans: list, path: str):
+    """One row per plan document of a study, sorted by (magnitude,
+    scenario_id, solver). A row's gap is its objective's relative gap to
+    the `ok` exact plan of the same scenario, and empty unless the row has
+    an objective and that exact objective is above 0."""
+    exact = {(d["magnitude"], d["scenario_id"]): d["objective"]["value"]
+             for d in plans if d["solver"] == "exact" and d["status"] == "ok"}
+    table = []
+    for d in sorted(plans, key=lambda d: (d["magnitude"], d["scenario_id"],
+                                          d["solver"])):
+        obj = d.get("objective", {})
+        ref = exact.get((d["magnitude"], d["scenario_id"]))
         gap = None
-        if ref is not None and r.objective is not None and ref > 0:
-            gap = (r.objective - ref) / ref
-        out.append(ComparisonRow(**{**r.__dict__, "gap_vs_exact": gap}))
-    return out
-
-
-def write_comparison_csv(rows: list, path: str):
-    rows = sorted(rows, key=lambda r: (r.magnitude, r.scenario_id, r.solver))
-    table = [
-        [r.magnitude, r.scenario_id, r.solver, r.status, r.objective,
-         r.makespan_hours, r.weighted_completion, r.ens_mwh, r.gap_vs_exact]
-        for r in rows
-    ]
+        if ref is not None and "value" in obj and ref > 0:
+            gap = (obj["value"] - ref) / ref
+        table.append([d["magnitude"], d["scenario_id"], d["solver"],
+                      d["status"], obj.get("value"), obj.get("makespan_hours"),
+                      obj.get("weighted_completion"), d.get("ens_mwh"), gap])
     write_csv(path, COMPARISON_HEADER, table)
 
 
@@ -116,13 +96,15 @@ def write_resilience_csv(curves: dict, path: str):
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 _W, _H = 640, 400
 _ML, _MR, _MT, _MB = 62, 16, 34, 46
+# every plotted curve is a fraction (served load, exceedance probability)
+_YLIM = (0.0, 1.05)
 
 
-def _svg_coords(xs, ys, xlim, ylim):
+def _svg_coords(xs, ys, xlim):
     x0, x1 = xlim
-    y0, y1 = ylim
+    y0, y1 = _YLIM
     sx = (_W - _ML - _MR) / (x1 - x0 if x1 > x0 else 1.0)
-    sy = (_H - _MT - _MB) / (y1 - y0 if y1 > y0 else 1.0)
+    sy = (_H - _MT - _MB) / (y1 - y0)
     pts = []
     for x, y in zip(xs, ys):
         px = _ML + (x - x0) * sx
@@ -139,20 +121,16 @@ def _ticks(lo, hi, count=5):
 
 
 def plot_lines_svg(curves: dict, path: str, title: str,
-                   xlabel: str, ylabel: str,
-                   ylim: tuple | None = None, step: bool = False):
-    """Write a fixed-size SVG line chart. curves: name -> (xs, ys)."""
+                   xlabel: str, ylabel: str, step: bool = False):
+    """Write a fixed-size SVG line chart of fractions over [0, 1.05].
+    curves: name -> (xs, ys)."""
     names = sorted(curves)
     if not names:
         raise ConfigError("nothing to plot")
     all_x = [x for n in names for x in curves[n][0]]
-    all_y = [y for n in names for y in curves[n][1]]
     if not all_x:
         raise ConfigError("empty curves")
     xlim = (min(all_x), max(all_x) if max(all_x) > min(all_x) else min(all_x) + 1)
-    if ylim is None:
-        pad = 0.05 * max(max(all_y) - min(all_y), 1e-9)
-        ylim = (min(all_y) - pad, max(all_y) + pad)
 
     parts = []
     parts.append(
@@ -176,8 +154,9 @@ def plot_lines_svg(curves: dict, path: str, title: str,
                      f'y2="{ax_y0 + 4}" stroke="black" stroke-width="1"/>')
         parts.append(f'<text x="{px:.2f}" y="{ax_y0 + 18}" text-anchor="middle" '
                      f'font-family="sans-serif" font-size="11">{tx:.3g}</text>')
-    for ty in _ticks(*ylim):
-        py = _H - _MB - (ty - ylim[0]) * (_H - _MT - _MB) / (ylim[1] - ylim[0])
+    y0, y1 = _YLIM
+    for ty in _ticks(y0, y1):
+        py = _H - _MB - (ty - y0) * (_H - _MT - _MB) / (y1 - y0)
         parts.append(f'<line x1="{ax_x0 - 4}" y1="{py:.2f}" x2="{ax_x0}" '
                      f'y2="{py:.2f}" stroke="black" stroke-width="1"/>')
         parts.append(f'<text x="{ax_x0 - 8}" y="{py + 4:.2f}" text-anchor="end" '
@@ -201,7 +180,7 @@ def plot_lines_svg(curves: dict, path: str, title: str,
                 sy.append(ys[j])
             xs, ys = sx, sy
         color = _PALETTE[i % len(_PALETTE)]
-        pts = _svg_coords(xs, ys, xlim, ylim)
+        pts = _svg_coords(xs, ys, xlim)
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                      f'stroke-width="1.6"/>')
         ly = _MT + 16 + 16 * i

@@ -134,11 +134,6 @@ class LossDistribution:
         np.add.at(merged, inv, w)
         return cls(support=support, weights=merged)
 
-    def cdf(self, x: float) -> float:
-        """Pr[L <= x]."""
-        i = np.searchsorted(self.support, x, side="right")
-        return float(self.weights[:i].sum())
-
     def exceedance(self, x: float) -> float:
         """Pr[L >= x]."""
         i = np.searchsorted(self.support, x, side="left")

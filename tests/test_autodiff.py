@@ -178,6 +178,55 @@ def test_constant_inputs_record_no_graph():
     assert out._parents == () and out._backward is None
 
 
+_MASK = np.array([[True, False, True, True]] * 3)
+_IDX = np.array([[3, 0], [1, 1], [2, 0]])
+
+# every op as (its inputs' shapes, a function of those inputs)
+RECORDING_OPS = {
+    "add": ([(3, 4), (4,)], lambda a, b: a + b),
+    "mul": ([(3, 4), (3, 1)], lambda a, b: a * b),
+    "pow": ([(3, 4)], lambda a: a ** 2.0),
+    "matmul": ([(2, 3, 4), (4, 5)], lambda a, w: a @ w),
+    "reshape": ([(3, 4)], lambda a: a.reshape(4, 3)),
+    "swapaxes": ([(2, 3, 4)], lambda a: a.swapaxes(-1, -2)),
+    "sum": ([(3, 4)], lambda a: a.sum(axis=0)),
+    "tanh": ([(3, 4)], lambda a: a.tanh()),
+    "exp": ([(3, 4)], lambda a: a.exp()),
+    "concat": ([(3, 4), (3, 2)], lambda a, b: ad.concat([a, b], axis=-1)),
+    "softmax": ([(3, 4)], lambda a: ad.softmax(a, _MASK)),
+    "layer_norm": ([(3, 4), (4,), (4,)], ad.layer_norm),
+    "broadcast_to": ([(1, 4)], lambda a: ad.broadcast_to(a, (3, 4))),
+    "where_const": ([(3, 4)], lambda a: ad.where_const(_MASK, a, 0.0)),
+    "take_along_last": ([(3, 4)], lambda a: ad.take_along_last(a, _IDX)),
+    "log_softmax": ([(3, 4)], lambda a: ad.log_softmax(a, _MASK)),
+    "neg": ([(3, 4)], lambda a: -a),
+    "sub": ([(3, 4), (3, 4)], lambda a, b: a - b),
+    "mean": ([(3, 4)], lambda a: a.mean(axis=-1)),
+}
+
+
+@pytest.mark.parametrize("op", sorted(RECORDING_OPS))
+def test_every_op_records_only_when_an_input_requires_grad(op):
+    """On constant inputs an op keeps no parents and no backward; with one
+    input that requires grad it records, and backward() fills that input's
+    gradient."""
+    shapes, build = RECORDING_OPS[op]
+    rng = np.random.default_rng(17)
+    values = [rng.normal(size=s) for s in shapes]
+    out = build(*[ad.Tensor(v) for v in values])
+    assert not out.requires_grad
+    assert out._parents == () and out._backward is None
+    for i, v in enumerate(values):
+        inputs = [ad.Tensor(u) for u in values]
+        inputs[i] = leaf = ad.Tensor(v.copy(), requires_grad=True)
+        out = build(*inputs)
+        assert out.requires_grad
+        assert out._parents != () and out._backward is not None
+        out.sum().backward()
+        assert leaf.grad is not None and leaf.grad.shape == v.shape
+        assert np.isfinite(leaf.grad).all()
+
+
 def test_tanh_exp_log():
     rng = np.random.default_rng(4)
     x0 = rng.uniform(0.5, 2.0, size=(6,))

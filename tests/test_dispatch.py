@@ -13,8 +13,7 @@ import gridquake.dispatch as dispatch_module
 from gridquake.dispatch import (DispatchInstance, Depot, FailedComponent,
                                 _Compiled, cluster_to_depots, exact_dispatch,
                                 instance_from_scenario, plan_objective,
-                                schedule_plan, subtour_violations,
-                                travel_hours)
+                                schedule_plan, travel_hours)
 from gridquake.errors import ConfigError, LimitError
 from gridquake.fixtures import builtin_feeder, random_radial_network
 from gridquake.ga import GaConfig, ga_dispatch
@@ -145,12 +144,6 @@ def test_schedule_plan_enforces_cluster_membership():
                             travel_speed_kmh=10.0)
     with pytest.raises(ConfigError):
         schedule_plan(inst, {"dA:1": ["c1", "c2"], "dB:1": []})
-
-
-def test_no_subtours_in_scheduled_plans():
-    inst = tiny_instance()
-    plan = schedule_plan(inst, {"d1:1": ["cB", "cA"], "d1:2": ["cC"]})
-    assert subtour_violations(plan) == []
 
 
 def test_exact_matches_enumeration_on_random_instances():

@@ -182,18 +182,40 @@ def test_pipeline_heuristic_rows_carry_gap(tmp_path):
     net = builtin_feeder()
     out = str(tmp_path / "run")
     run_pipeline(net, SMALL, out)
+    plans = {}
+    for name in os.listdir(os.path.join(out, "plans")):
+        with open(os.path.join(out, "plans", name)) as fh:
+            doc = json.load(fh)
+        plans[doc["magnitude"], doc["scenario_id"], doc["solver"]] = doc
     lines = open(os.path.join(out, "comparison.csv")).read().splitlines()
     header = lines[0].split(",")
-    i_solver = header.index("solver")
-    i_status = header.index("status")
-    i_gap = header.index("gap_vs_exact")
+    rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+    keys = [(float(r["magnitude"]), int(r["scenario_id"]), r["solver"])
+            for r in rows]
+    assert keys == sorted(plans)
+
+    def number(cell):
+        return None if cell == "" else float(cell)
     saw_ga = 0
-    for line in lines[1:]:
-        cells = line.split(",")
-        if cells[i_solver] == "ga" and cells[i_status] == "ok":
+    for key, row in zip(keys, rows):
+        doc, exact = plans[key], plans[key[:2] + ("exact",)]
+        obj = doc.get("objective", {})
+        assert row["status"] == doc["status"]
+        assert number(row["objective"]) == obj.get("value")
+        assert number(row["makespan_hours"]) == obj.get("makespan_hours")
+        assert (number(row["weighted_completion"])
+                == obj.get("weighted_completion"))
+        assert number(row["ens_mwh"]) == doc.get("ens_mwh")
+        ref = exact.get("objective", {}).get("value")
+        if doc["status"] == "ok" and exact["status"] == "ok" and ref > 0:
+            gap = (obj["value"] - ref) / ref
+            assert number(row["gap_vs_exact"]) == gap
+        else:
+            assert row["gap_vs_exact"] == ""
+        if key[2] == "ga" and doc["status"] == "ok":
             saw_ga += 1
-            assert cells[i_gap] != ""
-            assert float(cells[i_gap]) >= -1e-9  # never better than exact
+            # never better than exact
+            assert number(row["gap_vs_exact"]) >= -1e-9
     assert saw_ga >= 1
 
 

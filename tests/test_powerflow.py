@@ -329,10 +329,9 @@ def test_energization_matches_reachability_from_live_sources(case):
         islands, live = bfs_islands(net, failed)
         assert state.energized == {b: b in live for b in net.buses}
         assert state.islands == islands
-        want = sum(peak_shed.p_load[b] for b in net.buses if b not in live)
-        assert type(got) is type(want)
-        assert (got.hex() == want.hex() if isinstance(want, float)
-                else got == want)
+        want = float(sum(peak_shed.p_load[b] for b in net.buses
+                         if b not in live))
+        assert type(got) is float and got.hex() == want.hex()
 
 
 def test_de_energized_load_is_monotone_in_failures():

@@ -5,10 +5,9 @@ import json
 import pytest
 
 from gridquake.errors import ConfigError
-from gridquake.report import (ComparisonRow, fill_gaps, fmt_float,
-                              plot_lines_svg, resilience_curves_ok,
-                              write_comparison_csv, write_csv, write_json,
-                              write_resilience_csv)
+from gridquake.report import (fmt_float, plot_lines_svg,
+                              resilience_curves_ok, write_comparison_csv,
+                              write_csv, write_json, write_resilience_csv)
 
 
 def test_fmt_float_repr_round_trip():
@@ -42,27 +41,47 @@ def test_csv_deterministic_bytes(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def row(solver, objective, status="ok", mag=7.0, sid=1):
-    return ComparisonRow(magnitude=mag, scenario_id=sid, solver=solver,
-                         status=status, objective=objective,
-                         makespan_hours=1.0, weighted_completion=1.0,
-                         ens_mwh=2.0)
+def plan(solver, objective, status="ok", mag=7.0, sid=1):
+    """A pipeline plan document, without the routes and times the
+    comparison table does not read; a plan at a limit has no objective."""
+    doc = {"solver": solver, "status": status, "magnitude": mag,
+           "scenario_id": sid}
+    if objective is not None:
+        doc.update(objective={"value": objective, "makespan_hours": 1.0,
+                              "weighted_completion": 1.0, "gamma": 0.5},
+                   ens_mwh=2.0)
+    return doc
 
 
-def test_fill_gaps_relative_to_exact():
-    rows = fill_gaps([row("exact", 10.0), row("ga", 10.5),
-                      row("policy", None, status="limit")])
-    by = {r.solver: r for r in rows}
-    assert by["exact"].gap_vs_exact == pytest.approx(0.0)
-    assert by["ga"].gap_vs_exact == pytest.approx(0.05)
-    assert by["policy"].gap_vs_exact is None
+def comparison_rows(plans, tmp_path):
+    path = tmp_path / "cmp.csv"
+    write_comparison_csv(plans, str(path))
+    lines = path.read_text().splitlines()
+    header = lines[0].split(",")
+    return [dict(zip(header, line.split(","))) for line in lines[1:]]
+
+
+def test_gap_relative_to_exact(tmp_path):
+    rows = comparison_rows([plan("exact", 10.0), plan("ga", 10.5),
+                            plan("policy", None, status="limit"),
+                            plan("ga", 3.0, sid=2),
+                            plan("exact", 0.0, sid=3), plan("ga", 1.0, sid=3),
+                            plan("exact", None, status="limit", sid=4),
+                            plan("ga", 2.0, sid=4)], tmp_path)
+    by = {(int(r["scenario_id"]), r["solver"]): r for r in rows}
+    assert float(by[1, "exact"]["gap_vs_exact"]) == 0.0
+    assert float(by[1, "ga"]["gap_vs_exact"]) == pytest.approx(0.05)
+    assert by[1, "policy"]["gap_vs_exact"] == ""
+    assert by[1, "policy"]["objective"] == ""
+    # no exact plan, an exact objective of 0, or an exact plan at a limit
+    for key in ((2, "ga"), (3, "ga"), (4, "ga")):
+        assert by[key]["gap_vs_exact"] == ""
 
 
 def test_comparison_csv_sorted_and_without_timing(tmp_path):
     path = tmp_path / "cmp.csv"
-    rows = fill_gaps([row("ga", 11.0, sid=2), row("exact", 10.0, sid=2),
-                      row("exact", 9.0, sid=1)])
-    write_comparison_csv(rows, str(path))
+    write_comparison_csv([plan("ga", 11.0, sid=2), plan("exact", 10.0, sid=2),
+                          plan("exact", 9.0, sid=1)], str(path))
     lines = path.read_text().splitlines()
     assert "seconds" not in lines[0]
     assert lines[1].startswith("7.0,1,exact")

