@@ -23,7 +23,7 @@ from .pipeline import (KNOWN_SOLVERS, PipelineConfig, load_pipeline_config,
 from .policy import (InstanceFamily, PolicyConfig, PolicyModel, PpoConfig,
                      ppo_train)
 from .powerflow import shed_at
-from .report import write_csv, write_json
+from .report import relative_gap, write_csv, write_json
 from .scenarios import (forward_reduce, generate_scenarios, load_scenario_set,
                         scenario_set_to_document, select_representatives)
 
@@ -178,12 +178,7 @@ def _cmd_report_compare(args) -> int:
                      obj.get("weighted_completion")])
     values = [r[2] for r in rows if r[2] is not None]
     best = min(values) if values else None
-    table = []
-    for row in sorted(rows):
-        gap = None
-        if best is not None and row[2] is not None and best > 0:
-            gap = (row[2] - best) / best
-        table.append(row + [gap])
+    table = [row + [relative_gap(row[2], best)] for row in sorted(rows)]
     header = ["plan", "solver", "objective", "makespan_hours",
               "weighted_completion", "gap_vs_best"]
     write_csv(args.out, header, table)

@@ -197,8 +197,8 @@ def write_restoration(peak_shed, plans, prefix, title, horizon=None) -> dict:
     elif horizon < need:
         raise ConfigError(f"horizon {horizon} ends before the last repair; "
                           f"it must be >= {need}")
-    timelines = {name: ens_timeline(peak_shed.network, failed, completion,
-                                    horizon=horizon, peak_shed=peak_shed)
+    timelines = {name: ens_timeline(failed, completion, horizon=horizon,
+                                    peak_shed=peak_shed)
                  for name, (failed, completion) in sorted(plans.items())}
     curves = {name: (t.hours, t.served_fraction)
               for name, t in timelines.items()}

@@ -7,10 +7,12 @@ left, the round resets. Components are only feasible for crews of their
 nearest depot, and legs take the travel times of the instance's compiled
 form, the same clustering and travel matrix the other solvers read.
 
-Training samples every row of a batch of same-size instances. Inference
-(`policy_dispatch`) runs one batch over copies of a single instance, with
-row 0 decoded greedily and the other rows sampled, and keeps the best plan
-(POMO-style shared decoding, Kwon et al., arXiv:2010.16011).
+`run_batch` holds each distinct instance once, encodes it once and indexes
+its arrays per row. Training samples every row of a batch of same-size
+instances, one row each. Inference (`policy_dispatch`) decodes one
+instance on 1 + samples rows, with row 0 greedy and the other rows
+sampled, and keeps the best plan (POMO-style shared decoding, Kwon et al.,
+arXiv:2010.16011).
 """
 
 from __future__ import annotations
@@ -28,23 +30,18 @@ from .nn import CREW_FEATURES, PolicyModel
 
 @dataclass
 class InstanceEncoding:
-    """Normalized features plus the raw geometry needed to simulate."""
+    """What the policy computes from an instance: its normalized features.
+    Ids, clusters and travel times are the instance's compiled form."""
 
     instance: DispatchInstance
-    comp_ids: list
-    node_xy: np.ndarray  # (n + depots, 2) km, the travel matrix's nodes
     comp_feats: np.ndarray  # (n, COMP_FEATURES)
-    crew_ids: tuple
-    cluster_mask: np.ndarray  # (m, n) bool
-    origin: np.ndarray
-    scale: float
+    node_xy: np.ndarray  # (n + depots, 2) normalized, the travel matrix's nodes
     time_scale: float
 
 
 def encode_instance(instance: DispatchInstance) -> InstanceEncoding:
     compiled = instance.compiled
     comps = instance.components
-    comp_ids = [c.id for c in comps]
     n = len(comps)
     comp_xy = np.array([[c.x, c.y] for c in comps], dtype=float).reshape(n, 2)
     repair, cl = compiled.repair, compiled.weight
@@ -57,27 +54,22 @@ def encode_instance(instance: DispatchInstance) -> InstanceEncoding:
     diag_hours = math.hypot(*span) / instance.travel_speed_kmh
     time_scale = max(float(repair.sum()) + (n + 1) * diag_hours, 1e-9)
 
-    cluster_mask = compiled.crew_depot[:, None] == compiled.depot_of
-
-    xy_n = (comp_xy - origin) / scale
+    xy_n = (node_xy - origin) / scale
     depot_dist = np.hypot(*(comp_xy - depot_xy[compiled.depot_of]).T) / scale
     t_norm = repair / max(float(repair.max()), 1e-9) if n else repair
     cl_norm = cl / max(float(cl.max()), 1e-9) if n else cl
-    comp_feats = np.column_stack([xy_n[:, 0], xy_n[:, 1], t_norm, cl_norm,
+    comp_feats = np.column_stack([xy_n[:n, 0], xy_n[:n, 1], t_norm, cl_norm,
                                   depot_dist]) if n else np.zeros((0, 5))
 
-    return InstanceEncoding(
-        instance=instance, comp_ids=comp_ids, node_xy=node_xy,
-        comp_feats=comp_feats, crew_ids=compiled.crew_ids,
-        cluster_mask=cluster_mask, origin=origin, scale=scale,
-        time_scale=time_scale,
-    )
+    return InstanceEncoding(instance=instance, comp_feats=comp_feats,
+                            node_xy=xy_n, time_scale=time_scale)
 
 
 @dataclass
 class BatchRollout:
     """Stacked episode data for one homogeneous batch (same n and depot
-    count). Shapes: comp_feats (B, n, F); per-step arrays indexed [t]."""
+    count) of I instances on B rows. Shapes: comp_feats (I, n, F), one
+    per instance; per-step arrays indexed [t]."""
 
     comp_feats: np.ndarray
     crew_feats: np.ndarray  # (T, B, m, CREW_FEATURES)
@@ -101,45 +93,49 @@ def draw(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
 
 def run_batch(model: PolicyModel, encs: list, rng: np.random.Generator,
-              greedy_first: bool = False) -> BatchRollout:
-    """Rollout of B same-size instances in lockstep. Every row samples its
-    action from the policy, except row 0 when `greedy_first`, which takes
-    the argmax and draws nothing from `rng`.
+              samples: int | None = None) -> BatchRollout:
+    """Rollout of same-size instances in lockstep. Without `samples`, each
+    encoding is one row and every row samples its action from the policy.
+    With `samples`, `encs` holds one instance, decoded on 1 + samples rows:
+    row 0 takes the argmax and draws nothing from `rng`, the others sample.
+    Each instance is encoded once and its arrays are held once; row b reads
+    instance b % len(encs).
 
     Rewards implement the shaped objective with the instances' shared
     gamma: each step pays -(1-gamma) * cl_j * completion_j, and the final
     step additionally pays -gamma * makespan, so episode return equals
     minus the dispatch objective.
     """
-    B = len(encs)
-    shapes = {(len(e.comp_ids), len(e.crew_ids), len(e.instance.depots),
-               e.instance.gamma) for e in encs}
-    if len(shapes) != 1:
+    shapes = {(len(e.comp_feats), len(e.instance.compiled.crew_ids),
+               len(e.instance.depots), e.instance.gamma) for e in encs}
+    if len(shapes) != 1 or (samples is not None and len(encs) != 1):
         raise ValueError("batch must be homogeneous in n, crews, depots and "
-                         "gamma")
+                         "gamma, and a sampled decode holds one instance")
     (n, m, _, gamma), = shapes
+    B = len(encs) if samples is None else 1 + samples
+    first = int(samples is not None)
+    rows = np.arange(B)
+    inst = rows % len(encs)  # each row's instance
 
-    comp_feats = np.stack([e.comp_feats for e in encs])  # (B, n, F)
+    comp_feats = np.stack([e.comp_feats for e in encs])  # (I, n, F)
     # nothing is differentiated here, so run on constants: no graph
     model = model.constant()
     ctx = model.attend(model.encode(comp_feats))
 
+    compiled = [e.instance.compiled for e in encs]
+    node_xy = np.stack([e.node_xy for e in encs])  # (I, nodes, 2)
+    travel = np.stack([c.travel for c in compiled])  # (I, nodes, nodes)
+    repair = np.stack([c.repair for c in compiled])  # (I, n)
+    curtailed = np.stack([c.weight for c in compiled])  # (I, n)
+    time_scale = np.array([e.time_scale for e in encs])[inst, None]  # (B, 1)
+    cluster = np.stack([c.crew_depot[:, None] == c.depot_of
+                        for c in compiled])[inst]  # (B, m, n)
+    # every crew starts at its depot's node
+    crew_loc = n + np.stack([c.crew_depot for c in compiled])[inst]  # (B, m)
+    home_xy = node_xy[inst[:, None], crew_loc]  # (B, m, 2)
+    crew_time = np.zeros((B, m))
     scheduled = np.zeros((B, n), dtype=bool)
     used = np.zeros((B, m), dtype=bool)
-    compiled = [e.instance.compiled for e in encs]
-    node_xy = np.stack([e.node_xy for e in encs])  # (B, nodes, 2)
-    home = n + np.stack([c.crew_depot for c in compiled])  # (B, m) nodes
-    crew_loc = home.copy()
-    crew_time = np.zeros((B, m))
-    cluster = np.stack([e.cluster_mask for e in encs])  # (B, m, n)
-    travel = np.stack([c.travel for c in compiled])  # (B, nodes, nodes)
-    repair = np.stack([c.repair for c in compiled])  # (B, n)
-    curtailed = np.stack([c.weight for c in compiled])  # (B, n)
-    origin = np.stack([e.origin for e in encs])[:, None, :]  # (B, 1, 2)
-    scale = np.array([e.scale for e in encs])[:, None, None]
-    time_scale = np.array([e.time_scale for e in encs])[:, None]
-    first = int(greedy_first)
-    rows = np.arange(B)
 
     steps_feats, steps_masks, steps_actions = [], [], []
     steps_logp, steps_value, steps_reward = [], [], []
@@ -155,8 +151,8 @@ def run_batch(model: PolicyModel, encs: list, rng: np.random.Generator,
 
         # crew tokens: depot xy, current xy, elapsed time, share of work left
         feats = np.zeros((B, m, CREW_FEATURES))
-        feats[..., 0:2] = (node_xy[rows[:, None], home] - origin) / scale
-        feats[..., 2:4] = (node_xy[rows[:, None], crew_loc] - origin) / scale
+        feats[..., 0:2] = home_xy
+        feats[..., 2:4] = node_xy[inst[:, None], crew_loc]
         feats[..., 4] = crew_time / time_scale
         feats[..., 5] = (cluster & ~scheduled[:, None, :]).sum(axis=2) / n
         logp_t, value_t = model.step(ctx, feats, flat)
@@ -169,14 +165,14 @@ def run_batch(model: PolicyModel, encs: list, rng: np.random.Generator,
         actions[first:] = draw(probs[first:], rng)
         ii, jj = np.divmod(actions, n)
 
-        leg = travel[rows, crew_loc[rows, ii], jj]
-        done = crew_time[rows, ii] + leg + repair[rows, jj]
+        leg = travel[inst, crew_loc[rows, ii], jj]
+        done = crew_time[rows, ii] + leg + repair[inst, jj]
         crew_time[rows, ii] = done
         crew_loc[rows, ii] = jj
         used[rows, ii] = True
         scheduled[rows, jj] = True
 
-        reward = -(1.0 - gamma) * curtailed[rows, jj] * done
+        reward = -(1.0 - gamma) * curtailed[inst, jj] * done
 
         steps_feats.append(feats)
         steps_masks.append(flat)
@@ -220,17 +216,17 @@ def policy_dispatch(
         plan = schedule_plan(instance, {})
         return PolicyResult(plan=plan, objective=plan_objective(instance, plan),
                             decodes=0)
-    enc = encode_instance(instance)
-    roll = run_batch(model, [enc] * (samples + 1),
-                     np.random.default_rng(seed), greedy_first=True)
+    roll = run_batch(model, [encode_instance(instance)],
+                     np.random.default_rng(seed), samples=samples)
 
-    n = len(enc.comp_ids)
+    n = len(instance.components)
+    crew_ids = instance.compiled.crew_ids
     best = None
     for row in roll.actions.T:
-        routes = {cid: [] for cid in enc.crew_ids}
+        routes = {cid: [] for cid in crew_ids}
         for a in row:
             i, j = divmod(int(a), n)
-            routes[enc.crew_ids[i]].append(enc.comp_ids[j])
+            routes[crew_ids[i]].append(instance.components[j].id)
         plan = schedule_plan(instance, routes)
         obj = plan_objective(instance, plan)
         if best is None or obj.value < best[1].value:

@@ -524,8 +524,7 @@ class PeakShed:
 
 
 def ens_timeline(
-    network: Network, failed_ids, completion_hours: dict, horizon: int,
-    peak_shed: PeakShed,
+    failed_ids, completion_hours: dict, horizon: int, peak_shed: PeakShed,
 ) -> RestorationTimeline:
     """Hourly shed trajectory over hours 0 .. horizon-1 while repairs
     complete.
@@ -549,7 +548,7 @@ def ens_timeline(
     ens = 0.0
     for shed in sheds:
         fracs.append(1.0 if total <= 0 else (total - shed) / total)
-        ens += shed * network.timestep_hours
+        ens += shed * peak_shed.network.timestep_hours
 
     return RestorationTimeline(
         hours=list(range(horizon)), served_fraction=fracs, shed_mw=sheds,

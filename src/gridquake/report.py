@@ -49,6 +49,13 @@ def write_csv(path: str, header: list, rows: list):
             fh.write(",".join(cells) + "\n")
 
 
+def relative_gap(value, ref):
+    """(value - ref) / ref, or None unless both exist and ref is above 0."""
+    if value is None or ref is None or not ref > 0:
+        return None
+    return (value - ref) / ref
+
+
 COMPARISON_HEADER = [
     "magnitude", "scenario_id", "solver", "status", "objective",
     "makespan_hours", "weighted_completion", "ens_mwh", "gap_vs_exact",
@@ -66,10 +73,8 @@ def write_comparison_csv(plans: list, path: str):
     for d in sorted(plans, key=lambda d: (d["magnitude"], d["scenario_id"],
                                           d["solver"])):
         obj = d.get("objective", {})
-        ref = exact.get((d["magnitude"], d["scenario_id"]))
-        gap = None
-        if ref is not None and "value" in obj and ref > 0:
-            gap = (obj["value"] - ref) / ref
+        gap = relative_gap(obj.get("value"),
+                           exact.get((d["magnitude"], d["scenario_id"])))
         table.append([d["magnitude"], d["scenario_id"], d["solver"],
                       d["status"], obj.get("value"), obj.get("makespan_hours"),
                       obj.get("weighted_completion"), d.get("ens_mwh"), gap])
@@ -103,7 +108,7 @@ _YLIM = (0.0, 1.05)
 def _svg_coords(xs, ys, xlim):
     x0, x1 = xlim
     y0, y1 = _YLIM
-    sx = (_W - _ML - _MR) / (x1 - x0 if x1 > x0 else 1.0)
+    sx = (_W - _ML - _MR) / (x1 - x0)
     sy = (_H - _MT - _MB) / (y1 - y0)
     pts = []
     for x, y in zip(xs, ys):
@@ -114,8 +119,6 @@ def _svg_coords(xs, ys, xlim):
 
 
 def _ticks(lo, hi, count=5):
-    if hi <= lo:
-        return [lo]
     step = (hi - lo) / count
     return [lo + i * step for i in range(count + 1)]
 

@@ -1,8 +1,8 @@
 """Policy network and rollout tests: encoder symmetries, decision masking,
 plan validity, checkpoint round trips and validation, reward bookkeeping,
 the batched draw against `Generator.choice`, an op-count guard on the
-decoding step, a memory guard on the PPO update, and golden plans for the
-batched decoder."""
+decoding step, one encoding per decode, memory guards on the sampled
+decode and the PPO update, and golden plans for the batched decoder."""
 
 import collections
 import dataclasses
@@ -38,11 +38,11 @@ def make_instance(seed=0, n=4, crews=1):
 
 def routes_of(enc, actions):
     """Crew routes from one batch row's actions (crew * n + component)."""
-    n = len(enc.comp_ids)
-    routes = {cid: [] for cid in enc.crew_ids}
+    comps, crew_ids = enc.instance.components, enc.instance.compiled.crew_ids
+    routes = {cid: [] for cid in crew_ids}
     for a in actions:
-        i, j = divmod(int(a), n)
-        routes[enc.crew_ids[i]].append(enc.comp_ids[j])
+        i, j = divmod(int(a), len(comps))
+        routes[crew_ids[i]].append(comps[j].id)
     return routes
 
 
@@ -51,8 +51,8 @@ def rewards_of(inst, enc, actions, plan):
     curtailment-weighted completion of the component it scheduled, and the
     last step also pays the makespan term."""
     curtailed = {c.id: c.curtailed_mw for c in inst.components}
-    n = len(enc.comp_ids)
-    cids = [enc.comp_ids[int(a) % n] for a in actions]
+    n = len(inst.components)
+    cids = [inst.components[int(a) % n].id for a in actions]
     want = [-(1.0 - inst.gamma) * curtailed[cid] * plan.completion[cid]
             for cid in cids]
     want[-1] -= inst.gamma * plan.makespan_hours
@@ -189,8 +189,8 @@ def test_rollout_builds_no_graph_and_leaves_grads_alone(monkeypatch):
         return out
 
     monkeypatch.setattr(PolicyModel, "step", recording_step)
-    run_batch(model, [encode_instance(inst)] * 3, np.random.default_rng(0),
-              greedy_first=True)
+    run_batch(model, [encode_instance(inst)], np.random.default_rng(0),
+              samples=2)
     assert len(outputs) == 5
     for ctx, (logp, value) in outputs:
         for t in (logp, value, ctx.ptr_keys, ctx.pooled,
@@ -206,10 +206,8 @@ def test_greedy_episode_is_deterministic_and_valid():
     inst = make_instance(seed=5, n=5, crews=2)
     enc = encode_instance(inst)
     # the greedy row ignores the generator and the sampled rows beside it
-    a = run_batch(model, [enc], np.random.default_rng(0),
-                  greedy_first=True)
-    b = run_batch(model, [enc] * 3, np.random.default_rng(1),
-                  greedy_first=True)
+    a = run_batch(model, [enc], np.random.default_rng(0), samples=0)
+    b = run_batch(model, [enc], np.random.default_rng(1), samples=2)
     np.testing.assert_array_equal(a.actions[:, 0], b.actions[:, 0])
     plan = schedule_plan(inst, routes_of(enc, a.actions[:, 0]))
     # the rollout times legs from the same travel matrix as schedule_plan,
@@ -239,17 +237,23 @@ def grid_instances(draw):
 @settings(max_examples=120, deadline=None)
 @given(inst=grid_instances())
 def test_cluster_mask_matches_cluster_to_depots(inst):
+    """The first step's mask allows exactly the (crew, component) pairs of
+    `cluster_to_depots`, and the encoding's nodes are the components' then
+    the depots' coordinates, normalized."""
     enc = encode_instance(inst)
     cluster = cluster_to_depots(inst)
     depot_of_crew = [cid.rsplit(":", 1)[0] for cid in inst.crew_ids()]
-    want = [[cluster[c.id] == did for c in inst.components]
-            for did in depot_of_crew]
-    assert enc.cluster_mask.shape == (len(depot_of_crew),
-                                      len(inst.components))
-    assert enc.cluster_mask.tolist() == want
-    xy = [[c.x, c.y] for c in inst.components] + [[d.x, d.y]
-                                                 for d in inst.depots]
-    assert enc.node_xy.tolist() == xy
+    want = [cluster[c.id] == did for did in depot_of_crew
+            for c in inst.components]
+    if inst.components:
+        roll = run_batch(PolicyModel.init(TINY, seed=0), [enc],
+                         np.random.default_rng(0), samples=0)
+        assert roll.masks[0, 0].tolist() == want
+    xy = np.array([[c.x, c.y] for c in inst.components]
+                  + [[d.x, d.y] for d in inst.depots])
+    origin = xy.min(axis=0)
+    scale = max(float((xy.max(axis=0) - origin).max()), 1e-9)
+    assert enc.node_xy.tolist() == ((xy - origin) / scale).tolist()
 
 
 def test_rollout_leg_is_travel_hours_bit_for_bit():
@@ -265,7 +269,7 @@ def test_rollout_leg_is_travel_hours_bit_for_bit():
                                     curtailed_mw=1.0),),
         depots=(Depot(id="d", x=0.0, y=0.0),), travel_speed_kmh=1.0)
     roll = run_batch(PolicyModel.init(TINY, seed=0), [encode_instance(inst)],
-                     np.random.default_rng(0), greedy_first=True)
+                     np.random.default_rng(0), samples=0)
     want = travel_hours((0.0, 0.0), (dx, dy), 1.0)
     assert roll.makespan[0] == schedule_plan(inst, {"d:1": ["c"]}) \
         .makespan_hours == want
@@ -284,7 +288,7 @@ def test_sampled_episodes_only_pick_feasible_pairs():
     for b in range(B):
         # validates clusters and coverage
         plan = schedule_plan(inst, routes_of(enc, roll.actions[:, b]))
-        assert set(plan.completion) == set(enc.comp_ids)
+        assert set(plan.completion) == {c.id for c in inst.components}
 
 
 @settings(max_examples=60, deadline=None)
@@ -318,6 +322,42 @@ def test_policy_dispatch_best_of_decodes():
     assert check.value == pytest.approx(sampled.objective.value, abs=1e-9)
 
 
+def test_policy_dispatch_encodes_its_instance_once(monkeypatch):
+    """The greedy and sampled rows share one encoding of the instance."""
+    shapes = []
+    encode = PolicyModel.encode
+
+    def recording_encode(self, comp_feats):
+        shapes.append(np.shape(comp_feats))
+        return encode(self, comp_feats)
+
+    monkeypatch.setattr(PolicyModel, "encode", recording_encode)
+    inst = make_instance(seed=9, n=5, crews=2)
+    res = policy_dispatch(PolicyModel.init(TINY, seed=8), inst, samples=4)
+    assert res.decodes == 5
+    assert shapes == [(1, 5, COMP_FEATURES)]
+
+
+def test_sampled_decode_memory_stays_near_the_greedy_decode():
+    """150 failures, default model, 16 samples beside the greedy row. The
+    instance's arrays, encoder and projected memory are held once, not once
+    per row, so the traced peak stays within 8x the greedy-only decode's;
+    copying them onto every row peaks at about 16x (4.5x here)."""
+    model = PolicyModel.init(PolicyConfig(), seed=0)
+    inst = InstanceFamily(depot_count=5, crews_per_depot=2).sample_instance(
+        np.random.default_rng(0), n=150)
+    inst.compiled  # built once, outside both measurements
+    peaks = []
+    for samples in (0, 16):
+        tracemalloc.start()
+        try:
+            policy_dispatch(model, inst, samples=samples, seed=0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 8 * peaks[0], peaks
+
+
 def test_policy_dispatch_keeps_the_greedy_plan_on_a_tie():
     """Two identical components at one spot: every order has the same
     objective, bit for bit. The greedy row takes the first; some sampled
@@ -330,8 +370,7 @@ def test_policy_dispatch_keeps_the_greedy_plan_on_a_tie():
                             depots=(Depot(id="d", x=0.0, y=0.0),))
     model = PolicyModel.init(TINY, seed=0)
     enc = encode_instance(inst)
-    roll = run_batch(model, [enc] * 9, np.random.default_rng(0),
-                     greedy_first=True)
+    roll = run_batch(model, [enc], np.random.default_rng(0), samples=8)
     routes = [routes_of(enc, roll.actions[:, b]) for b in range(9)]
     values = {plan_objective(inst, schedule_plan(inst, r)).value
               for r in routes}
@@ -404,8 +443,8 @@ def test_every_batched_row_is_a_plan_and_best_of_beats_greedy(
                          crews_per_depot=crews)
     inst = fam.sample_instance(np.random.default_rng(seed))
     enc = encode_instance(inst)
-    roll = run_batch(model, [enc] * (samples + 1), np.random.default_rng(seed),
-                     greedy_first=True)
+    roll = run_batch(model, [enc], np.random.default_rng(seed),
+                     samples=samples)
     # schedule_plan raises unless each row routes every component once,
     # from its nearest depot; the rollout's clock is schedule_plan's exactly
     plans = [schedule_plan(inst, routes_of(enc, roll.actions[:, b]))
@@ -553,10 +592,15 @@ def test_run_batch_refuses_a_mixed_batch(other):
     inst = make_instance(seed=3)
     odd = make_instance(seed=3, n=other.get("n", 4))
     odd = dataclasses.replace(odd, gamma=other.get("gamma", odd.gamma))
+    model = PolicyModel.init(TINY, seed=0)
     with pytest.raises(ValueError, match="homogeneous"):
-        run_batch(PolicyModel.init(TINY, seed=0),
-                  [encode_instance(inst), encode_instance(odd)],
+        run_batch(model, [encode_instance(inst), encode_instance(odd)],
                   np.random.default_rng(0))
+    # a sampled decode broadcasts one instance over its rows
+    for encs in ([encode_instance(inst), encode_instance(odd)],
+                 [encode_instance(inst)] * 2):
+        with pytest.raises(ValueError, match="one instance"):
+            run_batch(model, encs, np.random.default_rng(0), samples=1)
 
 
 def test_batch_rewards_telescope_to_objective():
@@ -570,12 +614,13 @@ def test_batch_rewards_telescope_to_objective():
     returns = batch.rewards.sum(axis=0)
     for b, enc in enumerate(encs):
         # recover the routes this batch row took and score them
-        routes = {cid: [] for cid in enc.crew_ids}
-        m = len(enc.crew_ids)
-        n = len(enc.comp_ids)
+        crew_ids = enc.instance.compiled.crew_ids
+        comps = enc.instance.components
+        routes = {cid: [] for cid in crew_ids}
+        n = len(comps)
         for t in range(batch.actions.shape[0]):
             a = int(batch.actions[t, b])
-            routes[enc.crew_ids[a // n]].append(enc.comp_ids[a % n])
+            routes[crew_ids[a // n]].append(comps[a % n].id)
         obj = plan_objective(enc.instance,
                              schedule_plan(enc.instance, routes))
         assert returns[b] == pytest.approx(-obj.value, abs=1e-9)

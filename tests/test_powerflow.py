@@ -372,7 +372,7 @@ def test_ens_timeline_hand_case():
         "profiles": [{"id": "p1", "p_mw": [2.0]}],
     }
     net = load_network(doc)
-    tl = ens_timeline(net, ["c1"], {"c1": 1.5}, horizon=4,
+    tl = ens_timeline(["c1"], {"c1": 1.5}, horizon=4,
                       peak_shed=PeakShed(net))
     # out for hours 0 and 1, back at hour 2 (first whole hour >= 1.5)
     assert tl.served_fraction == pytest.approx([0.0, 0.0, 1.0, 1.0])
@@ -384,7 +384,7 @@ def test_ens_timeline_terminates_at_full_service():
     net = builtin_feeder()
     failed = ["c_l1", "c_g1"]
     # one hour past the last repair
-    tl = ens_timeline(net, failed, {"c_l1": 2.2, "c_g1": 5.0}, horizon=6,
+    tl = ens_timeline(failed, {"c_l1": 2.2, "c_g1": 5.0}, horizon=6,
                       peak_shed=PeakShed(net))
     assert tl.served_fraction[-1] == pytest.approx(1.0, abs=1e-9)
     diffs = np.diff(tl.served_fraction)
@@ -447,7 +447,7 @@ def test_ens_timeline_solves_once_per_distinct_consecutive_state(monkeypatch):
     assert len(islands) < 2 * horizon  # the case must repeat an island
 
     solved = spy_island_solves(monkeypatch)
-    tl = ens_timeline(net, failed, hours, horizon=horizon,
+    tl = ens_timeline(failed, hours, horizon=horizon,
                       peak_shed=PeakShed(net))
     assert solved == islands
     assert tl == expect
@@ -613,7 +613,7 @@ def test_timelines_sharing_a_peak_shed_match_an_lp_per_hour(case):
     net, plans, horizon = case
     peak_shed = PeakShed(net)
     for failed, hours in plans:
-        tl = ens_timeline(net, failed, hours, horizon=horizon,
+        tl = ens_timeline(failed, hours, horizon=horizon,
                           peak_shed=peak_shed)
         assert tl == oracle_timeline(net, failed, hours, horizon)
 
@@ -645,7 +645,7 @@ def test_cut_off_generator_island_is_solved_once_while_the_main_grows(
     horizon = 6
     generator_island = (("b3", "b4", "b5"), frozenset({"c_l2"}))
     solved = spy_island_solves(monkeypatch)
-    tl = ens_timeline(net, failed, hours, horizon=horizon,
+    tl = ens_timeline(failed, hours, horizon=horizon,
                       peak_shed=PeakShed(net))
     assert solved.count(generator_island) == 1
     mains = [island for island, _ in solved if "b1" in island]
