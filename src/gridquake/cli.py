@@ -7,7 +7,6 @@ Exit codes: 0 ok, 2 bad input or arguments, 3 solver limit exceeded,
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -23,7 +22,7 @@ from .pipeline import (KNOWN_SOLVERS, PipelineConfig, load_pipeline_config,
 from .policy import (InstanceFamily, PolicyConfig, PolicyModel, PpoConfig,
                      ppo_train)
 from .powerflow import shed_at
-from .report import relative_gap, write_csv, write_json
+from .report import json_text, relative_gap, write_csv, write_json
 from .scenarios import (forward_reduce, generate_scenarios, load_scenario_set,
                         scenario_set_to_document, select_representatives)
 
@@ -54,7 +53,7 @@ def _emit(doc: dict, out: str | None):
         write_json(doc, out)
         print(f"wrote {out}")
     else:
-        print(json.dumps(doc, indent=2, sort_keys=True, default=str))
+        print(json_text(doc))
 
 
 def _failed_set(args) -> tuple:

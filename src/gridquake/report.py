@@ -8,7 +8,10 @@ are hand-rolled SVG polylines with fixed formatting. No timestamps.
 
 from __future__ import annotations
 
+import functools
 import json
+from itertools import repeat
+from json.encoder import encode_basestring_ascii
 
 from .errors import ConfigError
 
@@ -22,10 +25,68 @@ def fmt_float(x) -> str:
     return repr(float(x))
 
 
+_CONTAINERS = (dict, list, tuple)
+_SCALAR_TYPES = frozenset({str, int, float, bool, type(None)})
+_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+@functools.cache
+def _flat_encoder(depth: int):
+    """json's own encoder (C where CPython has it) for a container at
+    `depth` holding no container: one item per line, brackets inline."""
+    return json.JSONEncoder(separators=(",\n" + "  " * (depth + 1), ": "),
+                            sort_keys=True).encode
+
+
+def _key_text(key) -> str:
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    return _flat_encoder(0)({key: 0})[1:-4]  # json's key rule: '{"1": 0}'
+
+
+def _json_text(obj, depth: int) -> str:
+    if isinstance(obj, float):
+        text = float.__repr__(obj)
+        return _FLOAT_WORDS.get(text, text)
+    if isinstance(obj, int) and not isinstance(obj, bool):
+        return int.__repr__(obj)
+    if not isinstance(obj, _CONTAINERS):
+        return _flat_encoder(0)(obj)  # str, true, false, null or TypeError
+    is_dict = isinstance(obj, dict)
+    values = obj.values() if is_dict else obj
+    pad = "\n" + "  " * depth
+    # exact scalar types settle most flat containers without an isinstance
+    if (_SCALAR_TYPES.issuperset(map(type, values))
+            or not any(map(isinstance, values, repeat(_CONTAINERS)))):
+        text = _flat_encoder(depth)(obj)
+        if len(text) == 2:  # [] or {}
+            return text
+        return f"{text[0]}{pad}  {text[1:-1]}{pad}{text[-1]}"
+    if is_dict:
+        parts = [_key_text(k) + ": " + _json_text(v, depth + 1)
+                 for k, v in sorted(obj.items())]
+    else:
+        parts = [_json_text(v, depth + 1) for v in obj]
+    # brackets go on the end parts, so that the join is the one big copy
+    parts[0] = ("{" if is_dict else "[") + pad + "  " + parts[0]
+    parts[-1] += pad + ("}" if is_dict else "]")
+    return ("," + pad + "  ").join(parts)
+
+
+def json_text(obj) -> str:
+    """`json.dumps(obj, indent=2, sort_keys=True)`, byte for byte. Python
+    walks the document only down to its flat containers (those holding no
+    dict, list or tuple); each of those is one call of json's encoder."""
+    return _json_text(obj, 0)
+
+
 def write_json(obj, path: str):
+    """Write `json_text(obj)` and a newline in one write. The text is built
+    before the file is opened, so a value json cannot encode raises
+    TypeError and leaves an existing file as it was."""
+    text = json_text(obj) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
 
 
 def write_csv(path: str, header: list, rows: list):

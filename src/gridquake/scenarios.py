@@ -250,12 +250,12 @@ def forward_reduce(sset: ScenarioSet, k: int, protected=()) -> ScenarioSet:
     distinct losses: adding a point only changes the cost of the gap between
     its two retained neighbours, which splits at the two halves' midpoints.
     The candidates whose closed-form score is within rounding tolerance of
-    the best are then scored exactly (`_redistribute` + `wasserstein1`) in
-    ascending index order, and the first one that beats the running best by
-    more than 1e-15 is kept; among equal losses the lowest index is the
-    candidate. Any candidate outside that shortlist is worse than the best
-    by far more than either method's rounding error, so the pick equals that
-    of scoring every candidate exactly.
+    the best are then scored exactly (`_redistribute`, then `wasserstein1`'s
+    sum on the distinct losses) in ascending index order, and the first one
+    that beats the running best by more than 1e-15 is kept; among equal
+    losses the lowest index is the candidate. Any candidate not shortlisted
+    is worse than the best by far more than either method's rounding
+    error, so the pick equals that of scoring every candidate exactly.
 
     The result preserves original ids and pga/failure data; weights sum to
     one.
@@ -297,6 +297,7 @@ def forward_reduce(sset: ScenarioSet, k: int, protected=()) -> ScenarioSet:
     starts = np.searchsorted(group[members], np.arange(d))
     taken = np.zeros(n, dtype=bool)
     taken[retained] = True
+    f_orig, dv = _cdf_on_grid(losses, weights, v)[:-1], np.diff(v)
 
     while len(retained) < k:
         # each distinct loss's lowest non-retained scenario (n: none left)
@@ -315,12 +316,12 @@ def forward_reduce(sset: ScenarioSet, k: int, protected=()) -> ScenarioSet:
         cost[b == live] = total  # the loss is already retained
         short = live[cost <= cost.min() + tol]
 
-        base = np.array(retained, dtype=int)
         best = None
         for cand in np.sort(members[first[short]]).tolist():
-            trial = np.append(base, cand)
+            trial = np.append(np.array(retained, dtype=int), cand)
             rw = _redistribute(losses, weights, trial)
-            dist = wasserstein1(losses, weights, losses[trial], rw)
+            f_trial = _cdf_on_grid(losses[trial], rw, v)[:-1]
+            dist = float(np.sum(np.abs(f_orig - f_trial) * dv))
             if best is None or dist < best[0] - 1e-15:
                 best = (dist, cand)
         retained.append(best[1])

@@ -57,6 +57,31 @@ def test_gen_reduce_dispatch_round_trip(network_path, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_stdout_json_is_the_out_file(network_path, tmp_path, capsys):
+    """Without --out a command prints the bytes it writes with --out."""
+    sc = str(tmp_path / "sc.json")
+    commands = {
+        "gen": ["gen", "--network", network_path, "--magnitude", "7.5",
+                "--n", "12", "--seed", "3"],
+        "reduce": ["reduce", "--scenarios", sc, "--k", "4",
+                   "--periods", "2,10"],
+        "eval": ["eval", "--network", network_path, "--failed", "c_l2,c_g1"],
+        "dispatch": ["dispatch", "exact", "--network", network_path,
+                     "--failed", "c_l3,c_g1,c_l5"],
+    }
+    for name, argv in commands.items():
+        out = sc if name == "gen" else str(tmp_path / f"{name}.json")
+        assert main(argv + ["--out", out]) == 0
+        capsys.readouterr()
+        with open(out, encoding="utf-8") as fh:
+            text = fh.read()
+        assert main(argv) == 0
+        printed = capsys.readouterr().out
+        assert printed[:len(text)] == text, name
+        # gen, reduce and dispatch end with one summary line, eval with none
+        assert printed[len(text):].count("\n") == (name != "eval"), name
+
+
 def test_eval_reports_shedding(network_path, capsys):
     assert main(["eval", "--network", network_path,
                  "--failed", "c_l1,c_g1"]) == 0

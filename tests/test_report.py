@@ -1,8 +1,12 @@
 """Deterministic writer tests: JSON, CSV, SVG plots, curve checks."""
 
+import io
 import json
+import math
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from gridquake.errors import ConfigError
 from gridquake.report import (fmt_float, plot_lines_svg,
@@ -25,6 +29,90 @@ def test_write_json_sorted_with_trailing_newline(tmp_path):
     assert text.endswith("\n")
     assert text.index('"a"') < text.index('"b"')
     assert json.loads(text) == {"b": 1, "a": [1.5, None]}
+
+
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.integers(min_value=2**63, max_value=2**200).map(lambda i: -i),
+    st.integers(min_value=2**63, max_value=2**200),
+    st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0]),
+    st.text(), st.sampled_from(["é ü 😀", "\x00\x1f\x7f", "a\tb\nc\r", '"\\',
+                                "\u2028\ud800"]),
+)
+# one key type per dict, so that json can sort the keys
+_KEYS = (st.text(max_size=4), st.integers() | st.floats() | st.booleans(),
+         st.none())
+
+
+def _containers(children):
+    return st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        *(st.dictionaries(keys, children, max_size=4) for keys in _KEYS))
+
+
+_TREES = st.recursive(_SCALARS, _containers, max_leaves=12)
+
+
+@st.composite
+def _documents(draw):
+    """A random tree wrapped in four more containers, each beside siblings."""
+    doc = draw(_TREES)
+    for _ in range(4):
+        kind = draw(st.sampled_from(["list", "tuple", "dict"]))
+        if kind == "dict":
+            doc = {**draw(st.dictionaries(st.text(max_size=3), _TREES,
+                                          max_size=2)),
+                   draw(st.text(max_size=3)): doc}
+        else:
+            siblings = draw(st.lists(_TREES, max_size=2))
+            doc = (list if kind == "list" else tuple)([*siblings, doc])
+    return doc
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=_documents())
+def test_write_json_writes_the_bytes_of_json_dumps(doc, tmp_path):
+    path = tmp_path / "doc.json"
+    write_json(doc, str(path))
+    want = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert path.read_bytes() == want.encode("utf-8")
+
+
+_REFUSED = [np.int64(3), {1, 2}, b"ab"]
+
+
+@pytest.mark.parametrize("doc", [
+    *_REFUSED,
+    *([1.5, v] for v in _REFUSED),  # in a flat container
+    *({"a": [1.0], "b": v} for v in _REFUSED),  # beside a container
+])
+def test_write_json_raises_type_error_where_json_dump_does(doc, tmp_path):
+    with pytest.raises(TypeError) as want:
+        json.dump(doc, io.StringIO(), indent=2, sort_keys=True)
+    with pytest.raises(TypeError) as got:
+        write_json(doc, str(tmp_path / "o.json"))
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("doc", [{np.int64(3): 1.0}, {b"ab": [[1]]},
+                                 {(1, 2): [[1]]}])
+def test_write_json_refuses_the_keys_json_dump_refuses(doc, tmp_path):
+    # json's C and Python encoders name a numpy key's type differently
+    with pytest.raises(TypeError, match="^keys must be str, int, float"):
+        json.dump(doc, io.StringIO(), indent=2, sort_keys=True)
+    with pytest.raises(TypeError, match="^keys must be str, int, float"):
+        write_json(doc, str(tmp_path / "o.json"))
+
+
+def test_write_json_leaves_the_file_alone_when_encoding_fails(tmp_path):
+    path = tmp_path / "o.json"
+    write_json({"a": [1.0] * 3}, str(path))
+    good = path.read_bytes()
+    with pytest.raises(TypeError):
+        write_json({"a": [1.0] * 3, "b": np.int64(3)}, str(path))
+    assert path.read_bytes() == good
 
 
 def test_write_csv_rejects_cells_needing_quoting(tmp_path):
