@@ -15,7 +15,7 @@ from .dispatch import ObjectiveBreakdown, instance_from_scenario
 from .errors import ConfigError, GridQuakeError, InternalError, LimitError
 from .fixtures import DEFAULT_EPICENTER, default_event
 from .ga import GaConfig
-from .model import load_network_file, read_json, read_value
+from .model import check, load_network_file, read_json, read_value
 from .pipeline import (KNOWN_SOLVERS, PipelineConfig, load_pipeline_config,
                        plan_document, run_pipeline, servable_peak_shed, solve,
                        write_restoration)
@@ -158,10 +158,8 @@ def _load_plan_doc(path: str) -> dict:
     if not isinstance(doc, dict) or "completion" not in doc:
         raise ConfigError(f"{path}: not a plan document")
     read_value(dict[str, float], doc["completion"], f"{path}: completion")
-    for cid, hour in doc["completion"].items():
-        if hour < 0:
-            raise ConfigError(f"{path}: completion.{cid}: must be >= 0, got "
-                              f"{hour!r}")
+    check(*((f"{path}: completion.{cid}", hour, hour >= 0, ">= 0")
+            for cid, hour in doc["completion"].items()))
     read_value(ObjectiveBreakdown | None, doc.get("objective"),
                f"{path}: objective")
     return doc

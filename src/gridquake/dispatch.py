@@ -24,7 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError, LimitError
-from .model import Depot, Network
+from .model import Depot, Network, check
 from .powerflow import PeakShed
 
 # exact_dispatch's default size limits per depot cluster
@@ -41,6 +41,12 @@ class FailedComponent:
     curtailed_mw: float  # load de-energized by this failure alone
 
 
+def _repeat(recs):
+    """The first id that an earlier one of `recs` holds, else None."""
+    seen = set()
+    return next((r.id for r in recs if r.id in seen or seen.add(r.id)), None)
+
+
 @dataclass(frozen=True)
 class DispatchInstance:
     components: tuple  # FailedComponent, document order
@@ -49,16 +55,13 @@ class DispatchInstance:
     gamma: float = 0.5
 
     def __post_init__(self):
-        if not self.depots:
-            raise ConfigError("dispatch instance needs at least one depot")
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ConfigError("gamma must be in [0, 1]")
-        if not self.travel_speed_kmh > 0:
-            raise ConfigError("travel speed must be > 0")
-        if len({c.id for c in self.components}) != len(self.components):
-            raise ConfigError("duplicate component ids in instance")
-        if len({d.id for d in self.depots}) != len(self.depots):
-            raise ConfigError("duplicate depot ids in instance")
+        comp, depot = _repeat(self.components), _repeat(self.depots)
+        check(("depots", self.depots, len(self.depots) > 0, "non-empty"),
+              ("gamma", self.gamma, 0.0 <= self.gamma <= 1.0, "in [0, 1]"),
+              ("travel_speed_kmh", self.travel_speed_kmh,
+               self.travel_speed_kmh > 0, "> 0"),
+              ("components", comp, comp is None, "unique by id"),
+              ("depots", depot, depot is None, "unique by id"))
 
     def crew_ids(self) -> list:
         out = []
@@ -154,8 +157,6 @@ def instance_from_scenario(
     weights do not depend on which is used."""
     if travel_speed_kmh is None:
         travel_speed_kmh = network.travel_speed_kmh
-    if not network.depots:
-        raise ConfigError("network has no depots")
     if peak_shed is None:
         peak_shed = PeakShed(network)
     failed_ids = list(failed_ids)

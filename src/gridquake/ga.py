@@ -18,7 +18,7 @@ import numpy as np
 
 from .dispatch import (DispatchInstance, DispatchPlan, ObjectiveBreakdown,
                        plan_objective, schedule_plan)
-from .errors import ConfigError
+from .model import check
 
 
 # the search's fixed rates and sizes; GaConfig holds what callers set
@@ -35,11 +35,9 @@ class GaConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name, ok, rule in (
-                ("population_size", self.population_size >= 1, ">= 1"),
-                ("generations", self.generations >= 0, ">= 0")):
-            if not ok:
-                raise ConfigError(f"{name} must be {rule}")
+        check(("population_size", self.population_size,
+               self.population_size >= 1, ">= 1"),
+              ("generations", self.generations, self.generations >= 0, ">= 0"))
 
 
 @dataclass(frozen=True)

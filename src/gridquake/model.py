@@ -43,10 +43,8 @@ class FragilityCurve:
     beta: float
 
     def __post_init__(self):
-        if not self.median_g > 0:
-            raise ConfigError(f"fragility median_g must be > 0, got {self.median_g}")
-        if not self.beta > 0:
-            raise ConfigError(f"fragility beta must be > 0, got {self.beta}")
+        check(("median_g", self.median_g, self.median_g > 0, "> 0"),
+              ("beta", self.beta, self.beta > 0, "> 0"))
 
 
 @dataclass(frozen=True)
@@ -62,19 +60,13 @@ class Bus:
     site_class: str = "rock"
 
     def __post_init__(self):
-        if not 0 < self.v_min <= self.v_max:
-            raise ConfigError(
-                f"bus {self.id}: need 0 < v_min <= v_max, got [{self.v_min}, {self.v_max}]"
-            )
-        if not 0 <= self.power_factor_angle < math.pi / 2:
-            raise ConfigError(
-                f"bus {self.id}: power_factor_angle must be in [0, pi/2), "
-                f"got {self.power_factor_angle}"
-            )
-        if self.site_class not in SITE_CLASSES:
-            raise ConfigError(
-                f"bus {self.id}: unknown site_class {self.site_class!r}"
-            )
+        angle = self.power_factor_angle
+        check(("v_min", self.v_min, self.v_min > 0, "> 0"),
+              ("v_max", self.v_max, self.v_max >= self.v_min, ">= v_min"),
+              ("power_factor_angle", angle, 0 <= angle < math.pi / 2,
+               "in [0, pi/2)"),
+              ("site_class", self.site_class, self.site_class in SITE_CLASSES,
+               f"one of {SITE_CLASSES}"))
 
 
 @dataclass(frozen=True)
@@ -88,12 +80,12 @@ class Line:
     length_km: float | None = None  # None: the span between the two buses
 
     def __post_init__(self):
-        if self.from_bus == self.to_bus:
-            raise ConfigError(f"line {self.id}: from_bus == to_bus ({self.from_bus})")
-        if self.resistance < 0 or self.reactance < 0:
-            raise ConfigError(f"line {self.id}: negative impedance")
-        if not self.capacity_mva > 0:
-            raise ConfigError(f"line {self.id}: capacity_mva must be > 0")
+        check(("to_bus", self.to_bus, self.to_bus != self.from_bus,
+               "!= from_bus"),
+              ("resistance", self.resistance, self.resistance >= 0, ">= 0"),
+              ("reactance", self.reactance, self.reactance >= 0, ">= 0"),
+              ("capacity_mva", self.capacity_mva, self.capacity_mva > 0,
+               "> 0"))
 
 
 @dataclass(frozen=True)
@@ -106,13 +98,9 @@ class Generator:
     q_max: float = 0.0
 
     def __post_init__(self):
-        if not 0 <= self.p_min <= self.p_max:
-            raise ConfigError(
-                f"generator {self.id}: need 0 <= p_min <= p_max, "
-                f"got [{self.p_min}, {self.p_max}]"
-            )
-        if self.q_min > self.q_max:
-            raise ConfigError(f"generator {self.id}: q_min > q_max")
+        check(("p_min", self.p_min, self.p_min >= 0, ">= 0"),
+              ("p_max", self.p_max, self.p_max >= self.p_min, ">= p_min"),
+              ("q_max", self.q_max, self.q_max >= self.q_min, ">= q_min"))
 
 
 @dataclass(frozen=True)
@@ -125,15 +113,12 @@ class LoadProfile:
     q_mvar: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if len(self.p_mw) == 0:
-            raise ConfigError(f"profile {self.id}: empty p_mw")
-        if any(p < 0 for p in self.p_mw):
-            raise ConfigError(f"profile {self.id}: negative load")
-        if self.q_mvar is not None and len(self.q_mvar) != len(self.p_mw):
-            raise ConfigError(
-                f"profile {self.id}: q_mvar length {len(self.q_mvar)} != "
-                f"p_mw length {len(self.p_mw)}"
-            )
+        low = min(self.p_mw, default=0.0)
+        check(("p_mw", self.p_mw, len(self.p_mw) > 0, "non-empty"),
+              ("p_mw", low, low >= 0, ">= 0 at every hour"),
+              ("q_mvar", self.q_mvar, self.q_mvar is None
+               or len(self.q_mvar) == len(self.p_mw),
+               f"null or {len(self.p_mw)} values, one per p_mw hour"))
 
 
 @dataclass(frozen=True)
@@ -144,8 +129,7 @@ class Depot:
     crew_count: int = 1
 
     def __post_init__(self):
-        if self.crew_count < 1:
-            raise ConfigError(f"depot {self.id}: crew_count must be >= 1")
+        check(("crew_count", self.crew_count, self.crew_count >= 1, ">= 1"))
 
 
 @dataclass(frozen=True)
@@ -160,10 +144,10 @@ class Component:
     repair_hours: float
 
     def __post_init__(self):
-        if self.kind not in COMPONENT_KINDS:
-            raise ConfigError(f"component {self.id}: unknown kind {self.kind!r}")
-        if not self.repair_hours > 0:
-            raise ConfigError(f"component {self.id}: repair_hours must be > 0")
+        check(("kind", self.kind, self.kind in COMPONENT_KINDS,
+               f"one of {COMPONENT_KINDS}"),
+              ("repair_hours", self.repair_hours, self.repair_hours > 0,
+               "> 0"))
 
 
 @dataclass(frozen=True)
@@ -196,13 +180,14 @@ class Network:
     travel_speed_kmh: float = 40.0
 
     def __post_init__(self):
-        for name, ok, rule in (
-                ("timestep_hours", self.timestep_hours > 0, "> 0"),
-                ("substation_import_mva", self.substation_import_mva is None
-                 or self.substation_import_mva >= 0, "null or >= 0"),
-                ("travel_speed_kmh", self.travel_speed_kmh > 0, "> 0")):
-            if not ok:
-                raise ConfigError(f"{name} must be {rule}")
+        # timelines and load profiles step in whole hours, so the step is 1
+        limit = self.substation_import_mva
+        check(("timestep_hours", self.timestep_hours,
+               self.timestep_hours == 1, "1"),
+              ("substation_import_mva", limit, limit is None or limit >= 0,
+               "null or >= 0"),
+              ("travel_speed_kmh", self.travel_speed_kmh,
+               self.travel_speed_kmh > 0, "> 0"))
 
     def substation_buses(self) -> list[str]:
         return [b.id for b in self.buses.values() if b.is_substation]
@@ -268,6 +253,16 @@ class Network:
         if comp.kind == "generator":
             return self.buses[self.generators[comp.ref].bus].site_class
         return self.buses[comp.ref].site_class
+
+
+def check(*rules):
+    """Raise ConfigError('<field> must be <rule>, got <value!r>') for the
+    first (field, value, ok, rule) whose `ok` is false; read_record adds the
+    record's path. Each `ok` is computed first, so one that reads another
+    field must guard it (`heads >= 1 and width % heads == 0`)."""
+    for field, value, ok, rule in rules:
+        if not ok:
+            raise ConfigError(f"{field} must be {rule}, got {value!r}")
 
 
 def _join(path: str, name: str) -> str:
@@ -367,9 +362,8 @@ def read_record(cls, rec, path: str, **given):
     a tuple or list field takes a list, a `dict[str, X]` an object, and a
     dataclass field an object read the same way. Lists become tuples for
     tuple fields; nothing else is converted. A missing required field, a
-    key that names no field, or a value of the wrong type is a ConfigError
-    naming its path, and so is a value rule of `cls` whose message starts
-    with the field's name."""
+    key that names no field, a value of the wrong type, or a value rule of
+    `cls` (see check) is a ConfigError naming its path."""
     if not isinstance(rec, dict):
         raise ConfigError(f"{path or 'document'}: expected an object, "
                           f"got {rec!r}")
@@ -387,10 +381,8 @@ def read_record(cls, rec, path: str, **given):
                               f"field {name!r}")
     try:
         return cls(**values)
-    except ConfigError as e:
-        if path and str(e).split(" ", 1)[0] in fields:
-            raise ConfigError(_join(path, str(e))) from e
-        raise
+    except ConfigError as e:  # a value rule, led by its field (see check)
+        raise ConfigError(_join(path, str(e))) from e
 
 
 def record_document(obj) -> dict:
@@ -427,8 +419,7 @@ def _section(document: dict, key: str, build) -> dict:
     for i, rec in enumerate(records):
         path = f"{key}[{i}]"
         obj = build(rec, path)
-        if obj.id in out:
-            raise ConfigError(f"{path}.id: duplicate id {obj.id!r}")
+        check((f"{path}.id", obj.id, obj.id not in out, "unique"))
         out[obj.id] = obj
     return out
 
@@ -452,17 +443,16 @@ def load_network(document: str | dict) -> Network:
 
     def bus(rec, path):
         b = read_record(Bus, rec, path)
-        if b.load_profile is not None and b.load_profile not in profiles:
-            raise ConfigError(f"{path}.load_profile: "
-                              f"unknown profile {b.load_profile!r}")
+        check((f"{path}.load_profile", b.load_profile, b.load_profile is None
+               or b.load_profile in profiles, "null or a profile id"))
         return b
     buses = _section(document, "buses", bus)
 
     def line(rec, path):
         ln = read_record(Line, rec, path)
-        for end, bus_id in (("from_bus", ln.from_bus), ("to_bus", ln.to_bus)):
-            if bus_id not in buses:
-                raise ConfigError(f"{path}.{end}: unknown bus {bus_id!r}")
+        check((f"{path}.from_bus", ln.from_bus, ln.from_bus in buses,
+               "a bus id"),
+              (f"{path}.to_bus", ln.to_bus, ln.to_bus in buses, "a bus id"))
         if ln.length_km is None:
             a, b = buses[ln.from_bus], buses[ln.to_bus]
             ln = dataclasses.replace(ln, length_km=math.hypot(a.x - b.x,
@@ -472,29 +462,28 @@ def load_network(document: str | dict) -> Network:
 
     def generator(rec, path):
         g = read_record(Generator, rec, path)
-        if g.bus not in buses:
-            raise ConfigError(f"{path}.bus: unknown bus {g.bus!r}")
+        check((f"{path}.bus", g.bus, g.bus in buses, "a bus id"))
         return g
     generators = _section(document, "generators", generator)
 
     depots = _section(document, "depots",
                       functools.partial(read_record, Depot))
 
+    substations = {b.id for b in buses.values() if b.is_substation}
+
     def component(rec, path):
         kind = rec.get("kind")
-        if kind not in COMPONENT_KINDS:
-            raise ConfigError(f"{path}.kind: unknown kind {kind!r}")
+        check((f"{path}.kind", kind, kind in COMPONENT_KINDS,
+               f"one of {COMPONENT_KINDS}"))
         given = {}
         if rec.get("fragility") is None:
             given["fragility"] = FragilityCurve(*DEFAULT_FRAGILITY[kind])
         if "repair_hours" not in rec:
             given["repair_hours"] = DEFAULT_REPAIR_HOURS[kind]
         c = read_record(Component, rec, path, **given)
-        pool = {"line": lines, "generator": generators, "substation": buses}[kind]
-        if c.ref not in pool:
-            raise ConfigError(f"{path}.ref: unknown {kind} {c.ref!r}")
-        if kind == "substation" and not buses[c.ref].is_substation:
-            raise ConfigError(f"{path}.ref: bus {c.ref!r} is not a substation")
+        pool = {"line": lines, "generator": generators,
+                "substation": substations}[kind]
+        check((f"{path}.ref", c.ref, c.ref in pool, f"a {kind} id"))
         return c
     components = _section(document, "components", component)
 

@@ -21,7 +21,7 @@ from .dispatch import (MAX_COMPONENTS_PER_DEPOT, MAX_CREWS_PER_DEPOT,
 from .errors import ConfigError, InternalError, LimitError
 from .fixtures import DEFAULT_EPICENTER, default_event
 from .ga import GaConfig, ga_dispatch
-from .model import Network, read_json, read_record, record_document
+from .model import Network, check, read_json, read_record, record_document
 from .policy import PolicyModel, policy_dispatch
 from .powerflow import PeakShed, ens_timeline
 from .report import (plot_lines_svg, resilience_curves_ok,
@@ -59,43 +59,36 @@ class PipelineConfig:
     exact_time_limit_s: float = 60.0
 
     def __post_init__(self):
-        for s in self.solvers:
-            if s not in KNOWN_SOLVERS:
-                raise ConfigError(f"unknown solver {s!r}")
-        if "policy" in self.solvers and not self.policy_model:
-            raise ConfigError("solver 'policy' needs policy_model (checkpoint path)")
-        if self.reduce_to < len(self.return_periods):
-            raise ConfigError("reduce_to must cover the return periods")
-        for name, ok, rule in (
-                ("magnitudes", len(self.magnitudes) >= 1, "non-empty"),
-                ("return_periods", all(p > 0 for p in self.return_periods),
-                 "> 0"),
-                ("epicenter", len(self.epicenter) == 2, "an (x, y) pair"),
-                ("w1", self.w1 >= 0, ">= 0"),
-                ("w2", self.w2 >= 0, ">= 0"),
-                ("gamma", 0.0 <= self.gamma <= 1.0, "in [0, 1]"),
-                ("n_scenarios", self.n_scenarios >= 1, ">= 1"),
-                ("reduce_to", self.reduce_to >= 1, ">= 1"),
-                ("ga_population", self.ga_population >= 1, ">= 1"),
-                ("ga_generations", self.ga_generations >= 0, ">= 0"),
-                ("policy_samples", self.policy_samples >= 0, ">= 0"),
-                ("exact_max_components", self.exact_max_components >= 1,
-                 ">= 1"),
-                ("exact_max_crews", self.exact_max_crews >= 1, ">= 1"),
-                ("exact_time_limit_s", self.exact_time_limit_s > 0, "> 0")):
-            if not ok:
-                raise ConfigError(f"{name} must be {rule}")
-        # each magnitude's event, so that the event's own rules apply, and
-        # each its own artifact tag, so that none overwrites another's files
-        tagged = {}
-        for mag in self.magnitudes:
-            default_event(mag, epicenter=self.epicenter,
-                          focal_depth_km=self.focal_depth_km)
-            tag = _mag_tag(mag)
-            if tag in tagged:
-                raise ConfigError(f"magnitudes {tagged[tag]!r} and {mag!r} "
-                                  f"share the artifact tag {tag}")
-            tagged[tag] = mag
+        solvers, periods = self.solvers, self.return_periods
+        check(("solvers", solvers, set(solvers) <= set(KNOWN_SOLVERS),
+               f"some of {KNOWN_SOLVERS}"),
+              ("policy_model", self.policy_model, bool(self.policy_model)
+               or "policy" not in solvers, "a checkpoint path for 'policy'"),
+              ("reduce_to", self.reduce_to, self.reduce_to >= len(periods),
+               f">= {len(periods)}, one per return period"),
+              ("magnitudes", self.magnitudes, len(self.magnitudes) >= 1,
+               "non-empty"),
+              ("return_periods", periods, all(p > 0 for p in periods), "> 0"),
+              ("epicenter", self.epicenter, len(self.epicenter) == 2,
+               "an (x, y) pair"),
+              ("w1", self.w1, self.w1 >= 0, ">= 0"),
+              ("w2", self.w2, self.w2 >= 0, ">= 0"),
+              ("gamma", self.gamma, 0.0 <= self.gamma <= 1.0, "in [0, 1]"),
+              ("n_scenarios", self.n_scenarios, self.n_scenarios >= 1, ">= 1"),
+              ("reduce_to", self.reduce_to, self.reduce_to >= 1, ">= 1"),
+              ("ga_population", self.ga_population, self.ga_population >= 1,
+               ">= 1"),
+              ("ga_generations", self.ga_generations,
+               self.ga_generations >= 0, ">= 0"),
+              ("policy_samples", self.policy_samples,
+               self.policy_samples >= 0, ">= 0"),
+              ("exact_max_components", self.exact_max_components,
+               self.exact_max_components >= 1, ">= 1"),
+              ("exact_max_crews", self.exact_max_crews,
+               self.exact_max_crews >= 1, ">= 1"),
+              ("exact_time_limit_s", self.exact_time_limit_s,
+               self.exact_time_limit_s > 0, "> 0"))
+        _check_magnitudes(self)
 
 
 def config_from_document(doc: dict) -> PipelineConfig:
@@ -113,6 +106,20 @@ def _stable_seed(*parts) -> int:
 
 def _mag_tag(m: float) -> str:
     return ("m%g" % m).replace(".", "_")
+
+
+def _check_magnitudes(config: PipelineConfig):
+    """Make each magnitude's event, so that its rules apply, and refuse two
+    magnitudes whose files would overwrite each other's (one artifact tag)."""
+    tagged = {}
+    for mag in config.magnitudes:
+        default_event(mag, epicenter=config.epicenter,
+                      focal_depth_km=config.focal_depth_km)
+        tag = _mag_tag(mag)
+        if tag in tagged:
+            raise ConfigError(f"magnitudes {tagged[tag]!r} and {mag!r} "
+                              f"share the artifact tag {tag}")
+        tagged[tag] = mag
 
 
 def _sha256(path: str) -> str:

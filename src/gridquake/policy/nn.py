@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ..errors import ConfigError
-from ..model import read_record, record_document
+from ..model import check, read_record, record_document
 from . import autodiff as ad
 from .autodiff import Tensor
 
@@ -48,17 +48,16 @@ class PolicyConfig:
     score_clip: float = 10.0
 
     def __post_init__(self):
-        for name in ("width", "heads", "ffn_hidden"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
-        for name in ("enc_layers", "dec_layers"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0")
-        if self.width % self.heads != 0:
-            raise ConfigError("width must be divisible by heads")
-        if not 0.0 < self.score_clip < math.inf:
-            raise ConfigError(f"score_clip must be finite and > 0, got "
-                              f"{self.score_clip!r}")
+        width, heads = self.width, self.heads
+        check(("width", width, width >= 1, ">= 1"),
+              ("heads", heads, heads >= 1, ">= 1"),
+              ("ffn_hidden", self.ffn_hidden, self.ffn_hidden >= 1, ">= 1"),
+              ("enc_layers", self.enc_layers, self.enc_layers >= 0, ">= 0"),
+              ("dec_layers", self.dec_layers, self.dec_layers >= 0, ">= 0"),
+              ("width", width, heads >= 1 and width % heads == 0,
+               f"divisible by heads ({heads})"),
+              ("score_clip", self.score_clip,
+               0.0 < self.score_clip < math.inf, "finite and > 0"))
 
     @property
     def d_head(self) -> int:

@@ -19,8 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..dispatch import DispatchInstance, FailedComponent
-from ..errors import ConfigError
-from ..model import Depot
+from ..model import Depot, check
 from . import autodiff as ad
 from .autodiff import Adam, Tensor
 from .nn import PolicyModel
@@ -55,14 +54,11 @@ class InstanceFamily:
     crews_per_depot: int = 1
 
     def __post_init__(self):
-        for name, ok, rule in (
-                ("n_min", self.n_min >= 1, ">= 1"),
-                ("n_max", self.n_max >= self.n_min, ">= n_min"),
-                ("depot_count", self.depot_count >= 1, ">= 1"),
-                ("crews_per_depot", self.crews_per_depot >= 1, ">= 1")):
-            if not ok:
-                raise ConfigError(f"{name} must be {rule}, got "
-                                  f"{getattr(self, name)!r}")
+        check(("n_min", self.n_min, self.n_min >= 1, ">= 1"),
+              ("n_max", self.n_max, self.n_max >= self.n_min, ">= n_min"),
+              ("depot_count", self.depot_count, self.depot_count >= 1, ">= 1"),
+              ("crews_per_depot", self.crews_per_depot,
+               self.crews_per_depot >= 1, ">= 1"))
 
     def sample_instance(self, rng: np.random.Generator,
                         n: int | None = None) -> DispatchInstance:
@@ -95,12 +91,10 @@ class PpoConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name, ok, rule in (
-                ("iterations", self.iterations >= 1, ">= 1"),
-                ("batch_size", self.batch_size >= 2, ">= 2"),
-                ("lr", math.isfinite(self.lr) and self.lr > 0, "finite and > 0")):
-            if not ok:
-                raise ConfigError(f"{name} must be {rule}")
+        check(("iterations", self.iterations, self.iterations >= 1, ">= 1"),
+              ("batch_size", self.batch_size, self.batch_size >= 2, ">= 2"),
+              ("lr", self.lr, math.isfinite(self.lr) and self.lr > 0,
+               "finite and > 0"))
 
 
 @dataclass

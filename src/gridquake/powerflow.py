@@ -313,7 +313,8 @@ def solve_shedding_lp(lp: _SheddingLp, up, member) -> np.ndarray:
     takes one linear solve and sheds exactly 0; one whose sources cannot
     supply its P load skips the test, which it would fail. Any other island
     goes to simplex.solve_lp from its all-shed point, feasible whenever its
-    generators can idle (InternalError if the solver says otherwise).
+    generators can idle; if the solver says otherwise, a ConfigError names
+    the island's generators that cannot, else it is an InternalError.
     """
     n, m = len(member), len(lp.grid.ends)
     keep = member[lp.col_bus]
@@ -346,6 +347,14 @@ def solve_shedding_lp(lp: _SheddingLp, up, member) -> np.ndarray:
             c, A, b, lo, hi,
             start=None if crash is None else (basis, lp.shed_upper[keep]))
         if res.status != simplex.OPTIMAL:
+            gens = zip(lp.grid.network.generators.values(),
+                       keep[lp.starts[3]:lp.starts[4]])  # their pg columns
+            must_run = [g.id for g, on in gens
+                        if on and (g.p_min > 0 or not g.q_min <= 0 <= g.q_max)]
+            if must_run:
+                buses = [lp.grid.buses[i] for i in np.flatnonzero(member)]
+                raise ConfigError(f"island of buses {buses} cannot take the "
+                                  f"minimum output of generators {must_run}")
             raise InternalError(
                 f"shedding LP reported {res.status}; the all-shed anchor "
                 f"should make this impossible ({A.shape[0]} rows, "
@@ -546,9 +555,9 @@ def ens_timeline(
                        for t in range(horizon)])
     fracs = []
     ens = 0.0
-    for shed in sheds:
+    for shed in sheds:  # each an hour's MW, so its MWh
         fracs.append(1.0 if total <= 0 else (total - shed) / total)
-        ens += shed * peak_shed.network.timestep_hours
+        ens += shed
 
     return RestorationTimeline(
         hours=list(range(horizon)), served_fraction=fracs, shed_mw=sheds,

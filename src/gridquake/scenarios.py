@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigError
-from .model import Network, read_json, read_record, record_document
+from .model import Network, check, read_json, read_record, record_document
 # shed_at is not called here; perfbench's tracer test checks that it is
 # wrapped at this import site
 from .powerflow import PeakShed, shed_at  # noqa: F401
@@ -365,7 +365,14 @@ def scenario_set_to_document(sset: ScenarioSet) -> dict:
 
 
 def scenario_set_from_document(doc: dict) -> ScenarioSet:
+    """The set of a scenario-set document; a repeated id (which `by_id` and
+    `forward_reduce` would resolve apart) or a negative weight is refused."""
     sset = read_record(ScenarioSet, doc, "")
+    seen = set()
+    for i, s in enumerate(sset.scenarios):
+        check((f"scenarios[{i}].id", s.id, s.id not in seen, "unique"),
+              (f"scenarios[{i}].weight", s.weight, s.weight >= 0, ">= 0"))
+        seen.add(s.id)
     sset.check_weights()
     return sset
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .model import FragilityCurve, Network
+from .model import FragilityCurve, Network, check
 
 __all__ = [
     "SeismicEvent", "PgaField", "FragilityCurve",
@@ -43,17 +43,14 @@ class SeismicEvent:
     sigma_eps: float = 0.45  # std of the lognormal residual
 
     def __post_init__(self):
-        if not 4.0 <= self.magnitude <= 10.0:
-            raise ConfigError(f"magnitude {self.magnitude} outside [4, 10]")
-        for name, ok, rule in (
-                ("epicenter_x", math.isfinite(self.epicenter_x), "finite"),
-                ("epicenter_y", math.isfinite(self.epicenter_y), "finite"),
-                ("focal_depth_km", 0 <= self.focal_depth_km < math.inf,
-                 ">= 0 and finite"),
-                ("sigma_eps", self.sigma_eps >= 0, ">= 0")):
-            if not ok:
-                raise ConfigError(f"{name} must be {rule}, got "
-                                  f"{getattr(self, name)!r}")
+        x, y, depth = self.epicenter_x, self.epicenter_y, self.focal_depth_km
+        check(("magnitude", self.magnitude, 4.0 <= self.magnitude <= 10.0,
+               "in [4, 10]"),
+              ("epicenter_x", x, math.isfinite(x), "finite"),
+              ("epicenter_y", y, math.isfinite(y), "finite"),
+              ("focal_depth_km", depth, 0 <= depth < math.inf,
+               ">= 0 and finite"),
+              ("sigma_eps", self.sigma_eps, self.sigma_eps >= 0, ">= 0"))
 
 
 @dataclass(frozen=True)

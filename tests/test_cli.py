@@ -497,13 +497,37 @@ _PLAN = {"solver": "exact", "status": "ok", "completion": {"c_l3": 2.5},
     ("network", lambda d: d.update(substation_import_mva=-2),
      "substation_import_mva"),
     ("network", lambda d: d.update(travel_speed_kmh=0), "travel_speed_kmh"),
+    # a value rule of each record kind, led by the field's path
+    ("network", lambda d: d["buses"][1].update(v_max=0.5),
+     "buses[1].v_max must be "),
+    ("network", lambda d: d["lines"][1].update(capacity_mva=0.0),
+     "lines[1].capacity_mva must be "),
+    ("network", lambda d: d["generators"][1].update(p_min=2.0),
+     "generators[1].p_max must be "),
+    ("network", lambda d: d["profiles"][1].update(p_mw=[1.0, -0.5]),
+     "profiles[1].p_mw must be "),
+    ("network", lambda d: d["depots"][1].update(crew_count=0),
+     "depots[1].crew_count must be "),
+    ("network", lambda d: d["components"][2].update(repair_hours=-1.0),
+     "components[2].repair_hours must be "),
+    ("network", lambda d: d["components"][2].update(
+        fragility={"median_g": 0.0, "beta": 0.5}),
+     "components[2].fragility.median_g must be "),
     ("config", lambda d: d.update(magnitudes="7.5"), "magnitudes"),
-    ("config", lambda d: d.update(magnitudes=[11]), "magnitude 11"),
+    ("config", lambda d: d.update(magnitudes=[11]),
+     "magnitude must be in [4, 10], got 11"),
     ("config", lambda d: d.update(return_periods=[0, 2]), "return_periods"),
     ("config", lambda d: d.update(epicenter=[1, 2, 3]), "epicenter"),
     ("config", lambda d: d.update(seed=1.5), "seed"),
     ("scenarios", lambda d: d["scenarios"][0].update(failed="c_l3"),
      "scenarios[0].failed"),
+    # by_id and forward_reduce took different scenarios for a repeated id,
+    # and a negative weight that the others offset reduced: both exited 0
+    ("scenarios", lambda d: d["scenarios"][2].update(id=1),
+     "scenarios[2].id must be unique, got 1"),
+    ("scenarios", lambda d: [s.update(weight=w) for s, w in
+                             zip(d["scenarios"], (-0.5, 1.0, 0.5))],
+     "scenarios[0].weight must be >= 0, got -0.5"),
     ("plan", lambda d: d.update(completion={"c_l3": "x"}),
      "completion.c_l3"),
     ("plan", lambda d: d["objective"].update(value="x"), "objective.value"),
@@ -588,3 +612,27 @@ def test_exit_code_2_on_plan_completion_not_finite_or_negative(
         assert f"{path}: completion.c_l3" in capsys.readouterr().err, argv
         assert not any(p.name.startswith("out")
                        for p in tmp_path.iterdir()), argv
+
+
+def test_exit_code_2_on_generator_that_cannot_idle(tmp_path, capsys):
+    """g1 must run at 1 MW, more than its bus b5 carries at peak (0.8 MW):
+    once l4 fails, b5's island has no feasible point. That used to exit 4
+    as a broken invariant; it is the document's doing."""
+    doc = network_to_document(builtin_feeder())
+    doc["generators"][0]["p_min"] = 1.0
+    net = tmp_path / "net.json"
+    net.write_text(json.dumps(doc))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"magnitudes": [8.0], "n_scenarios": 100,
+                               "reduce_to": 6, "seed": 3, "exact_ens": True}))
+    out = tmp_path / "out.json"
+    for argv in (["eval", "--network", str(net), "--failed", "c_l4",
+                  "--out", str(out)],
+                 ["pipeline", "--network", str(net), "--config", str(cfg),
+                  "--out", str(tmp_path / "study")]):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert "buses ['b5']" in err and "generators ['g1']" in err, argv
+    assert not out.exists()
+    # other failures leave g1 in an island that takes its minimum output
+    assert main(["eval", "--network", str(net), "--failed", "c_l1"]) == 0

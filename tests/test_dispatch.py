@@ -364,12 +364,14 @@ def test_duplicate_depot_ids_are_rejected_before_any_solver(solver):
     depots = (Depot(id="d", x=0.0, y=0.0), Depot(id="d", x=10.0, y=0.0))
     model = PolicyModel.init(PolicyConfig(width=8, heads=2, enc_layers=1,
                                           dec_layers=1, ffn_hidden=12))
-    with pytest.raises(ConfigError, match="duplicate depot ids"):
+    with pytest.raises(ConfigError,
+                       match="depots must be unique by id, got 'd'"):
         solve(solver, DispatchInstance(components=comps, depots=depots),
               seed=0, model=model, samples=2, max_components=9, max_crews=3,
               time_limit_s=None, population=10, generations=2)
     inst = tiny_instance()
-    with pytest.raises(ConfigError, match="duplicate depot ids"):
+    with pytest.raises(ConfigError,
+                       match="depots must be unique by id, got 'd1'"):
         dataclasses.replace(inst, depots=inst.depots * 2)
 
 

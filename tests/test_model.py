@@ -1,16 +1,21 @@
 """Network document loading, validation, and radiality checks."""
 
+import ast
 import json
 import math
 import re
+from pathlib import Path
 
 import pytest
 
+import gridquake
 from gridquake.errors import ConfigError
 from gridquake.fixtures import builtin_feeder, random_radial_network
 from gridquake.model import (Bus, FragilityCurve, Line, LoadProfile, Network,
-                             load_network, network_to_document, read_record,
-                             validate_radiality)
+                             check, load_network, network_to_document,
+                             read_record, validate_radiality)
+from gridquake.pipeline import PipelineConfig
+from gridquake.policy.nn import PolicyConfig
 
 
 def doc_minimal():
@@ -224,6 +229,10 @@ def _with(path, value):
      "lines[0]: missing required field 'capacity_mva'"),
     (("lines",), {"l1": {}}, "lines: expected a list of objects"),
     (("lines", 0), "l1", "lines: expected a list of objects"),
+    # timelines and profiles step in whole hours; another step only
+    # rescaled ENS
+    (("timestep_hours",), 0.25, "timestep_hours must be 1, got 0.25"),
+    (("timestep_hours",), 2, "timestep_hours must be 1, got 2"),
 ])
 def test_malformed_network_field_names_its_path(path, value, where):
     with pytest.raises(ConfigError, match=re.escape(where)):
@@ -265,3 +274,71 @@ def test_read_record_rules():
     with pytest.raises(ConfigError, match=re.escape("x.q_mvar[0]: expected "
                                                     "a number, got False")):
         read_record(LoadProfile, {**rec, "q_mvar": [False, 1.0]}, "x")
+
+
+def test_check_raises_for_the_first_failing_rule_in_order():
+    check()
+    check(("a", 1, True, "> 0"))
+    with pytest.raises(ConfigError) as err:
+        check(("a", 1, True, "> 0"), ("b", -2, False, ">= 0"),
+              ("c", "x", False, "a number"))
+    assert str(err.value) == "b must be >= 0, got -2"
+    with pytest.raises(ConfigError) as err:
+        check(("c", "x", False, "a number"), ("b", -2, False, ">= 0"))
+    assert str(err.value) == "c must be a number, got 'x'"
+
+
+@pytest.mark.parametrize("build,message", [
+    # every rule is computed before check reads it: unguarded, width % 0
+    # would raise ZeroDivisionError, len(None) and None >= 0 TypeError and
+    # min(()) ValueError
+    (lambda: PolicyConfig(heads=0), "heads must be >= 1, got 0"),
+    (lambda: PolicyConfig(width=0, heads=0), "width must be >= 1, got 0"),
+    (lambda: PolicyConfig(width=10, heads=4),
+     "width must be divisible by heads (4), got 10"),
+    (lambda: LoadProfile("p", ()), "p_mw must be non-empty, got ()"),
+    (lambda: LoadProfile("p", (1.0,), (1.0, 2.0)), "q_mvar must be null or "
+     "1 values, one per p_mw hour, got (1.0, 2.0)"),
+    (lambda: Network({}, {}, {}, {}, {}, {}, substation_import_mva=-1.0),
+     "substation_import_mva must be null or >= 0, got -1.0"),
+    (lambda: PipelineConfig(solvers=("policy",)), "policy_model must be a "
+     "checkpoint path for 'policy', got None"),
+    (lambda: Bus("b", 0.0, 0.0, v_min=1.0, v_max=0.9),
+     "v_max must be >= v_min, got 0.9")])
+def test_cross_field_rules_are_guarded(build, message):
+    with pytest.raises(ConfigError) as err:
+        build()
+    assert str(err.value) == message
+    # the guarded reads pass where the other field allows them
+    LoadProfile("p", (1.0,))
+    Network({}, {}, {}, {}, {}, {}, substation_import_mva=None)
+    PipelineConfig(solvers=("exact",), policy_model=None)
+
+
+def test_every_record_rule_goes_through_check():
+    """Each dataclass __post_init__ in the package states its value rules
+    in a check(...) call and raises nothing itself, so that every rule
+    error has one form, led by its field, which read_record prefixes with
+    the record's path."""
+    found = {}
+    for path in sorted(Path(gridquake.__file__).parent.rglob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (isinstance(cls, ast.ClassDef) and any(
+                    "dataclass" in ast.unparse(d)
+                    for d in cls.decorator_list)):
+                continue
+            for fn in cls.body:
+                if (isinstance(fn, ast.FunctionDef)
+                        and fn.name == "__post_init__"):
+                    nodes = list(ast.walk(fn))
+                    found[cls.name] = (
+                        any(isinstance(n, ast.Raise) for n in nodes),
+                        any(isinstance(n, ast.Call)
+                            and ast.unparse(n.func) == "check"
+                            for n in nodes))
+    assert {"FragilityCurve", "Bus", "Line", "Generator", "LoadProfile",
+            "Depot", "Component", "Network", "SeismicEvent",
+            "DispatchInstance", "GaConfig", "PipelineConfig",
+            "PolicyConfig", "InstanceFamily", "PpoConfig"} <= found.keys()
+    assert {name: rule for name, rule in found.items()
+            if rule != (False, True)} == {}

@@ -10,6 +10,7 @@ exact.
 
 import itertools
 import math
+import re
 from dataclasses import replace
 from unittest import mock
 
@@ -235,6 +236,26 @@ def test_peak_shed_refuses_a_bare_id_for_a_failed_set():
             ask({"c_l1"})
         with pytest.raises(ConfigError, match="sequence of failed sets"):
             ask("c_l1")
+
+
+@pytest.mark.parametrize("gen", [{"p_min": 1.0}, {"q_min": 0.5}],
+                         ids=["p_min", "q_min"])
+def test_peak_shed_refuses_a_generator_that_cannot_idle(gen):
+    """g1 alone on b5 (0.8 MW, no reactive load at peak) cannot run at
+    p_min 1 MW or give a 0.5 MVAr minimum: the document's doing, so a
+    ConfigError, not the InternalError of a broken invariant."""
+    net = builtin_feeder()
+    net.generators["g1"] = replace(net.generators["g1"], **gen)
+    with pytest.raises(ConfigError, match=re.escape(
+            "island of buses ['b5'] cannot take the minimum output of "
+            "generators ['g1']")):
+        PeakShed(net)([{"c_l4"}])
+    # an island that holds g1's minimum solves, and so does a p_min that
+    # b5's own load absorbs
+    assert PeakShed(net)([{"c_l1"}, set()]) == pytest.approx(
+        PeakShed(builtin_feeder())([{"c_l1"}, set()]))
+    net.generators["g1"] = replace(net.generators["g1"], p_min=0.5, q_min=0)
+    assert PeakShed(net)([{"c_l4"}]) == [0.0]
 
 
 def meshed_network(seed, n_buses):
