@@ -12,11 +12,12 @@ from .powerflow import (FlowSolution, OperationalState, PeakShed,
                         RestorationTimeline, TripleProductLinearization,
                         energization_state, ens_timeline,
                         linearize_triple_product, shed_at)
-from .scenarios import (DamageScenario, LossDistribution, ScenarioSet,
-                        forward_reduce, generate_scenarios, load_scenario_set,
-                        reduction_distance, return_period_loss,
-                        scenario_set_from_document, scenario_set_to_document,
-                        select_representatives, system_loss, wasserstein1)
+from .scenarios import (ComponentImpact, DamageScenario, LossDistribution,
+                        ScenarioSet, forward_reduce, generate_scenarios,
+                        load_scenario_set, reduction_distance,
+                        return_period_loss, scenario_set_from_document,
+                        scenario_set_to_document, select_representatives,
+                        system_loss, wasserstein1)
 from .dispatch import (DispatchInstance, DispatchPlan, ExactResult,
                        FailedComponent, ObjectiveBreakdown, cluster_to_depots,
                        exact_dispatch, instance_from_scenario, plan_objective,
@@ -31,7 +32,7 @@ from .fixtures import builtin_feeder, default_event, random_radial_network
 __version__ = "0.1.0"
 
 __all__ = [
-    "Bus", "Component", "ConfigError", "DamageScenario",
+    "Bus", "Component", "ComponentImpact", "ConfigError", "DamageScenario",
     "Depot", "DispatchInstance", "DispatchPlan", "ExactResult",
     "FailedComponent", "FlowSolution", "FragilityCurve", "GaConfig",
     "GaResult", "Generator", "GridQuakeError",

@@ -31,7 +31,7 @@ from .scenarios import (LossDistribution, ScenarioSet, forward_reduce,
                         generate_scenarios, reduction_distance,
                         return_period_loss, scenario_set_to_document,
                         select_representatives)
-from .seismic import SeismicEvent
+from .seismic import SeismicEvent, magnitude_rule
 
 KNOWN_SOLVERS = ("exact", "ga", "policy")
 
@@ -109,8 +109,11 @@ def _mag_tag(m: float) -> str:
 
 
 def _check_magnitudes(config: PipelineConfig):
-    """Make each magnitude's event, so that its rules apply, and refuse two
-    magnitudes whose files would overwrite each other's (one artifact tag)."""
+    """Check each magnitude under its index, make its event, so that the
+    event's other rules apply, and refuse two magnitudes whose files would
+    overwrite each other's (one artifact tag)."""
+    check(*(magnitude_rule(f"magnitudes[{i}]", mag)
+            for i, mag in enumerate(config.magnitudes)))
     tagged = {}
     for mag in config.magnitudes:
         default_event(mag, epicenter=config.epicenter,

@@ -14,7 +14,7 @@ exactly only for the near-ties that decide the pick.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -23,7 +23,8 @@ from .model import Network, check, read_json, read_record, record_document
 # shed_at is not called here; perfbench's tracer test checks that it is
 # wrapped at this import site
 from .powerflow import PeakShed, shed_at  # noqa: F401
-from .seismic import SeismicEvent, compute_pga_field, sample_damage
+from .seismic import (SeismicEvent, component_failure_probabilities,
+                      compute_pga_field, sample_damage)
 
 WEIGHT_TOL = 1e-9
 
@@ -35,7 +36,22 @@ class DamageScenario:
     loss: float
     ens_mw: float  # load de-energized/shed at the reference hour
     weight: float
-    pga_g: dict[str, float] = field(default_factory=dict)  # id -> PGA, g
+
+
+@dataclass(frozen=True)
+class ComponentImpact:
+    """One component's entry in a scenario set's impact map."""
+
+    id: str
+    median_pga_g: float  # the event's median PGA at the component's site
+    failure_probability: float  # fragility at that median
+    frequency: float  # summed weight of the scenarios in which it failed
+
+    def __post_init__(self):
+        pga, p, f = self.median_pga_g, self.failure_probability, self.frequency
+        check(("median_pga_g", pga, pga >= 0, ">= 0"),
+              ("failure_probability", p, 0 <= p <= 1, "in [0, 1]"),
+              ("frequency", f, f >= 0, ">= 0"))
 
 
 @dataclass
@@ -46,6 +62,7 @@ class ScenarioSet:
     seed: int | None = None
     w1: float = 1.0
     w2: float = 1.0
+    impact: tuple[ComponentImpact, ...] = ()  # one record per component
 
     def losses(self) -> np.ndarray:
         return np.array([s.loss for s in self.scenarios])
@@ -70,6 +87,16 @@ def system_loss(n_failed: int, ens_mw: float, w1: float, w2: float) -> float:
     return w1 * n_failed + w2 * ens_mw
 
 
+def failure_frequencies(scenarios) -> dict:
+    """Each failed component id's frequency: the summed weight of the
+    scenarios whose failed set holds it, added in scenario order."""
+    freq = {}
+    for s in scenarios:
+        for cid in s.failed:
+            freq[cid] = freq.get(cid, 0.0) + s.weight
+    return freq
+
+
 def generate_scenarios(
     network: Network, event: SeismicEvent, n: int,
     w1: float = ScenarioSet.w1, w2: float = ScenarioSet.w2,
@@ -85,6 +112,8 @@ def generate_scenarios(
     which also captures curtailment within energized islands. The LP is
     solved once per distinct energized island, so a study that passes the
     same PeakShed on to its restoration timelines solves no island twice.
+    The set's impact map holds each component's median PGA, its failure
+    probability there, and its failure frequency over the n scenarios.
     """
     if n < 1:
         raise ConfigError("need at least one scenario")
@@ -95,14 +124,21 @@ def generate_scenarios(
         peak_shed = PeakShed(network)
     unserved = peak_shed if exact_ens else peak_shed.de_energized
     rng = np.random.default_rng(seed)
-    draws = sample_damage(network, compute_pga_field(network, event), rng, n)
-    ens = unserved([failed for failed, _ in draws])
+    pga_field = compute_pga_field(network, event)
+    failed_sets = [failed for failed, _ in
+                   sample_damage(network, pga_field, rng, n)]
     out = [DamageScenario(id=i, failed=failed,
                           loss=system_loss(len(failed), mw, w1, w2),
-                          ens_mw=mw, weight=1.0 / n, pga_g=pga)
-           for i, ((failed, pga), mw) in enumerate(zip(draws, ens))]
+                          ens_mw=mw, weight=1.0 / n)
+           for i, (failed, mw) in enumerate(zip(failed_sets,
+                                                unserved(failed_sets)))]
+    probability = component_failure_probabilities(network, pga_field)
+    freq = failure_frequencies(out)
     sset = ScenarioSet(scenarios=out, magnitude=event.magnitude, seed=seed,
-                       n_generated=n, w1=w1, w2=w2)
+                       n_generated=n, w1=w1, w2=w2, impact=tuple(
+                           ComponentImpact(cid, pga, probability[cid],
+                                           freq.get(cid, 0.0))
+                           for cid, pga in pga_field.pga_g.items()))
     sset.check_weights()
     return sset
 
@@ -257,8 +293,8 @@ def forward_reduce(sset: ScenarioSet, k: int, protected=()) -> ScenarioSet:
     is worse than the best by far more than either method's rounding
     error, so the pick equals that of scoring every candidate exactly.
 
-    The result preserves original ids and pga/failure data; weights sum to
-    one.
+    The result preserves original ids and failed sets; weights sum to one,
+    and the impact map's frequencies are taken under those weights.
     """
     if k < 1:
         raise ConfigError("k must be >= 1")
@@ -272,9 +308,7 @@ def forward_reduce(sset: ScenarioSet, k: int, protected=()) -> ScenarioSet:
     if k < len(protected_pos):
         raise ConfigError(f"k={k} smaller than protected count {len(protected_pos)}")
     if k >= n:
-        return ScenarioSet(scenarios=list(sset.scenarios), magnitude=sset.magnitude,
-                           seed=sset.seed, n_generated=sset.n_generated,
-                           w1=sset.w1, w2=sset.w2)
+        return _subset(sset, list(sset.scenarios))
 
     losses = sset.losses()
     weights = sset.weights()
@@ -329,13 +363,19 @@ def forward_reduce(sset: ScenarioSet, k: int, protected=()) -> ScenarioSet:
 
     retained_arr = np.array(sorted(retained), dtype=int)
     new_w = _redistribute(losses, weights, retained_arr)
-    out = [replace(sset.scenarios[i], weight=float(new_w[j]))
-           for j, i in enumerate(retained_arr)]
-    reduced = ScenarioSet(scenarios=out, magnitude=sset.magnitude,
-                          seed=sset.seed, n_generated=sset.n_generated,
-                          w1=sset.w1, w2=sset.w2)
+    reduced = _subset(sset, [replace(sset.scenarios[i], weight=float(w))
+                             for i, w in zip(retained_arr, new_w)])
     reduced.check_weights()
     return reduced
+
+
+def _subset(sset: ScenarioSet, scenarios: list) -> ScenarioSet:
+    """`sset` holding only `scenarios`, its impact map's frequencies taken
+    under their weights (a record whose frequency holds is kept)."""
+    freq = failure_frequencies(scenarios)
+    return replace(sset, scenarios=scenarios, impact=tuple(
+        rec if rec.frequency == (f := freq.get(rec.id, 0.0))
+        else replace(rec, frequency=f) for rec in sset.impact))
 
 
 def reduction_distance(sset: ScenarioSet, retained_ids) -> float:
@@ -366,7 +406,15 @@ def scenario_set_to_document(sset: ScenarioSet) -> dict:
 
 def scenario_set_from_document(doc: dict) -> ScenarioSet:
     """The set of a scenario-set document; a repeated id (which `by_id` and
-    `forward_reduce` would resolve apart) or a negative weight is refused."""
+    `forward_reduce` would resolve apart) or a negative weight is refused.
+
+    Documents written before the impact map still read: a scenario's
+    sampled PGA (`pga_g`) is dropped, and a set with no `impact` has an
+    empty map."""
+    if isinstance(doc, dict) and isinstance(doc.get("scenarios"), list):
+        doc = {**doc, "scenarios": [
+            {k: v for k, v in rec.items() if k != "pga_g"}
+            if isinstance(rec, dict) else rec for rec in doc["scenarios"]]}
     sset = read_record(ScenarioSet, doc, "")
     seen = set()
     for i, s in enumerate(sset.scenarios):

@@ -34,6 +34,11 @@ SITE_TERMS = {"rock": 0.0, "soil": 0.2}
 R_FLOOR_KM = 1.0  # near-field saturation floor
 
 
+def magnitude_rule(field: str, magnitude: float) -> tuple:
+    """The `check` rule of an event magnitude found at `field`."""
+    return (field, magnitude, 4.0 <= magnitude <= 10.0, "in [4, 10]")
+
+
 @dataclass(frozen=True)
 class SeismicEvent:
     magnitude: float
@@ -44,8 +49,7 @@ class SeismicEvent:
 
     def __post_init__(self):
         x, y, depth = self.epicenter_x, self.epicenter_y, self.focal_depth_km
-        check(("magnitude", self.magnitude, 4.0 <= self.magnitude <= 10.0,
-               "in [4, 10]"),
+        check(magnitude_rule("magnitude", self.magnitude),
               ("epicenter_x", x, math.isfinite(x), "finite"),
               ("epicenter_y", y, math.isfinite(y), "finite"),
               ("focal_depth_km", depth, 0 <= depth < math.inf,

@@ -515,7 +515,7 @@ _PLAN = {"solver": "exact", "status": "ok", "completion": {"c_l3": 2.5},
      "components[2].fragility.median_g must be "),
     ("config", lambda d: d.update(magnitudes="7.5"), "magnitudes"),
     ("config", lambda d: d.update(magnitudes=[11]),
-     "magnitude must be in [4, 10], got 11"),
+     "magnitudes[0] must be in [4, 10], got 11"),
     ("config", lambda d: d.update(return_periods=[0, 2]), "return_periods"),
     ("config", lambda d: d.update(epicenter=[1, 2, 3]), "epicenter"),
     ("config", lambda d: d.update(seed=1.5), "seed"),

@@ -96,14 +96,15 @@ def test_config_rejects_empty_ga_population_and_negative_samples(field):
     ({"exact_max_crews": 0}, "exact_max_crews must be >= 1"),
     ({"exact_time_limit_s": 0.0}, "exact_time_limit_s must be > 0"),
     ({"exact_time_limit_s": -1.0}, "exact_time_limit_s must be > 0"),
-    ({"magnitudes": [11]}, "magnitude must be in [4, 10], got 11"),
+    ({"magnitudes": [11]}, "magnitudes[0] must be in [4, 10], got 11"),
     ({"return_periods": [0, 2]}, "return_periods must be > 0"),
     ({"epicenter": [1, 2, 3]}, "epicenter must be an (x, y) pair"),
     ({"reduce_to": 0, "return_periods": []}, "reduce_to must be >= 1"),
     ({"magnitudes": [7.5, 7.5000001]},
      "magnitudes 7.5 and 7.5000001 share the artifact tag m7_5"),
     ({"magnitudes": [6.5, 7.5, 7.5]},
-     "magnitudes 7.5 and 7.5 share the artifact tag m7_5")])
+     "magnitudes 7.5 and 7.5 share the artifact tag m7_5"),
+    ({"magnitudes": [7.5, 3]}, "magnitudes[1] must be in [4, 10], got 3")])
 def test_config_rejects_fields_before_any_output(field, rule, tmp_path):
     with pytest.raises(ConfigError, match=re.escape(rule)):
         PipelineConfig(**field)

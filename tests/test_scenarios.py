@@ -10,6 +10,8 @@ candidate loss with `_redistribute` + `wasserstein1`; the closed-form
 """
 
 import itertools
+import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -21,9 +23,12 @@ import gridquake.scenarios as scenarios
 from gridquake.errors import ConfigError
 from gridquake.fixtures import builtin_feeder, default_event
 from gridquake.powerflow import PeakShed, shed_at
+from gridquake.seismic import (component_failure_probabilities,
+                               compute_pga_field)
+from gridquake.report import write_json
 from gridquake.scenarios import (LossDistribution, ScenarioSet, DamageScenario,
                                  _redistribute, forward_reduce,
-                                 generate_scenarios,
+                                 generate_scenarios, load_scenario_set,
                                  reduction_distance, return_period_loss,
                                  scenario_set_from_document,
                                  scenario_set_to_document,
@@ -35,8 +40,8 @@ def make_set(losses, weights=None, magnitude=7.0):
     n = len(losses)
     weights = weights if weights is not None else [1.0 / n] * n
     scenarios = tuple(
-        DamageScenario(id=i, failed=(), pga_g={}, loss=float(l),
-                       ens_mw=0.0, weight=float(w))
+        DamageScenario(id=i, failed=(), loss=float(l), ens_mw=0.0,
+                       weight=float(w))
         for i, (l, w) in enumerate(zip(losses, weights)))
     return ScenarioSet(scenarios=scenarios, magnitude=magnitude, seed=0,
                        n_generated=n, w1=1.0, w2=1.0)
@@ -216,6 +221,26 @@ def test_forward_reduce_beats_most_random_subsets():
     assert wins >= 36
 
 
+def loop_frequencies(sset):
+    """Each impact record's frequency as a plain loop: the weights of the
+    scenarios whose failed set holds its id, added in scenario order."""
+    out = []
+    for rec in sset.impact:
+        total = 0.0
+        for s in sset.scenarios:
+            if rec.id in s.failed:
+                total += s.weight
+        out.append(total)
+    return out
+
+
+def with_loop_frequencies(sset):
+    """`sset` with each impact frequency taken by `loop_frequencies`."""
+    return replace(sset, impact=tuple(
+        replace(rec, frequency=f)
+        for rec, f in zip(sset.impact, loop_frequencies(sset))))
+
+
 def reference_forward_reduce(sset, k, protected=()):
     """The greedy that `forward_reduce` replaced: every step scores the
     lowest-index candidate of each distinct loss exactly and keeps the first
@@ -224,9 +249,8 @@ def reference_forward_reduce(sset, k, protected=()):
     id_to_pos = {s.id: i for i, s in enumerate(sset.scenarios)}
     protected_pos = sorted({id_to_pos[p] for p in protected})
     if k >= n:
-        return ScenarioSet(scenarios=list(sset.scenarios), magnitude=sset.magnitude,
-                           seed=sset.seed, n_generated=sset.n_generated,
-                           w1=sset.w1, w2=sset.w2)
+        return with_loop_frequencies(replace(sset,
+                                             scenarios=list(sset.scenarios)))
 
     losses = sset.losses()
     weights = sset.weights()
@@ -254,9 +278,10 @@ def reference_forward_reduce(sset, k, protected=()):
     new_w = _redistribute(losses, weights, retained_arr)
     out = [replace(sset.scenarios[i], weight=float(new_w[j]))
            for j, i in enumerate(retained_arr)]
-    return ScenarioSet(scenarios=out, magnitude=sset.magnitude,
-                       seed=sset.seed, n_generated=sset.n_generated,
-                       w1=sset.w1, w2=sset.w2)
+    return with_loop_frequencies(ScenarioSet(
+        scenarios=out, magnitude=sset.magnitude, seed=sset.seed,
+        n_generated=sset.n_generated, w1=sset.w1, w2=sset.w2,
+        impact=sset.impact))
 
 
 @st.composite
@@ -347,6 +372,74 @@ def test_scenario_set_document_round_trip():
     assert [s.failed for s in back.scenarios] == [s.failed for s in sset.scenarios]
     assert back.weights() == pytest.approx(sset.weights())
     assert scenario_set_to_document(back) == doc
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40),
+       k=st.integers(1, 12), magnitude=st.sampled_from([6.0, 7.0, 8.0]))
+def test_impact_frequency_is_the_weight_of_the_failed_scenarios(
+        seed, n, k, magnitude):
+    net = builtin_feeder()
+    full = generate_scenarios(net, default_event(magnitude), n, seed=seed)
+    reduced = forward_reduce(full, k)
+    for sset in (full, reduced):
+        assert [rec.id for rec in sset.impact] == list(net.components)
+        assert [rec.frequency for rec in sset.impact] == loop_frequencies(sset)
+    # the reduced map keeps the full map's medians and probabilities
+    assert ([replace(rec, frequency=0.0) for rec in reduced.impact]
+            == [replace(rec, frequency=0.0) for rec in full.impact])
+
+
+def test_impact_map_holds_the_median_field_and_its_fragility():
+    net, event = builtin_feeder(), default_event(7.5)
+    field = compute_pga_field(net, event)
+    probability = component_failure_probabilities(net, field)
+    sset = generate_scenarios(net, event, 10, seed=4)
+    assert [(r.id, r.median_pga_g, r.failure_probability)
+            for r in sset.impact] == [(cid, field.pga_g[cid],
+                                       probability[cid])
+                                      for cid in net.components]
+    assert set(scenario_set_to_document(sset)["impact"][0]) == {
+        "id", "median_pga_g", "failure_probability", "frequency"}
+
+
+@pytest.mark.parametrize("reduce_to", [None, 4])
+def test_scenario_set_file_round_trip_keeps_the_impact_map(reduce_to,
+                                                           tmp_path):
+    sset = generate_scenarios(builtin_feeder(), default_event(7.5), 30,
+                              seed=8)
+    if reduce_to is not None:
+        sset = forward_reduce(sset, reduce_to)
+    doc = scenario_set_to_document(sset)
+    assert len(doc["impact"]) == len(builtin_feeder().components)
+    path = str(tmp_path / "set.json")
+    write_json(doc, path)
+    assert scenario_set_to_document(load_scenario_set(path)) == doc
+
+
+def test_older_documents_read_without_pga_and_impact():
+    doc = scenario_set_to_document(
+        generate_scenarios(builtin_feeder(), default_event(7.5), 12, seed=3))
+    old = json.loads(json.dumps(doc))
+    del old["impact"]
+    for rec in old["scenarios"]:
+        rec["pga_g"] = {cid: 0.5 for cid in builtin_feeder().components}
+    sset = scenario_set_from_document(old)
+    assert "pga_g" in old["scenarios"][0]  # the caller's document is kept
+    assert sset.impact == ()
+    back = scenario_set_to_document(sset)
+    assert back["impact"] == []
+    assert back["scenarios"] == doc["scenarios"]
+    assert scenario_set_to_document(forward_reduce(sset, 5))["impact"] == []
+
+
+def test_scenario_set_document_refuses_a_bad_impact_record():
+    doc = scenario_set_to_document(
+        generate_scenarios(builtin_feeder(), default_event(7.5), 3, seed=1))
+    doc["impact"][1]["failure_probability"] = 1.5
+    with pytest.raises(ConfigError, match=re.escape(
+            "impact[1].failure_probability must be in [0, 1], got 1.5")):
+        scenario_set_from_document(doc)
 
 
 def test_scenario_set_document_rejects_garbage():
