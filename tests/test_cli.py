@@ -57,6 +57,34 @@ def test_gen_reduce_dispatch_round_trip(network_path, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_reduce_and_dispatch_read_sets_written_before_the_impact_map(
+        network_path, tmp_path, capsys):
+    sc, old = str(tmp_path / "sc.json"), tmp_path / "old.json"
+    assert main(["gen", "--network", network_path, "--magnitude", "7.5",
+                 "--n", "12", "--seed", "3", "--out", sc]) == 0
+    doc = json.load(open(sc))
+    # the older layout: a sampled PGA per scenario and component, no map
+    del doc["impact"]
+    for rec in doc["scenarios"]:
+        rec["pga_g"] = {cid: 0.4 for cid in builtin_feeder().components}
+    old.write_text(json.dumps(doc))
+    red = tmp_path / "red.json"
+    assert main(["reduce", "--scenarios", str(old), "--k", "4",
+                 "--out", str(red)]) == 0
+    reduced = json.loads(red.read_text())
+    assert reduced["impact"] == []
+    assert all("pga_g" not in rec for rec in reduced["scenarios"])
+    plans = []
+    for path in (sc, str(old)):
+        out = tmp_path / "plan.json"
+        assert main(["dispatch", "exact", "--network", network_path,
+                     "--scenarios", path, "--scenario-id", "0",
+                     "--out", str(out)]) == 0
+        plans.append(out.read_text())
+    assert plans[0] == plans[1]
+    capsys.readouterr()
+
+
 def test_stdout_json_is_the_out_file(network_path, tmp_path, capsys):
     """Without --out a command prints the bytes it writes with --out."""
     sc = str(tmp_path / "sc.json")
