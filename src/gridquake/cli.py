@@ -194,7 +194,7 @@ def _cmd_report_resilience(args) -> int:
                               f"curve is keyed by its plan's solver")
         plans[name] = (list(doc["completion"]), doc["completion"])
     timelines = write_restoration(servable_peak_shed(net), plans, args.out,
-                                  title="Restoration", horizon=args.horizon)
+                                  title="Restoration", horizon=args.horizon)[0]
     for name, timeline in timelines.items():
         print(f"{name}: ens {timeline.ens_mwh:.4f} MWh over "
               f"{len(timeline.hours)} h")

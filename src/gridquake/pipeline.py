@@ -8,9 +8,9 @@ wall-clock-dependent output (timings.json) is excluded from the manifest.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import os
+import shutil
 import time
 import zlib
 from dataclasses import dataclass, asdict
@@ -125,14 +125,6 @@ def _check_magnitudes(config: PipelineConfig):
         tagged[tag] = mag
 
 
-def _sha256(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
 def plan_document(solver, status, result=None, **fields) -> dict:
     """The plan document that `gridquake dispatch` and the pipeline write.
 
@@ -190,10 +182,10 @@ def servable_peak_shed(network: Network) -> PeakShed:
     return peak_shed
 
 
-def write_restoration(peak_shed, plans, prefix, title, horizon=None) -> dict:
+def write_restoration(peak_shed, plans, prefix, title, horizon=None) -> tuple:
     """Restoration curves of several plans on `peak_shed`'s network over one
     shared horizon, written to `prefix`.csv and `prefix`.svg; returns each
-    plan's timeline.
+    plan's timeline and the two files' SHA-256 keyed by suffix.
 
     `plans` maps a curve name to (failed ids, completion hours). The
     horizon defaults to, and must reach, one hour past the last completion
@@ -215,31 +207,58 @@ def write_restoration(peak_shed, plans, prefix, title, horizon=None) -> dict:
     problems = resilience_curves_ok(curves)
     if problems:
         raise InternalError("; ".join(problems))
-    write_resilience_csv(curves, prefix + ".csv")
-    plot_lines_svg(curves, prefix + ".svg", title=title,
-                   xlabel="hours after event",
-                   ylabel="fraction of load served")
-    return timelines
+    digests = {".csv": write_resilience_csv(curves, prefix + ".csv"),
+               ".svg": plot_lines_svg(curves, prefix + ".svg", title=title,
+                                      xlabel="hours after event",
+                                      ylabel="fraction of load served")}
+    return timelines, digests
 
 
 def run_pipeline(network: Network, config: PipelineConfig, out_dir: str,
                  threads: int = 1) -> dict:
-    """Run the full study, one job after another, and return the manifest.
+    """Run the full study, one job after another, into `out_dir`, which
+    must be absent or empty, and return the manifest: each file's SHA-256
+    as its writer returned it. The study is written into a new sibling
+    directory, renamed to `out_dir` once whole and removed on any error.
     `threads` must be 1: the keyword stays only until the benchmark harness
     stops passing it, and then goes away."""
     if threads != 1:
         raise ConfigError(f"threads must be 1, got {threads!r}")
+    out_dir = os.path.abspath(out_dir)
+    entries = sorted(os.listdir(out_dir)) if os.path.lexists(out_dir) else []
+    if entries:
+        raise ConfigError(f"{out_dir} holds {entries[0]!r}; a study needs "
+                          f"an absent or empty output directory")
+    # os.makedirs, not tempfile.mkdtemp, whose 0700 mode the study would keep
+    stage = f"{out_dir}.partial-{os.getpid()}"
+    os.makedirs(stage)
+    try:
+        manifest = _write_study(network, config, stage)
+        os.rename(stage, out_dir)
+    finally:  # after the rename there is nothing left to remove
+        shutil.rmtree(stage, ignore_errors=True)
+    return manifest
+
+
+def _write_study(network: Network, config: PipelineConfig,
+                 out_dir: str) -> dict:
     t_start = time.monotonic()
     timings = {}
+    artifacts = {}  # relative path -> SHA-256 returned by its writer
+
+    def emit(writer, rel: str, *args, **kwargs):
+        """Write artifact `rel` with `writer` and record its digest."""
+        artifacts[rel] = writer(*args, path=os.path.join(out_dir, rel),
+                                **kwargs)
+
     model = None
     if "policy" in config.solvers:
         model = PolicyModel.load(config.policy_model)
     # one per study: scenario losses, curtailment weights and every
     # timeline read the same peak-hour operating states
     peak_shed = servable_peak_shed(network)
-    os.makedirs(out_dir, exist_ok=True)
     for sub in ("scenarios", "plans", "resilience", "losses"):
-        os.makedirs(os.path.join(out_dir, sub), exist_ok=True)
+        os.mkdir(os.path.join(out_dir, sub))
 
     # stage 1: hazard and scenario sets
     t0 = time.monotonic()
@@ -254,13 +273,13 @@ def run_pipeline(network: Network, config: PipelineConfig, out_dir: str,
             seed=_stable_seed(config.seed, mag, "scenarios"),
             exact_ens=config.exact_ens, peak_shed=peak_shed)
         tag = _mag_tag(mag)
-        write_json(scenario_set_to_document(sset),
-                   os.path.join(out_dir, "scenarios", f"{tag}_full.json"))
+        emit(write_json, f"scenarios/{tag}_full.json",
+             scenario_set_to_document(sset))
 
         reps = select_representatives(sset, config.return_periods)
         reduced = forward_reduce(sset, config.reduce_to, protected=reps)
-        write_json(scenario_set_to_document(reduced),
-                   os.path.join(out_dir, "scenarios", f"{tag}_reduced.json"))
+        emit(write_json, f"scenarios/{tag}_reduced.json",
+             scenario_set_to_document(reduced))
 
         dist = LossDistribution.from_scenarios(sset)
         rp_losses = {("%g" % p): return_period_loss(dist, p)
@@ -282,13 +301,13 @@ def run_pipeline(network: Network, config: PipelineConfig, out_dir: str,
 
         exc_xs = dist.support.tolist()
         exc_ys = [dist.exceedance(x) for x in exc_xs]
-        write_csv(os.path.join(out_dir, "losses", f"{tag}_exceedance.csv"),
-                  ["loss", "exceedance_probability"],
-                  list(zip(exc_xs, exc_ys)))
-        plot_lines_svg({"exceedance": (exc_xs, exc_ys)},
-                       os.path.join(out_dir, "losses", f"{tag}_exceedance.svg"),
-                       title=f"Loss exceedance, M{mag:g}",
-                       xlabel="loss", ylabel="Pr[L >= l]", step=True)
+        emit(write_csv, f"losses/{tag}_exceedance.csv",
+             header=["loss", "exceedance_probability"],
+             rows=list(zip(exc_xs, exc_ys)))
+        emit(plot_lines_svg, f"losses/{tag}_exceedance.svg",
+             {"exceedance": (exc_xs, exc_ys)},
+             title=f"Loss exceedance, M{mag:g}",
+             xlabel="loss", ylabel="Pr[L >= l]", step=True)
     timings["scenarios_s"] = round(time.monotonic() - t0, 3)
 
     # stage 2: dispatch every solver on each representative scenario
@@ -330,36 +349,26 @@ def run_pipeline(network: Network, config: PipelineConfig, out_dir: str,
         plans = {solver: (scenario.failed, result[0].completion)
                  for solver, (_, result, scenario) in solvers.items()
                  if result is not None}
-        timelines = write_restoration(
+        timelines, digests = write_restoration(
             peak_shed, plans, os.path.join(out_dir, "resilience", name),
-            title=f"Restoration, M{mag:g} scenario {sid}") if plans else {}
+            title=f"Restoration, M{mag:g} scenario {sid}",
+        ) if plans else ({}, {})
+        artifacts.update((f"resilience/{name}{ext}", digest)
+                         for ext, digest in digests.items())
         for solver, (status, result, _) in sorted(solvers.items()):
             doc = plan_document(solver, status, result, magnitude=mag,
                                 scenario_id=sid)
             if result is not None:
                 doc["ens_mwh"] = timelines[solver].ens_mwh
-            write_json(doc, os.path.join(out_dir, "plans",
-                                         f"{name}_{solver}.json"))
+            emit(write_json, f"plans/{name}_{solver}.json", doc)
             docs.append(doc)
-    write_comparison_csv(docs, os.path.join(out_dir, "comparison.csv"))
+    emit(write_comparison_csv, "comparison.csv", docs)
 
-    summary = {
-        "config": record_document(config),
-        "magnitudes": summaries,
-    }
-    write_json(summary, os.path.join(out_dir, "summary.json"))
+    emit(write_json, "summary.json",
+         {"config": record_document(config), "magnitudes": summaries})
     timings["reports_s"] = round(time.monotonic() - t0, 3)
     timings["total_s"] = round(time.monotonic() - t_start, 3)
 
-    # manifest over everything except the timing sidecar and itself
-    artifacts = {}
-    for root, _, files in os.walk(out_dir):
-        for name in files:
-            full = os.path.join(root, name)
-            rel = os.path.relpath(full, out_dir)
-            if rel in ("manifest.json", "timings.json"):
-                continue
-            artifacts[rel.replace(os.sep, "/")] = _sha256(full)
     manifest = {"artifacts": artifacts}
     write_json(manifest, os.path.join(out_dir, "manifest.json"))
     write_json(timings, os.path.join(out_dir, "timings.json"))

@@ -9,6 +9,7 @@ are hand-rolled SVG polylines with fixed formatting. No timestamps.
 from __future__ import annotations
 
 import functools
+import hashlib
 import json
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
@@ -80,34 +81,39 @@ def json_text(obj) -> str:
     return _json_text(obj, 0)
 
 
-def write_json(obj, path: str):
-    """Write `json_text(obj)` and a newline in one write. The text is built
-    before the file is opened, so a value json cannot encode raises
-    TypeError and leaves an existing file as it was."""
-    text = json_text(obj) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+def _write(path: str, text: str) -> str:
+    """Write `text` as UTF-8 in one write; return the bytes' SHA-256."""
+    data = text.encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(data)
+    return hashlib.sha256(data).hexdigest()
 
 
-def write_csv(path: str, header: list, rows: list):
-    """Plain CSV with repr-stable float formatting. Values must not contain
-    commas or newlines (ids and numbers only)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            cells = []
-            for v in row:
-                if isinstance(v, str):
-                    if "," in v or "\n" in v:
-                        raise ConfigError(f"csv cell needs quoting: {v!r}")
-                    cells.append(v)
-                elif v is None:
-                    cells.append("")
-                elif isinstance(v, (int, float)):
-                    cells.append(fmt_float(v))
-                else:
-                    cells.append(str(v))
-            fh.write(",".join(cells) + "\n")
+def write_json(obj, path: str) -> str:
+    """Write `json_text(obj)` and a newline; returns the bytes' SHA-256.
+    The text is built before the file is opened, so a value json cannot
+    encode raises TypeError and leaves an existing file as it was."""
+    return _write(path, json_text(obj) + "\n")
+
+
+def _cell(v) -> str:
+    if isinstance(v, str):
+        if "," in v or "\n" in v:
+            raise ConfigError(f"csv cell needs quoting: {v!r}")
+        return v
+    if v is None:
+        return ""
+    if isinstance(v, (int, float)):
+        return fmt_float(v)
+    return str(v)
+
+
+def write_csv(path: str, header: list, rows: list) -> str:
+    """Plain CSV with repr-stable float formatting, written as `write_json`
+    writes. Values must not contain commas or newlines (ids and numbers
+    only)."""
+    lines = [",".join(header)] + [",".join(map(_cell, row)) for row in rows]
+    return _write(path, "\n".join(lines) + "\n")
 
 
 def relative_gap(value, ref):
@@ -123,7 +129,7 @@ COMPARISON_HEADER = [
 ]
 
 
-def write_comparison_csv(plans: list, path: str):
+def write_comparison_csv(plans: list, path: str) -> str:
     """One row per plan document of a study, sorted by (magnitude,
     scenario_id, solver). A row's gap is its objective's relative gap to
     the `ok` exact plan of the same scenario, and empty unless the row has
@@ -139,10 +145,10 @@ def write_comparison_csv(plans: list, path: str):
         table.append([d["magnitude"], d["scenario_id"], d["solver"],
                       d["status"], obj.get("value"), obj.get("makespan_hours"),
                       obj.get("weighted_completion"), d.get("ens_mwh"), gap])
-    write_csv(path, COMPARISON_HEADER, table)
+    return write_csv(path, COMPARISON_HEADER, table)
 
 
-def write_resilience_csv(curves: dict, path: str):
+def write_resilience_csv(curves: dict, path: str) -> str:
     """curves: name -> (hours list, fraction list); all on the same grid."""
     names = sorted(curves)
     if not names:
@@ -151,10 +157,9 @@ def write_resilience_csv(curves: dict, path: str):
     for name in names:
         if list(curves[name][0]) != list(grid):
             raise ConfigError("resilience curves on different time grids")
-    rows = []
-    for i, t in enumerate(grid):
-        rows.append([t] + [curves[name][1][i] for name in names])
-    write_csv(path, ["hour"] + names, rows)
+    columns = [curves[name][1] for name in names]
+    return write_csv(path, ["hour"] + names,
+                     list(zip(grid, *columns, strict=True)))
 
 
 # --- SVG plotting -----------------------------------------------------------
@@ -185,9 +190,9 @@ def _ticks(lo, hi, count=5):
 
 
 def plot_lines_svg(curves: dict, path: str, title: str,
-                   xlabel: str, ylabel: str, step: bool = False):
-    """Write a fixed-size SVG line chart of fractions over [0, 1.05].
-    curves: name -> (xs, ys)."""
+                   xlabel: str, ylabel: str, step: bool = False) -> str:
+    """Write a fixed-size SVG line chart of fractions over [0, 1.05] and
+    return its SHA-256. curves: name -> (xs, ys)."""
     names = sorted(curves)
     if not names:
         raise ConfigError("nothing to plot")
@@ -255,8 +260,7 @@ def plot_lines_svg(curves: dict, path: str, title: str,
                      f'font-family="sans-serif" font-size="11">{name}</text>')
 
     parts.append("</svg>")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(parts) + "\n")
+    return _write(path, "\n".join(parts) + "\n")
 
 
 def resilience_curves_ok(curves: dict) -> list:

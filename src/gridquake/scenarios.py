@@ -125,8 +125,7 @@ def generate_scenarios(
     unserved = peak_shed if exact_ens else peak_shed.de_energized
     rng = np.random.default_rng(seed)
     pga_field = compute_pga_field(network, event)
-    failed_sets = [failed for failed, _ in
-                   sample_damage(network, pga_field, rng, n)]
+    failed_sets = sample_damage(network, pga_field, rng, n)
     out = [DamageScenario(id=i, failed=failed,
                           loss=system_loss(len(failed), mw, w1, w2),
                           ens_mw=mw, weight=1.0 / n)

@@ -118,8 +118,8 @@ def component_failure_probabilities(
 def sample_damage(
     network: Network, pga_field: PgaField, rng: np.random.Generator, n: int,
 ) -> list:
-    """Draw n damage scenarios; returns n (failed ids in document order,
-    PGA per component id) pairs.
+    """Draw n damage scenarios; returns each one's failed ids in document
+    order.
 
     In each scenario an independent residual per component perturbs the
     median PGA, then an independent Bernoulli draw per component decides
@@ -128,16 +128,14 @@ def sample_damage(
     rng, so n draws in one call equal n calls with n=1 bit for bit.
     """
     sigma = pga_field.event.sigma_eps
-    ids = list(network.components)
-    table = [(cid, pga_field.pga_g[cid], network.components[cid].fragility)
-             for cid in ids]
+    table = [(cid, pga_field.pga_g[cid], comp.fragility)
+             for cid, comp in network.components.items()]
     draws = []
     for _ in range(n):
-        eps = (rng.normal(0.0, sigma, size=len(ids)) if sigma > 0
-               else np.zeros(len(ids))).tolist()
-        unif = rng.random(len(ids)).tolist()
-        pga = [median * math.exp(e) for (_, median, _), e in zip(table, eps)]
-        failed = tuple(cid for (cid, _, curve), x, u in zip(table, pga, unif)
-                       if u < failure_probability(x, curve))
-        draws.append((failed, dict(zip(ids, pga))))
+        eps = (rng.normal(0.0, sigma, size=len(table)) if sigma > 0
+               else np.zeros(len(table))).tolist()
+        unif = rng.random(len(table)).tolist()
+        draws.append(tuple(
+            cid for (cid, median, curve), e, u in zip(table, eps, unif)
+            if u < failure_probability(median * math.exp(e), curve)))
     return draws

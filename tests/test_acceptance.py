@@ -108,7 +108,7 @@ def test_criterion_02_monte_carlo_soundness():
             probs = gq.component_failure_probabilities(net, field)
             assert probs["c1"] == pytest.approx(p_true, abs=1e-12)
             draws = gq.sample_damage(net, field, np.random.default_rng(7), n)
-            hits = sum(bool(failed) for failed, _ in draws)
+            hits = sum(bool(failed) for failed in draws)
             bound = 3.0 * math.sqrt(p_true * (1 - p_true) / n)
             assert abs(hits / n - p_true) <= bound, p_true
 

@@ -1,5 +1,6 @@
 """CLI behavior: exit codes, round trips between subcommands, artifacts."""
 
+import errno
 import json
 import math
 import os
@@ -219,6 +220,16 @@ def test_report_subcommands(network_path, tmp_path, capsys):
     assert main(["report", "compare", "--plans", *plans,
                  "--out", cmp_csv]) == 0
     assert "gap_vs_best" in open(cmp_csv).read()
+    # a plan whose name needs csv quoting exits 2 before the table is
+    # written, so the old table stays whole
+    before = open(cmp_csv, "rb").read()
+    comma = str(tmp_path / "a,b.json")
+    with open(comma, "w") as fh:
+        fh.write(open(plans[0]).read())
+    assert main(["report", "compare", "--plans", plans[1], comma,
+                 "--out", cmp_csv]) == 2
+    assert "csv cell needs quoting: 'a,b.json'" in capsys.readouterr().err
+    assert open(cmp_csv, "rb").read() == before
     prefix = str(tmp_path / "resil")
     assert main(["report", "resilience", "--network", network_path,
                  "--plans", *plans, "--out", prefix]) == 0
@@ -241,18 +252,69 @@ def test_pipeline_command(network_path, tmp_path, capsys):
     capsys.readouterr()
 
 
-def _pipeline_study(network_path, tmp_path) -> str:
-    """A small M7.5 study at seed 2 whose representatives need repairs."""
+def _pipeline_study(network_path, tmp_path, out=None, magnitudes=(7.5,),
+                    code=0) -> str:
+    """A small study at seed 2 (M7.5 unless told otherwise) whose
+    representatives need repairs, written to `out` (default `study`); the
+    command must exit with `code`."""
     cfg = tmp_path / "study.json"
     cfg.write_text(json.dumps({
-        "magnitudes": [7.5], "n_scenarios": 20, "reduce_to": 4,
+        "magnitudes": list(magnitudes), "n_scenarios": 20, "reduce_to": 4,
         "return_periods": [2, 10], "seed": 2,
         "ga_population": 15, "ga_generations": 10,
     }))
-    out = str(tmp_path / "study")
+    out = out or str(tmp_path / "study")
     assert main(["pipeline", "--network", network_path,
-                 "--config", str(cfg), "--out", out]) == 0
+                 "--config", str(cfg), "--out", out]) == code
     return out
+
+
+def _tree(root) -> dict:
+    """Every file under `root`, relative path -> bytes."""
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in root.rglob("*") if p.is_file()}
+
+
+def test_pipeline_refuses_a_used_output_directory(network_path, tmp_path,
+                                                  capsys):
+    # a one-magnitude rerun into a two-magnitude study's directory
+    study = tmp_path / "study"
+    _pipeline_study(network_path, tmp_path, magnitudes=(6.5, 7.5))
+    entries, before = sorted(tmp_path.iterdir()), _tree(study)
+    _pipeline_study(network_path, tmp_path, code=2)
+    assert "holds 'comparison.csv'" in capsys.readouterr().err
+    assert _tree(study) == before
+    assert sorted(tmp_path.iterdir()) == entries
+
+
+def test_pipeline_exits_2_when_out_cannot_be_renamed_onto(
+        network_path, tmp_path, monkeypatch, capsys):
+    """An --out that is itself a mount point refuses the final rename."""
+    def busy(src, dst):
+        raise OSError(errno.EBUSY, os.strerror(errno.EBUSY), dst)
+
+    (tmp_path / "mnt").mkdir()
+    (tmp_path / "study.json").touch()
+    entries = sorted(tmp_path.iterdir())
+    monkeypatch.setattr(os, "rename", busy)
+    _pipeline_study(network_path, tmp_path, out=str(tmp_path / "mnt"),
+                    code=2)
+    assert "Device or resource busy" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == entries
+    assert not any((tmp_path / "mnt").iterdir())
+
+
+def test_pipeline_accepts_an_empty_or_slashed_output_directory(
+        network_path, tmp_path, capsys):
+    fresh = _pipeline_study(network_path, tmp_path)
+    (tmp_path / "empty").mkdir()
+    for out in (str(tmp_path / "empty"), str(tmp_path / "slashed") + "/"):
+        _pipeline_study(network_path, tmp_path, out=out)
+        assert _tree(tmp_path / out)["manifest.json"] == \
+            _tree(tmp_path / fresh)["manifest.json"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "empty", "net.json", "slashed", "study", "study.json"]
+    capsys.readouterr()
 
 
 def _ok_plans(out: str) -> dict:
@@ -654,6 +716,7 @@ def test_exit_code_2_on_generator_that_cannot_idle(tmp_path, capsys):
     cfg.write_text(json.dumps({"magnitudes": [8.0], "n_scenarios": 100,
                                "reduce_to": 6, "seed": 3, "exact_ens": True}))
     out = tmp_path / "out.json"
+    entries = sorted(tmp_path.iterdir())
     for argv in (["eval", "--network", str(net), "--failed", "c_l4",
                   "--out", str(out)],
                  ["pipeline", "--network", str(net), "--config", str(cfg),
@@ -661,6 +724,7 @@ def test_exit_code_2_on_generator_that_cannot_idle(tmp_path, capsys):
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
         assert "buses ['b5']" in err and "generators ['g1']" in err, argv
-    assert not out.exists()
+    # the study failed part-way: no out, no study directory, no sibling
+    assert sorted(tmp_path.iterdir()) == entries
     # other failures leave g1 in an island that takes its minimum output
     assert main(["eval", "--network", str(net), "--failed", "c_l1"]) == 0

@@ -158,11 +158,18 @@ def test_pipeline_produces_expected_artifacts(tmp_path):
     assert set(m["return_period_loss"]) == {"2", "10"}
     assert m["reduction_w1"] >= 0.0
 
-    # every artifact hash matches the bytes on disk
+    # the directory walk is the manifest's oracle: the files under out are
+    # exactly its artifacts, the manifest and the sidecar, and every
+    # artifact hash matches the bytes on disk
     import hashlib
+    on_disk = {os.path.relpath(os.path.join(root, name), out)
+               .replace(os.sep, "/")
+               for root, _, files in os.walk(out) for name in files}
+    assert on_disk == set(arts) | {"manifest.json", "timings.json"}
     for rel, want in arts.items():
         with open(os.path.join(out, rel), "rb") as fh:
             assert hashlib.sha256(fh.read()).hexdigest() == want, rel
+    assert json.load(open(os.path.join(out, "manifest.json"))) == manifest
 
 
 def test_pipeline_rerun_is_byte_identical(tmp_path):

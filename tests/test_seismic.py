@@ -150,8 +150,8 @@ def test_sample_damage_deterministic_for_seed():
     net = builtin_feeder()
     ev = default_event(7.5)
     field = compute_pga_field(net, ev)
-    [(a, _)] = sample_damage(net, field, np.random.default_rng(11), n=1)
-    [(b, _)] = sample_damage(net, field, np.random.default_rng(11), n=1)
+    [a] = sample_damage(net, field, np.random.default_rng(11), n=1)
+    [b] = sample_damage(net, field, np.random.default_rng(11), n=1)
     assert a == b
     assert set(a) <= set(net.components)
 
@@ -168,7 +168,7 @@ def test_sample_damage_marginal_frequency():
     assert 0.05 < p < 0.95
     n = 4000
     rng = np.random.default_rng(5)
-    hits = sum(cid in failed for failed, _ in sample_damage(net, field, rng, n))
+    hits = sum(cid in failed for failed in sample_damage(net, field, rng, n))
     freq = hits / n
     assert abs(freq - p) < 4.0 * math.sqrt(p * (1 - p) / n)
 
@@ -203,13 +203,9 @@ def test_batched_sample_damage_matches_a_per_scenario_loop(sigma_eps, n_buses):
     field = compute_pga_field(net, default_event(7.5, sigma_eps=sigma_eps))
     got = sample_damage(net, field, np.random.default_rng(21), n=60)
     want = reference_draws(net, field, np.random.default_rng(21), 60)
-    assert [f for f, _ in got] == [f for f, _ in want]
-    assert len({f for f, _ in got}) > 1
-    for (_, pga), (_, ref) in zip(got, want):
-        assert list(pga) == list(net.components)
-        assert [x.hex() for x in pga.values()] == \
-            [ref[cid].hex() for cid in pga]
+    assert got == [f for f, _ in want]
+    assert len(set(got)) > 1
     # one scenario per call draws the same scenarios from the same stream
     rng = np.random.default_rng(21)
     singles = [sample_damage(net, field, rng, n=1)[0] for _ in range(60)]
-    assert [f for f, _ in singles] == [f for f, _ in got]
+    assert singles == got
