@@ -94,8 +94,8 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    if args.hour is not None and args.hour < 0:
-        raise ConfigError("--hour must be >= 0")
+    check(("--hour", args.hour, args.hour is None or args.hour >= 0,
+           ">= 0"))
     net = load_network_file(args.network)
     failed = _failed_set(args)
     hour = args.hour if args.hour is not None else net.peak_hour()
@@ -151,9 +151,9 @@ def _cmd_train(args) -> int:
 
 
 def _load_plan_doc(path: str) -> dict:
-    """A plan whose completion hours and objective, used by the reports,
-    have their types; every completion hour is finite (as every document
-    number is) and >= 0."""
+    """A plan whose completion hours, objective and solver, used by the
+    reports, have their types; every completion hour is finite (as every
+    document number is) and >= 0."""
     doc = read_json(path)
     if not isinstance(doc, dict) or "completion" not in doc:
         raise ConfigError(f"{path}: not a plan document")
@@ -162,6 +162,7 @@ def _load_plan_doc(path: str) -> dict:
             for cid, hour in doc["completion"].items()))
     read_value(ObjectiveBreakdown | None, doc.get("objective"),
                f"{path}: objective")
+    read_value(str | None, doc.get("solver"), f"{path}: solver")
     return doc
 
 

@@ -272,13 +272,12 @@ def exact_dispatch(
     search: nodes expanded, nodes pruned by dominance, Pareto points kept
     (summed over depots) and whether the deadline fired.
     """
-    if time_limit_s is not None and not time_limit_s >= 0:
-        raise ConfigError(f"exact time limit must be >= 0 s, "
-                          f"got {time_limit_s}")
-    for name, value in (("max_components_per_depot", max_components_per_depot),
-                        ("max_crews_per_depot", max_crews_per_depot)):
-        if value < 1:
-            raise ConfigError(f"{name} must be >= 1, got {value}")
+    check(("exact time limit", time_limit_s,
+           time_limit_s is None or time_limit_s >= 0, ">= 0 s"),
+          ("max_components_per_depot", max_components_per_depot,
+           max_components_per_depot >= 1, ">= 1"),
+          ("max_crews_per_depot", max_crews_per_depot,
+           max_crews_per_depot >= 1, ">= 1"))
     compiled = instance.compiled
     for depot, idx in zip(instance.depots, compiled.depot_jobs):
         if len(idx) > max_components_per_depot:
@@ -295,16 +294,18 @@ def exact_dispatch(
         jobs = [instance.components[i] for i in idx]
         nodes = list(idx) + [len(instance.components) + k]
         travel = compiled.travel[np.ix_(nodes, nodes)].tolist()
-        frontier, finished = _depot_frontier(depot, jobs, travel, deadline,
-                                             stats)
+        frontier = _depot_frontier(depot, jobs, travel, deadline, stats)
         frontiers[depot.id] = frontier
         stats["frontier"] += len(frontier)
-        stats["timed_out"] = stats["timed_out"] or not finished
 
     plan = schedule_plan(instance, _combine_frontiers(instance, frontiers))
     breakdown = plan_objective(instance, plan)
     return ExactResult(plan=plan, objective=breakdown,
                        optimal=not stats["timed_out"], stats=stats)
+
+
+class _Deadline(Exception):
+    """The exact search's deadline fired; `_depot_frontier` catches it."""
 
 
 def _depot_frontier(depot, jobs, travel, deadline, stats):
@@ -326,15 +327,13 @@ def _depot_frontier(depot, jobs, travel, deadline, stats):
     WSPT order (p_j / w_j ascending), which is optimal for that relaxation.
 
     Frontier entries are (T, E, routes) with routes a tuple of job-id tuples,
-    one per crew. Returns (frontier, finished) where finished is False if
-    the deadline cut the search short; adds the nodes expanded and pruned
-    to `stats`.
+    one per crew. Returns the frontier; adds the nodes expanded and pruned
+    to `stats` and sets its `timed_out` if the deadline cut the search
+    short.
     """
     n_crews, home = depot.crew_count, len(jobs)
     repair = [c.repair_hours for c in jobs]
     weight = [c.curtailed_mw for c in jobs]
-    if not jobs:
-        return [(0.0, 0.0, tuple(() for _ in range(n_crews)))], True
     fresh = travel[home]
     # the sequence bound's per-job cost and Smith order; zero weights last,
     # ties to the lower index
@@ -345,25 +344,21 @@ def _depot_frontier(depot, jobs, travel, deadline, stats):
     nodes = pruned = 0
 
     def assign(crew_idx, remaining, routes, t_max, e_sum):
-        """Pick crew crew_idx's full route, then move to the next crew.
-        Returns False if the deadline fired somewhere below."""
+        """Pick crew crew_idx's full route, then move to the next crew."""
         if not remaining:
             filled = list(routes) + [()] * (n_crews - len(routes))
             _frontier_add(frontier, (t_max, e_sum, tuple(
                 tuple(jobs[j].id for j in seq) for seq in filled)))
-            return True
-        if crew_idx >= n_crews:
-            return True  # jobs left but no crews: dead branch
-        return extend(crew_idx, remaining, routes, t_max, e_sum, seq=(),
-                      loc=home, t_crew=0.0, has_must=False,
-                      must=min(remaining))
+        elif crew_idx < n_crews:  # else jobs left but no crews: dead branch
+            extend(crew_idx, remaining, routes, t_max, e_sum, seq=(),
+                   loc=home, t_crew=0.0, has_must=False, must=min(remaining))
 
     def extend(crew_idx, remaining, routes, t_max, e_sum, seq, loc, t_crew,
                has_must, must):
         nonlocal nodes, pruned
         nodes += 1
         if deadline is not None and time.monotonic() > deadline:
-            return False
+            raise _Deadline
         # admissible per-job completion bound: the best direct finish from
         # the current crew's position or a fresh crew at the depot
         here = travel[loc]
@@ -386,35 +381,31 @@ def _depot_frontier(depot, jobs, travel, deadline, stats):
                     e_seq += weight[j] * t_seq
             t_lb = max(t_lb, (1.0 - 1e-12) * t_seq)
             e_lb = max(e_lb, (1.0 - 1e-12) * e_seq)
-        t_tol, e_tol = t_lb + 1e-12, e_lb + 1e-12
-        for ft, fe, _ in frontier:
-            if ft <= t_tol and fe <= e_tol:
-                pruned += 1
-                return True
-
-        finished = True
+        if _dominated_by_frontier(frontier, t_lb, e_lb):
+            pruned += 1
+            return
         # close this crew's route and hand the rest to the next crew
         if has_must:
-            finished &= assign(crew_idx + 1, remaining, routes + [seq],
-                               max(t_max, t_crew), e_sum)
+            assign(crew_idx + 1, remaining, routes + [seq],
+                   max(t_max, t_crew), e_sum)
         # or serve one more job now
         for j in sorted(remaining):
             done = t_crew + here[j] + repair[j]
-            finished &= extend(crew_idx, remaining - {j}, routes, t_max,
-                               e_sum + weight[j] * done, seq + (j,), j, done,
-                               has_must or j == must, must)
-            if not finished:
-                break
-        return finished
+            extend(crew_idx, remaining - {j}, routes, t_max,
+                   e_sum + weight[j] * done, seq + (j,), j, done,
+                   has_must or j == must, must)
 
     # seed: greedy nearest-neighbor keeps the frontier non-empty under any
     # deadline and gives the dominance test an early anchor
     frontier = []
     _frontier_add(frontier, _greedy_seed(home, n_crews, jobs, travel))
-    finished = assign(0, frozenset(range(len(jobs))), [], 0.0, 0.0)
+    try:
+        assign(0, frozenset(range(len(jobs))), [], 0.0, 0.0)
+    except _Deadline:
+        stats["timed_out"] = True
     stats["nodes"] += nodes
     stats["pruned"] += pruned
-    return frontier, finished
+    return frontier
 
 
 def _greedy_seed(home, n_crews, jobs, travel):
@@ -442,13 +433,17 @@ def _frontier_add(frontier, entry):
     t, e, _ = entry
     if _dominated_by_frontier(frontier, t, e):
         return  # dominated (or tied): keep the incumbent
-    frontier[:] = [f for f in frontier if not (t <= f[0] + 1e-12 and e <= f[1] + 1e-12)]
+    # drop the points the entry dominates
+    frontier[:] = [f for f in frontier
+                   if not _dominated_by_frontier((entry,), f[0], f[1])]
     frontier.append(entry)
 
 
-def _dominated_by_frontier(frontier, t_lb, e_lb):
+def _dominated_by_frontier(frontier, t, e):
+    """Whether a frontier point is <= (t, e) + 1e-12 in both coordinates."""
+    t_tol, e_tol = t + 1e-12, e + 1e-12
     for ft, fe, _ in frontier:
-        if ft <= t_lb + 1e-12 and fe <= e_lb + 1e-12:
+        if ft <= t_tol and fe <= e_tol:
             return True
     return False
 

@@ -12,8 +12,7 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import ConfigError
-from .model import Network, load_network
+from .model import Network, check, load_network
 from .seismic import SeismicEvent
 
 DEFAULT_EPICENTER = (20.0, 15.0)  # km, relative to the feeder origin
@@ -53,8 +52,7 @@ def random_radial_network(
     optimum lands on the load lattice, which keeps exhaustive grid search
     usable as an oracle.
     """
-    if n_buses < 2:
-        raise ConfigError("need at least 2 buses")
+    check(("n_buses", n_buses, n_buses >= 2, ">= 2"))
     rng = np.random.default_rng(seed)
     buses = []
     for i in range(n_buses):

@@ -229,30 +229,25 @@ class Network:
                 best_t, best_load = t, total
         return best_t
 
-    def component_location(self, comp_id: str) -> tuple[float, float]:
-        """Planar coordinates of a component (line midpoint, else its bus)."""
+    def _component_ends(self, comp_id: str) -> tuple[Bus, Bus]:
+        """A line's two end buses, else the component's one bus twice."""
         comp = self.components[comp_id]
         if comp.kind == "line":
             ln = self.lines[comp.ref]
-            a, b = self.buses[ln.from_bus], self.buses[ln.to_bus]
-            return (0.5 * (a.x + b.x), 0.5 * (a.y + b.y))
-        if comp.kind == "generator":
-            bus = self.buses[self.generators[comp.ref].bus]
-        else:
-            bus = self.buses[comp.ref]
-        return (bus.x, bus.y)
+            return self.buses[ln.from_bus], self.buses[ln.to_bus]
+        bus = self.buses[self.generators[comp.ref].bus
+                         if comp.kind == "generator" else comp.ref]
+        return bus, bus
+
+    def component_location(self, comp_id: str) -> tuple[float, float]:
+        """Planar coordinates of a component: the midpoint of its ends."""
+        a, b = self._component_ends(comp_id)
+        return (0.5 * (a.x + b.x), 0.5 * (a.y + b.y))
 
     def component_site_class(self, comp_id: str) -> str:
-        comp = self.components[comp_id]
-        if comp.kind == "line":
-            # a line spans two sites; use the softer one (conservative)
-            ln = self.lines[comp.ref]
-            classes = {self.buses[ln.from_bus].site_class,
-                       self.buses[ln.to_bus].site_class}
-            return "soil" if "soil" in classes else "rock"
-        if comp.kind == "generator":
-            return self.buses[self.generators[comp.ref].bus].site_class
-        return self.buses[comp.ref].site_class
+        """The softer site class of a component's ends (conservative)."""
+        classes = {bus.site_class for bus in self._component_ends(comp_id)}
+        return "soil" if "soil" in classes else "rock"
 
 
 def check(*rules):

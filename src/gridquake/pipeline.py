@@ -222,8 +222,7 @@ def run_pipeline(network: Network, config: PipelineConfig, out_dir: str,
     directory, renamed to `out_dir` once whole and removed on any error.
     `threads` must be 1: the keyword stays only until the benchmark harness
     stops passing it, and then goes away."""
-    if threads != 1:
-        raise ConfigError(f"threads must be 1, got {threads!r}")
+    check(("threads", threads, threads == 1, "1"))
     out_dir = os.path.abspath(out_dir)
     entries = sorted(os.listdir(out_dir)) if os.path.lexists(out_dir) else []
     if entries:

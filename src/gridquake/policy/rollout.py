@@ -24,7 +24,7 @@ import numpy as np
 
 from ..dispatch import (DispatchInstance, DispatchPlan, ObjectiveBreakdown,
                         plan_objective, schedule_plan)
-from ..errors import ConfigError
+from ..model import check
 from .nn import CREW_FEATURES, PolicyModel
 
 
@@ -210,8 +210,7 @@ def policy_dispatch(
     """Best plan over one greedy decode plus `samples` stochastic decodes,
     run as one batch. Ties keep the earlier row, so the greedy plan wins
     them. An instance with no failed components gets the empty plan."""
-    if samples < 0:
-        raise ConfigError("samples must be >= 0")
+    check(("samples", samples, samples >= 0, ">= 0"))
     if not instance.components:
         plan = schedule_plan(instance, {})
         return PolicyResult(plan=plan, objective=plan_objective(instance, plan),

@@ -110,9 +110,9 @@ def _cell(v) -> str:
 
 def write_csv(path: str, header: list, rows: list) -> str:
     """Plain CSV with repr-stable float formatting, written as `write_json`
-    writes. Values must not contain commas or newlines (ids and numbers
-    only)."""
-    lines = [",".join(header)] + [",".join(map(_cell, row)) for row in rows]
+    writes. Header and row cells must not contain commas or newlines (ids
+    and numbers only)."""
+    lines = [",".join(map(_cell, row)) for row in [header, *rows]]
     return _write(path, "\n".join(lines) + "\n")
 
 
@@ -189,10 +189,15 @@ def _ticks(lo, hi, count=5):
     return [lo + i * step for i in range(count + 1)]
 
 
+def _svg_text(text: str) -> str:
+    """`text` as SVG character data: `&` and `<` escaped, nothing else."""
+    return text.replace("&", "&amp;").replace("<", "&lt;")
+
+
 def plot_lines_svg(curves: dict, path: str, title: str,
                    xlabel: str, ylabel: str, step: bool = False) -> str:
     """Write a fixed-size SVG line chart of fractions over [0, 1.05] and
-    return its SHA-256. curves: name -> (xs, ys)."""
+    return its SHA-256. curves: name -> (xs, ys). All text is escaped."""
     names = sorted(curves)
     if not names:
         raise ConfigError("nothing to plot")
@@ -208,7 +213,7 @@ def plot_lines_svg(curves: dict, path: str, title: str,
     parts.append(f'<rect width="{_W}" height="{_H}" fill="white"/>')
     parts.append(
         f'<text x="{_W / 2:.0f}" y="20" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="14">{title}</text>')
+        f'font-family="sans-serif" font-size="14">{_svg_text(title)}</text>')
 
     # axes
     ax_x0, ax_y0 = _ML, _H - _MB
@@ -232,10 +237,11 @@ def plot_lines_svg(curves: dict, path: str, title: str,
                      f'font-family="sans-serif" font-size="11">{ty:.3g}</text>')
     parts.append(f'<text x="{(_ML + _W - _MR) / 2:.0f}" y="{_H - 10}" '
                  f'text-anchor="middle" font-family="sans-serif" '
-                 f'font-size="12">{xlabel}</text>')
+                 f'font-size="12">{_svg_text(xlabel)}</text>')
     parts.append(f'<text x="16" y="{(_MT + _H - _MB) / 2:.0f}" '
                  f'text-anchor="middle" font-family="sans-serif" font-size="12" '
-                 f'transform="rotate(-90 16 {(_MT + _H - _MB) / 2:.0f})">{ylabel}</text>')
+                 f'transform="rotate(-90 16 {(_MT + _H - _MB) / 2:.0f})">'
+                 f'{_svg_text(ylabel)}</text>')
 
     for i, name in enumerate(names):
         xs, ys = curves[name]
@@ -257,7 +263,8 @@ def plot_lines_svg(curves: dict, path: str, title: str,
                      f'x2="{_W - _MR - 96}" y2="{ly}" stroke="{color}" '
                      f'stroke-width="1.6"/>')
         parts.append(f'<text x="{_W - _MR - 90}" y="{ly + 4}" '
-                     f'font-family="sans-serif" font-size="11">{name}</text>')
+                     f'font-family="sans-serif" font-size="11">'
+                     f'{_svg_text(name)}</text>')
 
     parts.append("</svg>")
     return _write(path, "\n".join(parts) + "\n")

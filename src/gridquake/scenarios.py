@@ -115,11 +115,8 @@ def generate_scenarios(
     The set's impact map holds each component's median PGA, its failure
     probability there, and its failure frequency over the n scenarios.
     """
-    if n < 1:
-        raise ConfigError("need at least one scenario")
-    for name, w in (("w1", w1), ("w2", w2)):
-        if not w >= 0:
-            raise ConfigError(f"{name} must be >= 0")
+    check(("n", n, n >= 1, ">= 1"), ("w1", w1, w1 >= 0, ">= 0"),
+          ("w2", w2, w2 >= 0, ">= 0"))
     if peak_shed is None:
         peak_shed = PeakShed(network)
     unserved = peak_shed if exact_ens else peak_shed.de_energized
@@ -181,8 +178,7 @@ def return_period_loss(dist: LossDistribution, period: float) -> float:
     Monotone non-decreasing in the period; capped at the largest support
     value when even it is exceeded too often.
     """
-    if period <= 0:
-        raise ConfigError("return period must be > 0")
+    check(("return period", period, period > 0, "> 0"))
     target = 1.0 / period
     tail = np.cumsum(dist.weights[::-1])[::-1]  # tail[i] = Pr[L >= support[i]]
     ok = np.nonzero(tail <= target + 1e-15)[0]
@@ -295,8 +291,7 @@ def forward_reduce(sset: ScenarioSet, k: int, protected=()) -> ScenarioSet:
     The result preserves original ids and failed sets; weights sum to one,
     and the impact map's frequencies are taken under those weights.
     """
-    if k < 1:
-        raise ConfigError("k must be >= 1")
+    check(("k", k, k >= 1, ">= 1"))
     n = len(sset.scenarios)
     ids = [s.id for s in sset.scenarios]
     id_to_pos = {sid: i for i, sid in enumerate(ids)}
@@ -304,8 +299,8 @@ def forward_reduce(sset: ScenarioSet, k: int, protected=()) -> ScenarioSet:
         if pid not in id_to_pos:
             raise ConfigError(f"protected scenario {pid} not in the set")
     protected_pos = sorted({id_to_pos[p] for p in protected})
-    if k < len(protected_pos):
-        raise ConfigError(f"k={k} smaller than protected count {len(protected_pos)}")
+    check(("k", k, k >= len(protected_pos),
+           f">= the protected count {len(protected_pos)}"))
     if k >= n:
         return _subset(sset, list(sset.scenarios))
 
@@ -389,8 +384,7 @@ def reduction_distance(sset: ScenarioSet, retained_ids) -> float:
                             dtype=int)
     except KeyError as e:
         raise ConfigError(f"retained scenario {e.args[0]} not in the set") from e
-    if retained.size == 0:
-        raise ConfigError("need at least one retained scenario")
+    check(("retained_ids", retained_ids, retained.size > 0, "non-empty"))
     losses = sset.losses()
     weights = sset.weights()
     rw = _redistribute(losses, weights, retained)

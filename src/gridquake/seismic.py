@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
 from .model import FragilityCurve, Network, check
 
 __all__ = [
@@ -80,8 +79,8 @@ def ground_motion_pga(
     event: SeismicEvent, x: float, y: float, site_class: str = "rock",
 ) -> float:
     """Median PGA in g at a site; `sample_damage` applies the residual."""
-    if site_class not in SITE_TERMS:
-        raise ConfigError(f"no site term for site_class {site_class!r}")
+    check(("site_class", site_class, site_class in SITE_TERMS,
+           f"one of {tuple(SITE_TERMS)}"))
     r = max(site_distance(event, x, y), R_FLOOR_KM)
     ln_pga = (A + B1 * event.magnitude - B2 * math.log(r)
               + SITE_TERMS[site_class])

@@ -6,6 +6,7 @@ import math
 import os
 import re
 from dataclasses import fields
+from xml.dom import minidom
 
 import numpy as np
 import pytest
@@ -172,6 +173,10 @@ def test_exit_code_2_on_negative_samples(network_path, model_path, capsys):
                  "--failed", "c_l1", "--model", model_path,
                  "--samples", "-1"]) == 2
     assert "samples must be >= 0" in capsys.readouterr().err
+    assert main(["dispatch", "policy", "--network", network_path,
+                 "--failed", "c_l1", "--model", model_path,
+                 "--samples", "-2"]) == 2
+    assert "samples must be >= 0, got -2" in capsys.readouterr().err
 
 
 def test_exit_code_2_on_checkpoint_missing_an_array(network_path, tmp_path,
@@ -235,6 +240,36 @@ def test_report_subcommands(network_path, tmp_path, capsys):
                  "--plans", *plans, "--out", prefix]) == 0
     assert os.path.exists(prefix + ".csv")
     assert os.path.exists(prefix + ".svg")
+    capsys.readouterr()
+
+
+def _solver_plan(tmp_path, solver):
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(dict(_PLAN, solver=solver)))
+    return str(path)
+
+
+def test_exit_code_2_on_a_curve_name_that_needs_quoting(network_path,
+                                                       tmp_path, capsys):
+    """The header of the resilience table holds the curve names; one with
+    a comma used to write a header wider than its rows."""
+    prefix = str(tmp_path / "r")
+    assert main(["report", "resilience", "--network", network_path,
+                 "--plans", _solver_plan(tmp_path, "a,b"),
+                 "--out", prefix]) == 2
+    assert "csv cell needs quoting: 'a,b'" in capsys.readouterr().err
+    assert not os.path.exists(prefix + ".csv")
+    assert not os.path.exists(prefix + ".svg")
+
+
+def test_resilience_chart_escapes_its_text(network_path, tmp_path, capsys):
+    prefix = str(tmp_path / "r")
+    assert main(["report", "resilience", "--network", network_path,
+                 "--plans", _solver_plan(tmp_path, "a<b&c"),
+                 "--out", prefix]) == 0
+    svg = minidom.parse(prefix + ".svg")
+    texts = [t.firstChild.data for t in svg.getElementsByTagName("text")]
+    assert "a<b&c" in texts
     capsys.readouterr()
 
 
@@ -473,6 +508,13 @@ def test_exit_code_2_on_reduce_k_below_one(network_path, tmp_path, capsys):
     for k in ("0", "-1"):
         assert main(["reduce", "--scenarios", sc, "--k", k]) == 2
         assert "k must be >= 1" in capsys.readouterr().err
+    assert main(["reduce", "--scenarios", sc, "--k", "0"]) == 2
+    assert "k must be >= 1, got 0" in capsys.readouterr().err
+    # return periods 2 and 10 protect two scenarios of this set
+    assert main(["reduce", "--scenarios", sc, "--k", "1",
+                 "--periods", "2,10"]) == 2
+    assert ("k must be >= the protected count 2, got 1"
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("argv,rule", [
@@ -480,7 +522,10 @@ def test_exit_code_2_on_reduce_k_below_one(network_path, tmp_path, capsys):
      "w1 must be >= 0"),
     (["gen", "--magnitude", "7.5", "--n", "3", "--w2", "-0.5"],
      "w2 must be >= 0"),
-    (["eval", "--failed", "c_l1", "--hour", "-3"], "--hour must be >= 0")])
+    (["eval", "--failed", "c_l1", "--hour", "-3"], "--hour must be >= 0"),
+    (["eval", "--failed", "c_l1", "--hour", "-3"],
+     "--hour must be >= 0, got -3"),
+    (["gen", "--magnitude", "7.5", "--n", "0"], "n must be >= 1, got 0")])
 def test_exit_code_2_on_negative_weight_or_hour(argv, rule, network_path,
                                                 tmp_path, capsys):
     out = tmp_path / "out.json"
@@ -621,6 +666,8 @@ _PLAN = {"solver": "exact", "status": "ok", "completion": {"c_l3": 2.5},
     ("plan", lambda d: d.update(completion={"c_l3": "x"}),
      "completion.c_l3"),
     ("plan", lambda d: d["objective"].update(value="x"), "objective.value"),
+    # a numeric solver crashed `report resilience` and filled compare's cell
+    ("plan", lambda d: d.update(solver=5), "solver: expected a string, got 5"),
 ])
 def test_exit_code_2_on_malformed_documents(kind, edit, where, tmp_path,
                                             network_path, capsys):

@@ -1,6 +1,7 @@
 """Network document loading, validation, and radiality checks."""
 
 import ast
+import inspect
 import json
 import math
 import re
@@ -9,13 +10,19 @@ from pathlib import Path
 import pytest
 
 import gridquake
+from gridquake import cli, dispatch, fixtures, pipeline, scenarios, seismic
 from gridquake.errors import ConfigError
 from gridquake.fixtures import builtin_feeder, random_radial_network
 from gridquake.model import (Bus, FragilityCurve, Line, LoadProfile, Network,
                              check, load_network, network_to_document,
                              read_record, validate_radiality)
 from gridquake.pipeline import PipelineConfig
+from gridquake.policy import rollout
 from gridquake.policy.nn import PolicyConfig
+from gridquake.scenarios import (DamageScenario, LossDistribution,
+                                 ScenarioSet, reduction_distance,
+                                 return_period_loss)
+from gridquake.seismic import SeismicEvent, ground_motion_pga
 
 
 def doc_minimal():
@@ -342,3 +349,42 @@ def test_every_record_rule_goes_through_check():
             "PolicyConfig", "InstanceFamily", "PpoConfig"} <= found.keys()
     assert {name: rule for name, rule in found.items()
             if rule != (False, True)} == {}
+
+
+def _one_scenario_set():
+    return ScenarioSet(scenarios=(DamageScenario(id=0, failed=(), loss=1.0,
+                                                 ens_mw=0.0, weight=1.0),),
+                       magnitude=7.0, seed=0, n_generated=1)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: return_period_loss(LossDistribution.from_values([1.0], [1.0]),
+                                0), "return period must be > 0, got 0"),
+    (lambda: reduction_distance(_one_scenario_set(), []),
+     "retained_ids must be non-empty, got []"),
+    (lambda: random_radial_network(0, n_buses=1), "n_buses must be >= 2, "
+     "got 1"),
+    (lambda: ground_motion_pga(SeismicEvent(magnitude=7.0, epicenter_x=0.0,
+                                            epicenter_y=0.0), 1.0, 1.0,
+                               site_class="bedrock"),
+     "site_class must be one of ('rock', 'soil'), got 'bedrock'")])
+def test_argument_rules_read_like_record_rules(call, message):
+    with pytest.raises(ConfigError) as err:
+        call()
+    assert str(err.value) == message
+
+
+def test_every_argument_rule_goes_through_check():
+    """The functions that take values from outside state their value rules
+    in a check(...) call, as the records do; what they still raise by
+    themselves are lookups and limits, none worded as a rule."""
+    for fn in (dispatch.exact_dispatch, scenarios.generate_scenarios,
+               scenarios.return_period_loss, scenarios.forward_reduce,
+               scenarios.reduction_distance, rollout.policy_dispatch,
+               fixtures.random_radial_network, seismic.ground_motion_pga,
+               cli._cmd_eval, pipeline.run_pipeline):
+        nodes = list(ast.walk(ast.parse(inspect.getsource(fn))))
+        assert any(isinstance(n, ast.Call) and ast.unparse(n.func) == "check"
+                   for n in nodes), fn.__name__
+        assert not [ast.unparse(n) for n in nodes if isinstance(n, ast.Raise)
+                    and "must be" in ast.unparse(n)], fn.__name__
