@@ -98,7 +98,7 @@ def write_json(obj, path: str) -> str:
 
 def _cell(v) -> str:
     if isinstance(v, str):
-        if "," in v or "\n" in v:
+        if "," in v or "\n" in v or "\r" in v:
             raise ConfigError(f"csv cell needs quoting: {v!r}")
         return v
     if v is None:
@@ -110,8 +110,8 @@ def _cell(v) -> str:
 
 def write_csv(path: str, header: list, rows: list) -> str:
     """Plain CSV with repr-stable float formatting, written as `write_json`
-    writes. Header and row cells must not contain commas or newlines (ids
-    and numbers only)."""
+    writes. Header and row cells must not contain commas, line feeds or
+    carriage returns (ids and numbers only)."""
     lines = [",".join(map(_cell, row)) for row in [header, *rows]]
     return _write(path, "\n".join(lines) + "\n")
 

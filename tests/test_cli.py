@@ -175,8 +175,8 @@ def test_exit_code_2_on_negative_samples(network_path, model_path, capsys):
     assert "samples must be >= 0" in capsys.readouterr().err
     assert main(["dispatch", "policy", "--network", network_path,
                  "--failed", "c_l1", "--model", model_path,
-                 "--samples", "-2"]) == 2
-    assert "samples must be >= 0, got -2" in capsys.readouterr().err
+                 "--samples", "-1"]) == 2
+    assert "samples must be >= 0, got -1" in capsys.readouterr().err
 
 
 def test_exit_code_2_on_checkpoint_missing_an_array(network_path, tmp_path,
@@ -249,15 +249,17 @@ def _solver_plan(tmp_path, solver):
     return str(path)
 
 
-def test_exit_code_2_on_a_curve_name_that_needs_quoting(network_path,
+@pytest.mark.parametrize("name", ["a,b", "a\rb"])
+def test_exit_code_2_on_a_curve_name_that_needs_quoting(name, network_path,
                                                        tmp_path, capsys):
     """The header of the resilience table holds the curve names; one with
-    a comma used to write a header wider than its rows."""
+    a comma used to write a header wider than its rows, and a csv reader
+    splits a header with a carriage return into two rows."""
     prefix = str(tmp_path / "r")
     assert main(["report", "resilience", "--network", network_path,
-                 "--plans", _solver_plan(tmp_path, "a,b"),
+                 "--plans", _solver_plan(tmp_path, name),
                  "--out", prefix]) == 2
-    assert "csv cell needs quoting: 'a,b'" in capsys.readouterr().err
+    assert f"csv cell needs quoting: {name!r}" in capsys.readouterr().err
     assert not os.path.exists(prefix + ".csv")
     assert not os.path.exists(prefix + ".svg")
 
